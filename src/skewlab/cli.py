@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,47 +85,36 @@ def _need(params: dict, family: str, *names: str) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class MechanismSpec:
-    """Serialized mechanism: a family name plus its named parameters."""
-
-    family: str
-    parameters: dict = field(default_factory=dict)
-
-    def build(self) -> mechanisms.SkewingMechanism:
-        family, params = self.family, self.parameters
-        if family == "azzalini":
-            (alpha,) = _need(params, family, "alpha")
-            return mechanisms.SkewSymmetric.azzalini(alpha)
-        if family == "skewsym-custom":
-            kind = params.get("pi")
-            if kind not in _PI_REGISTRY:
-                raise UsageError(
-                    f"skewsym-custom requires --param pi=<{'|'.join(sorted(_PI_REGISTRY))}>")
-            alpha = params.get("alpha", 1.0)
-            if not isinstance(alpha, float):
-                raise UsageError(f"parameter 'alpha' must be numeric, got {alpha!r}")
-            return mechanisms.SkewSymmetric(_PI_REGISTRY[kind](alpha))
-        if family == "orderstats":
-            psi1, psi2 = _need(params, family, "psi1", "psi2")
-            return mechanisms.OrderStatistics(psi1, psi2)
-        if family == "marshall-olkin":
-            (gamma,) = _need(params, family, "gamma")
-            return mechanisms.MarshallOlkin(gamma)
-        if family == "twopiece-eps":
-            (gamma,) = _need(params, family, "gamma")
-            return mechanisms.TwoPiece.epsilon_skew(gamma)
-        if family == "twopiece-isf":
-            (gamma,) = _need(params, family, "gamma")
-            return mechanisms.TwoPiece.inverse_scale_factors(gamma)
-        if family == "twopiece-ab":
-            a, b = _need(params, family, "a", "b")
-            return mechanisms.TwoPiece(a, b)
-        raise UsageError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
-
-
 def build_mechanism(family: str, params: dict) -> mechanisms.SkewingMechanism:
-    return MechanismSpec(family, params).build()
+    """The mechanism a family name and its named parameters describe."""
+    if family == "azzalini":
+        (alpha,) = _need(params, family, "alpha")
+        return mechanisms.SkewSymmetric.azzalini(alpha)
+    if family == "skewsym-custom":
+        kind = params.get("pi")
+        if kind not in _PI_REGISTRY:
+            raise UsageError(
+                f"skewsym-custom requires --param pi=<{'|'.join(sorted(_PI_REGISTRY))}>")
+        alpha = params.get("alpha", 1.0)
+        if not isinstance(alpha, float):
+            raise UsageError(f"parameter 'alpha' must be numeric, got {alpha!r}")
+        return mechanisms.SkewSymmetric(_PI_REGISTRY[kind](alpha))
+    if family == "orderstats":
+        psi1, psi2 = _need(params, family, "psi1", "psi2")
+        return mechanisms.OrderStatistics(psi1, psi2)
+    if family == "marshall-olkin":
+        (gamma,) = _need(params, family, "gamma")
+        return mechanisms.MarshallOlkin(gamma)
+    if family == "twopiece-eps":
+        (gamma,) = _need(params, family, "gamma")
+        return mechanisms.TwoPiece.epsilon_skew(gamma)
+    if family == "twopiece-isf":
+        (gamma,) = _need(params, family, "gamma")
+        return mechanisms.TwoPiece.inverse_scale_factors(gamma)
+    if family == "twopiece-ab":
+        a, b = _need(params, family, "a", "b")
+        return mechanisms.TwoPiece(a, b)
+    raise UsageError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
 
 
 def _parse_grid(raw: str) -> np.ndarray:

@@ -234,7 +234,7 @@ def estimate_sup_p(mech: SkewingMechanism, depth: int = 10) -> BoundednessReport
     count = 0
     trace: list[tuple[int, float]] = []
     for grid in _refinement_grids(depth):
-        vals = np.asarray(mech.p_array(grid), dtype=float)
+        vals = np.asarray(mech.p(grid), dtype=float)
         finite = vals[np.isfinite(vals)]
         if finite.size:
             sup = max(sup, float(np.max(finite)))

@@ -1,19 +1,21 @@
-"""Skewing mechanisms on (0, 1) and their composition with the normal base.
+"""Skewing mechanisms on (0, 1) and their composition with the standard normal.
 
 A skewing mechanism is a distribution P on the unit interval with density
-p. Composing it with a base distribution F gives a skewed distribution S
-with density s(y) = f(y) * p(F(y)) and CDF S(y) = P(F(y)). Four families
-are implemented:
+p. Composing it with the standard normal, the only base, gives a skewed
+distribution S with density s(y) = phi(y) * p(Phi(y)) and CDF
+S(y) = P(Phi(y)). Four families are implemented:
 
-* ``SkewSymmetric``: p(x) = 2*pi(Finv(x)) for a skewing function pi with
+* ``SkewSymmetric``: p(x) = 2*pi(Phi^-1(x)) for a skewing function pi with
   0 <= pi <= 1 and pi(-y) = 1 - pi(y); ``AzzaliniPi`` packages the
   pi(y) = Phi(alpha*y) instance.
 * ``OrderStatistics``: p is a Beta(psi1, psi2) density.
 * ``MarshallOlkin``: p(x) = gamma / (x + gamma*(1-x))^2.
-* ``TwoPiece``: differently scaled halves of the base density on either
+* ``TwoPiece``: differently scaled halves of the normal density on either
   side of 0, with the epsilon-skew and inverse-scale-factor
   parameterizations as named constructors.
 
+Each family implements its density, ``cdf_P`` and ``quantile_P`` once,
+for a float or an ndarray of any shape (a 0-d input returns a float).
 Mechanisms also provide composition hooks (``composed_log_cdf`` and
 friends) so the composed distribution can evaluate its tails entirely in
 log space; the named families override them with closed or series forms
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable
 
 import numpy as np
@@ -54,38 +56,58 @@ __all__ = [
 
 _STD = StandardNormal()
 _NEG_INF = float("-inf")
+_INF = float("inf")
+_LOG2 = math.log(2.0)
+# the open unit interval's ends in doubles, where Phi^-1 stays finite
+_TINY, _TOP = 5e-324, 1.0 - 2**-53
 
 
-def _check_unit_interval(x: float) -> None:
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"x must lie in [0, 1], got {x!r}")
+def _out(v):
+    """A Python float for a 0-d result, the array otherwise."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def _within(x, open_: bool, what: str = "x") -> np.ndarray:
+    """x as a float array, checked to lie in [0, 1], or in (0, 1) if open_."""
+    x = np.asarray(x, dtype=float)
+    if not ((x > 0.0) & (x < 1.0) if open_ else (x >= 0.0) & (x <= 1.0)).all():
+        raise DomainError(f"{what} must lie in {'(0, 1)' if open_ else '[0, 1]'}, got {x}")
+    return x
+
+
+def _log1mexp(v: float) -> float:
+    """ln(1 - e^v) for v <= 0."""
+    return math.log1p(-math.exp(v)) if v < 0.0 else _NEG_INF
 
 
 class SkewingMechanism(ABC):
-    """A distribution P on (0, 1) used to skew a symmetric base.
+    """A distribution P on (0, 1) used to skew the standard normal.
 
+    A family defines ``p`` or ``log_p``; the other follows from it here.
     Instances are immutable and validated at construction; all evaluation
     methods are pure. ``analytic_sup`` is an upper bound for p known in
     closed form, or None; ``is_identity`` reports whether the composition
-    with the base is a normal distribution (the escape hatch of the
+    with the normal is a normal distribution (the escape hatch of the
     non-divisibility rules).
     """
 
-    @abstractmethod
-    def p(self, x: float) -> float:
+    def p(self, x):
         """Mechanism density at x in [0, 1]."""
+        with np.errstate(over="ignore"):
+            return _out(np.exp(self.log_p(x)))
+
+    def log_p(self, x):
+        """ln p(x)."""
+        with np.errstate(divide="ignore"):
+            return _out(np.log(self.p(x)))
 
     @abstractmethod
-    def cdf_P(self, x: float) -> float:
+    def cdf_P(self, x):
         """Mechanism CDF at x in [0, 1]."""
 
     @abstractmethod
-    def quantile_P(self, q: float) -> float:
+    def quantile_P(self, q):
         """Inverse of cdf_P on (0, 1)."""
-
-    def log_p(self, x: float) -> float:
-        v = self.p(x)
-        return math.log(v) if v > 0.0 else _NEG_INF
 
     @property
     def analytic_sup(self) -> float | None:
@@ -100,31 +122,26 @@ class SkewingMechanism(ABC):
         """Ordinates (in y-space) where the composed density is not smooth."""
         return ()
 
-    # -- vectorized variants; families override with ufunc forms ---------
+    # -- composition hooks, at a scalar y ----------------------------------
 
-    def p_array(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self.p(float(v)) for v in x])
+    def composed_log_pdf(self, y: float) -> float:
+        return _STD.log_pdf(y) + self.log_p(_STD.cdf(y))
 
-    def cdf_P_array(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self.cdf_P(float(v)) for v in x])
+    @abstractmethod
+    def composed_log_cdf(self, y: float) -> LogProb:
+        """ln S(y), finite far past the underflow of S(y)."""
 
-    def quantile_P_array(self, q: np.ndarray) -> np.ndarray:
-        return np.array([self.quantile_P(float(v)) for v in q])
+    @abstractmethod
+    def composed_log_sf(self, y: float) -> LogProb:
+        """ln(1 - S(y)), finite far past the rounding of S(y) to 1."""
 
-    # -- composition hooks ------------------------------------------------
-    # Defaults are accurate wherever cdf_P keeps digits; the named
-    # families override with forms that are stable in the extreme tails.
 
-    def composed_log_pdf(self, base: ContinuousDistribution, y: float) -> float:
-        return base.log_pdf(y) + self.log_p(base.cdf(y))
-
-    def composed_log_cdf(self, base: ContinuousDistribution, y: float) -> LogProb:
-        v = self.cdf_P(base.cdf(y))
-        return math.log(v) if v > 0.0 else _NEG_INF
-
-    def composed_log_sf(self, base: ContinuousDistribution, y: float) -> LogProb:
-        v = self.cdf_P(base.cdf(y))
-        return math.log1p(-v) if v < 1.0 else _NEG_INF
+def _composed_cdf(mech: SkewingMechanism, y: float) -> float:
+    """P(Phi(y)) from the log tail on y's side of 0, so that neither tail
+    rounds to 0 or 1 before it is taken."""
+    if y <= 0.0:
+        return math.exp(min(0.0, mech.composed_log_cdf(y)))
+    return -math.expm1(min(0.0, mech.composed_log_sf(y)))
 
 
 def _symmetric_grid(n: int = 500, span: float = 8.0) -> np.ndarray:
@@ -152,14 +169,20 @@ class AzzaliniPi:
 
 
 class SkewSymmetric(SkewingMechanism):
-    """Mechanism with p(x) = 2 * pi(Finv(x)).
+    """Mechanism with p(x) = 2 * pi(Phi^-1(x)).
 
     ``pi`` maps the real line to [0, 1] with pi(-y) = 1 - pi(y) almost
-    everywhere (checked on a symmetric grid at construction). Composed
-    densities take the form 2 * f(y) * pi(y). The composed CDF has no
-    closed form, so cumulative quantities are evaluated by adaptive
-    quadrature of the composed density, in log space for the tails, and
-    bulk sampling uses a cached monotone inverse-CDF table.
+    everywhere, and maps an array to an array of its shape; both are
+    checked at construction. Composed densities are 2 * phi(y) * pi(y).
+
+    The composed CDF has no closed form; ``cdf_P`` and ``quantile_P``
+    choose their numerics from the input. A scalar takes log-space
+    adaptive quadrature of the composed density to ``DEFAULT_TOL`` (and
+    a root find on it for the quantile). An array interpolates a cached
+    CDF table on [-13, 13] with step h = 26/16384, for bulk fitting and
+    sampling. Its error in probability is at most h^2/8 * max|s'|, s the
+    composed density: 1.2e-7 for Azzalini |alpha| = 1, 3.0e-7 for
+    alpha = 3, 5.0e-6 for alpha = 50.
     """
 
     _TABLE_SPAN = 13.0
@@ -167,18 +190,14 @@ class SkewSymmetric(SkewingMechanism):
 
     def __init__(self, pi: Callable, log_pi: Callable | None = None):
         self.pi = pi
-        if log_pi is None and hasattr(pi, "log"):
-            log_pi = pi.log
-        self._log_pi = log_pi
+        self._log_pi = log_pi or getattr(pi, "log", None)
         grid = _symmetric_grid()
         try:
             vals = np.asarray(pi(grid), dtype=float)
-            if vals.shape != grid.shape:
-                raise TypeError
-            self._vectorized = True
-        except (TypeError, ValueError):
-            vals = np.array([float(pi(float(t))) for t in grid])
-            self._vectorized = False
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"pi must accept an array: {exc}") from exc
+        if vals.shape != grid.shape:
+            raise ParameterError("pi must return an array shaped like its input")
         if not np.all((vals >= 0.0) & (vals <= 1.0)):
             raise ParameterError("pi must map into [0, 1]")
         if not np.all(np.abs(vals + vals[::-1] - 1.0) <= 1e-12):
@@ -188,66 +207,56 @@ class SkewSymmetric(SkewingMechanism):
     def azzalini(cls, alpha: float) -> "SkewSymmetric":
         return cls(AzzaliniPi(alpha))
 
-    def _pi_vec(self, t: np.ndarray) -> np.ndarray:
-        if self._vectorized:
-            return np.asarray(self.pi(t), dtype=float)
-        return np.array([float(self.pi(float(v))) for v in t])
-
     def _log_pi_at(self, t: float) -> float:
         if self._log_pi is not None:
             return float(self._log_pi(t))
         v = float(self.pi(t))
         return math.log(v) if v > 0.0 else _NEG_INF
 
-    def p(self, x: float) -> float:
-        _check_unit_interval(x)
-        if x == 0.0 or x == 1.0:
-            raise DomainError("mechanism density is defined on the open interval (0, 1)")
-        return 2.0 * float(self.pi(float(numcore.normal_quantile(x))))
+    def p(self, x):
+        z = numcore.normal_quantile(_within(x, open_=True))
+        return _out(2.0 * np.asarray(self.pi(z), dtype=float))
 
-    def log_p(self, x: float) -> float:
-        _check_unit_interval(x)
-        if x == 0.0 or x == 1.0:
-            raise DomainError("mechanism density is defined on the open interval (0, 1)")
-        return math.log(2.0) + self._log_pi_at(float(numcore.normal_quantile(x)))
+    def composed_log_pdf(self, y: float) -> float:
+        return _LOG2 + self._log_pi_at(y) + _STD.log_pdf(y)
 
-    def p_array(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * self._pi_vec(numcore.normal_quantile(np.asarray(x)))
+    def _log_mass(self, lo: float, hi: float) -> LogProb:
+        return min(0.0, numcore.log_integrate(self.composed_log_pdf, lo, hi))
 
-    def composed_log_pdf(self, base: ContinuousDistribution, y: float) -> float:
-        return math.log(2.0) + self._log_pi_at(y) + base.log_pdf(y)
+    # Each log tail integrates only the side of 0 that y lies on: quadpack
+    # can miss the bulk of an infinite interval that holds it.
 
-    def composed_log_cdf(self, base: ContinuousDistribution, y: float) -> LogProb:
-        return min(0.0, numcore.log_integrate(
-            lambda t: self.composed_log_pdf(base, t), _NEG_INF, y))
+    def composed_log_cdf(self, y: float) -> LogProb:
+        if y <= 0.0:
+            return self._log_mass(_NEG_INF, y)
+        return _log1mexp(self._log_mass(y, _INF))
 
-    def composed_log_sf(self, base: ContinuousDistribution, y: float) -> LogProb:
-        return min(0.0, numcore.log_integrate(
-            lambda t: self.composed_log_pdf(base, t), y, float("inf")))
+    def composed_log_sf(self, y: float) -> LogProb:
+        if y >= 0.0:
+            return self._log_mass(y, _INF)
+        return _log1mexp(self._log_mass(_NEG_INF, y))
 
-    def _cdf_at(self, z: float) -> float:
-        """Composed CDF at ordinate z, by quadrature of the smaller side."""
-        if z <= 0.0:
-            return math.exp(self.composed_log_cdf(_STD, z))
-        return -math.expm1(self.composed_log_sf(_STD, z))
+    def cdf_P(self, x):
+        x = _within(x, open_=False)
+        if x.ndim == 0:
+            x = float(x)
+            return _composed_cdf(self, _STD.quantile(x)) if 0.0 < x < 1.0 else x
+        z_grid, cdf = self._cdf_table
+        z = numcore.normal_quantile(np.clip(x, _TINY, _TOP))
+        return np.interp(z, z_grid, cdf, left=0.0, right=1.0)
 
-    def cdf_P(self, x: float) -> float:
-        _check_unit_interval(x)
-        if x == 0.0:
-            return 0.0
-        if x == 1.0:
-            return 1.0
-        return self._cdf_at(float(numcore.normal_quantile(x)))
-
-    def quantile_P(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
-        if not (0.0 < q < 1.0):
-            raise DomainError(f"q must lie in (0, 1), got {q!r}")
+    def quantile_P(self, q, tol: Tolerance = DEFAULT_TOL):
+        q = _within(q, open_=True, what="q")
+        if q.ndim:
+            z_grid, cdf = self._cdf_table
+            return numcore.normal_cdf(np.interp(q, cdf, z_grid))
+        q = float(q)
         lo, hi = -1.0, 1.0
-        while self._cdf_at(lo) > q and lo > -40.0:
+        while _composed_cdf(self, lo) > q and lo > -40.0:
             lo *= 2.0
-        while self._cdf_at(hi) < q and hi < 40.0:
+        while _composed_cdf(self, hi) < q and hi < 40.0:
             hi *= 2.0
-        z = numcore.find_root(lambda t: self._cdf_at(t) - q, lo, hi, tol)
+        z = numcore.find_root(lambda t: _composed_cdf(self, t) - q, lo, hi, tol)
         return float(numcore.normal_cdf(z))
 
     @cached_property
@@ -259,24 +268,12 @@ class SkewSymmetric(SkewingMechanism):
         mid = 0.5 * (z[:-1] + z[1:])
         half = 0.5 * (z[1] - z[0])
         t = mid[:, None] + half * nodes[None, :]
-        w = 2.0 * self._pi_vec(t.ravel()).reshape(t.shape)
+        w = 2.0 * np.asarray(self.pi(t.ravel()), dtype=float).reshape(t.shape)
         w *= np.asarray(numcore.normal_pdf(t.ravel())).reshape(t.shape)
         panels = half * (w @ weights)
-        left = math.exp(self.composed_log_cdf(_STD, float(z[0])))
+        left = math.exp(self.composed_log_cdf(float(z[0])))
         cdf = np.concatenate([[left], left + np.cumsum(panels)])
         return z, cdf
-
-    def cdf_P_array(self, x: np.ndarray) -> np.ndarray:
-        # linear interpolation between table knots: ~1e-7 accurate, meant
-        # for bulk goodness-of-fit work; scalar cdf_P is quadrature-exact
-        z_grid, cdf = self._cdf_table
-        z = numcore.normal_quantile(np.clip(np.asarray(x, dtype=float), 5e-324, 1.0 - 2**-53))
-        return np.interp(z, z_grid, cdf, left=0.0, right=1.0)
-
-    def quantile_P_array(self, q: np.ndarray) -> np.ndarray:
-        z_grid, cdf = self._cdf_table
-        z = np.interp(np.asarray(q, dtype=float), cdf, z_grid)
-        return np.asarray(numcore.normal_cdf(z))
 
     @property
     def analytic_sup(self) -> float:
@@ -284,7 +281,7 @@ class SkewSymmetric(SkewingMechanism):
 
     @cached_property
     def is_identity(self) -> bool:
-        vals = self._pi_vec(_symmetric_grid(500))
+        vals = np.asarray(self.pi(_symmetric_grid(500)), dtype=float)
         return bool(np.all(np.abs(vals - 0.5) <= 1e-12))
 
     def __repr__(self) -> str:
@@ -301,7 +298,7 @@ class OrderStatistics(SkewingMechanism):
         self.psi2 = float(psi2)
         self._log_b = numcore.log_beta(self.psi1, self.psi2)
 
-    def _log_p_from_logs(self, log_x: float, log_1mx: float) -> float:
+    def _log_p_from_logs(self, log_x, log_1mx):
         out = -self._log_b
         if self.psi1 != 1.0:
             out += (self.psi1 - 1.0) * log_x
@@ -309,47 +306,26 @@ class OrderStatistics(SkewingMechanism):
             out += (self.psi2 - 1.0) * log_1mx
         return out
 
-    def log_p(self, x: float) -> float:
-        _check_unit_interval(x)
-        lx = math.log(x) if x > 0.0 else _NEG_INF
-        l1mx = math.log1p(-x) if x < 1.0 else _NEG_INF
-        return self._log_p_from_logs(lx, l1mx)
+    def log_p(self, x):
+        x = _within(x, open_=False)
+        with np.errstate(divide="ignore"):
+            return _out(self._log_p_from_logs(np.log(x), np.log1p(-x)))
 
-    def p(self, x: float) -> float:
-        v = self.log_p(x)
-        return math.exp(v) if v <= 700.0 else float("inf")
+    def cdf_P(self, x):
+        return _out(numcore.reg_inc_beta(x, self.psi1, self.psi2))
 
-    def p_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = -self._log_b * np.ones_like(x)
-            if self.psi1 != 1.0:
-                out += (self.psi1 - 1.0) * np.log(x)
-            if self.psi2 != 1.0:
-                out += (self.psi2 - 1.0) * np.log1p(-x)
-            return np.exp(out)
+    def quantile_P(self, q):
+        return _out(numcore.inv_reg_inc_beta(q, self.psi1, self.psi2))
 
-    def cdf_P(self, x: float) -> float:
-        return float(numcore.reg_inc_beta(x, self.psi1, self.psi2))
+    def composed_log_pdf(self, y: float) -> float:
+        return _STD.log_pdf(y) + self._log_p_from_logs(_STD.log_cdf(y), _STD.log_sf(y))
 
-    def cdf_P_array(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(numcore.reg_inc_beta(np.asarray(x, dtype=float), self.psi1, self.psi2))
+    def composed_log_cdf(self, y: float) -> LogProb:
+        return numcore.log_reg_inc_beta_exp(_STD.log_cdf(y), self.psi1, self.psi2)
 
-    def quantile_P(self, q: float) -> float:
-        return float(numcore.inv_reg_inc_beta(q, self.psi1, self.psi2))
-
-    def quantile_P_array(self, q: np.ndarray) -> np.ndarray:
-        return np.asarray(numcore.inv_reg_inc_beta(np.asarray(q, dtype=float), self.psi1, self.psi2))
-
-    def composed_log_pdf(self, base: ContinuousDistribution, y: float) -> float:
-        return base.log_pdf(y) + self._log_p_from_logs(base.log_cdf(y), base.log_sf(y))
-
-    def composed_log_cdf(self, base: ContinuousDistribution, y: float) -> LogProb:
-        return numcore.log_reg_inc_beta_exp(base.log_cdf(y), self.psi1, self.psi2)
-
-    def composed_log_sf(self, base: ContinuousDistribution, y: float) -> LogProb:
+    def composed_log_sf(self, y: float) -> LogProb:
         # 1 - I_x(a, b) = I_{1-x}(b, a)
-        return numcore.log_reg_inc_beta_exp(base.log_sf(y), self.psi2, self.psi1)
+        return numcore.log_reg_inc_beta_exp(_STD.log_sf(y), self.psi2, self.psi1)
 
     @property
     def analytic_sup(self) -> float | None:
@@ -377,46 +353,29 @@ class MarshallOlkin(SkewingMechanism):
             raise ParameterError(f"gamma must be positive and finite, got {gamma!r}")
         self.gamma = float(gamma)
 
-    def p(self, x: float) -> float:
-        _check_unit_interval(x)
+    def p(self, x):
+        x = _within(x, open_=False)
         den = x + self.gamma * (1.0 - x)
-        return self.gamma / (den * den)
+        return _out(self.gamma / (den * den))
 
-    def p_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        den = x + self.gamma * (1.0 - x)
-        return self.gamma / (den * den)
+    def cdf_P(self, x):
+        return mo_cdf_P(self.gamma, x)
 
-    def log_p(self, x: float) -> float:
-        _check_unit_interval(x)
-        return math.log(self.gamma) - 2.0 * math.log(x + self.gamma * (1.0 - x))
+    def quantile_P(self, q):
+        q = _within(q, open_=True, what="q")
+        return _out(self.gamma * q / (1.0 - (1.0 - self.gamma) * q))
 
-    def cdf_P(self, x: float) -> float:
-        return float(mo_cdf_P(self.gamma, x))
+    def composed_log_pdf(self, y: float) -> float:
+        den = _STD.cdf(y) + self.gamma * math.exp(_STD.log_sf(y))
+        return math.log(self.gamma) + _STD.log_pdf(y) - 2.0 * math.log(den)
 
-    def cdf_P_array(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(mo_cdf_P(self.gamma, np.asarray(x, dtype=float)))
-
-    def quantile_P(self, q: float) -> float:
-        if not (0.0 < q < 1.0):
-            raise DomainError(f"q must lie in (0, 1), got {q!r}")
-        return self.gamma * q / (1.0 - (1.0 - self.gamma) * q)
-
-    def quantile_P_array(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        return self.gamma * q / (1.0 - (1.0 - self.gamma) * q)
-
-    def composed_log_pdf(self, base: ContinuousDistribution, y: float) -> float:
-        den = base.cdf(y) + self.gamma * math.exp(base.log_sf(y))
-        return math.log(self.gamma) + base.log_pdf(y) - 2.0 * math.log(den)
-
-    def composed_log_cdf(self, base: ContinuousDistribution, y: float) -> LogProb:
-        lx = base.log_cdf(y)
+    def composed_log_cdf(self, y: float) -> LogProb:
+        lx = _STD.log_cdf(y)
         return lx - math.log(self.gamma + (1.0 - self.gamma) * math.exp(lx))
 
-    def composed_log_sf(self, base: ContinuousDistribution, y: float) -> LogProb:
+    def composed_log_sf(self, y: float) -> LogProb:
         # 1 - cdf_P(1 - eps) = gamma*eps / (1 - (1-gamma)*eps)
-        ls = base.log_sf(y)
+        ls = _STD.log_sf(y)
         return math.log(self.gamma) + ls - math.log1p(-(1.0 - self.gamma) * math.exp(ls))
 
     @property
@@ -433,7 +392,7 @@ class MarshallOlkin(SkewingMechanism):
 
 class TwoPiece(SkewingMechanism):
     """Two-piece mechanism: the composed density is
-    (2/(a+b)) * [f(y/b) for y < 0, f(y/a) for y >= 0].
+    (2/(a+b)) * [phi(y/b) for y < 0, phi(y/a) for y >= 0].
 
     In x-space the density ratio splits at x = 1/2 (the image of y = 0).
     It is unbounded near an endpoint whenever max(a, b) > 1, so the
@@ -461,70 +420,44 @@ class TwoPiece(SkewingMechanism):
             raise ParameterError(f"inverse-scale parameter must be positive, got {gamma!r}")
         return cls(1.0 / gamma, gamma)
 
-    def _scale(self, left: bool) -> float:
-        return self.b if left else self.a
-
-    def log_p(self, x: float) -> float:
-        _check_unit_interval(x)
-        if x == 0.0 or x == 1.0:
-            raise DomainError("mechanism density is defined on the open interval (0, 1)")
-        z = float(numcore.normal_quantile(x))
-        c = self._scale(x < 0.5)
-        return (math.log(2.0 / (self.a + self.b))
-                + float(numcore.log_normal_pdf(z / c)) - float(numcore.log_normal_pdf(z)))
-
-    def p(self, x: float) -> float:
-        return math.exp(self.log_p(x))
-
-    def p_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        z = numcore.normal_quantile(np.clip(x, 5e-324, 1.0 - 2**-53))
+    def p(self, x):
+        x = _within(x, open_=True)
+        z = numcore.normal_quantile(x)
         c = np.where(x < 0.5, self.b, self.a)
         with np.errstate(over="ignore"):
-            return (2.0 / (self.a + self.b)) * np.exp(0.5 * z * z * (1.0 - 1.0 / (c * c)))
+            return _out((2.0 / (self.a + self.b)) * np.exp(0.5 * z * z * (1.0 - 1.0 / (c * c))))
 
-    def cdf_P(self, x: float) -> float:
-        _check_unit_interval(x)
-        if x == 0.0:
-            return 0.0
-        if x == 1.0:
-            return 1.0
-        return float(twopiece_cdf(self.a, self.b, float(numcore.normal_quantile(x))))
+    def cdf_P(self, x):
+        x = _within(x, open_=False)
+        z = numcore.normal_quantile(np.clip(x, _TINY, _TOP))
+        out = np.asarray(twopiece_cdf(self.a, self.b, z))
+        out[x == 0.0] = 0.0
+        out[x == 1.0] = 1.0
+        return _out(out)
 
-    def cdf_P_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        z = numcore.normal_quantile(np.clip(x, 5e-324, 1.0 - 2**-53))
-        return np.asarray(twopiece_cdf(self.a, self.b, z))
-
-    def quantile_P(self, q: float) -> float:
-        if not (0.0 < q < 1.0):
-            raise DomainError(f"q must lie in (0, 1), got {q!r}")
-        return float(self.quantile_P_array(np.array([q]))[0])
-
-    def quantile_P_array(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
+    def quantile_P(self, q):
+        q = _within(q, open_=True, what="q")
         ab = self.a + self.b
         knee = self.b / ab
-        tiny, top = 5e-324, 1.0 - 2**-53
-        arg_left = np.clip(q * ab / (2.0 * self.b), tiny, top)
-        arg_right = np.clip((q * ab - (self.b - self.a)) / (2.0 * self.a), tiny, top)
+        arg_left = np.clip(q * ab / (2.0 * self.b), _TINY, _TOP)
+        arg_right = np.clip((q * ab - (self.b - self.a)) / (2.0 * self.a), _TINY, _TOP)
         z = np.where(q < knee,
                      self.b * numcore.normal_quantile(arg_left),
                      self.a * numcore.normal_quantile(arg_right))
-        return np.asarray(numcore.normal_cdf(z))
+        return _out(numcore.normal_cdf(z))
 
-    def composed_log_pdf(self, base: ContinuousDistribution, y: float) -> float:
-        c = self._scale(y < 0.0)
+    def composed_log_pdf(self, y: float) -> float:
+        c = self.b if y < 0.0 else self.a
         return math.log(2.0 / (self.a + self.b)) + float(numcore.log_normal_pdf(y / c))
 
-    def composed_log_cdf(self, base: ContinuousDistribution, y: float) -> LogProb:
+    def composed_log_cdf(self, y: float) -> LogProb:
         ab = self.a + self.b
         if y < 0.0:
             return math.log(2.0 * self.b / ab) + float(numcore.log_normal_cdf(y / self.b))
         v = (self.b - self.a) / ab + (2.0 * self.a / ab) * float(numcore.normal_cdf(y / self.a))
         return math.log(v)
 
-    def composed_log_sf(self, base: ContinuousDistribution, y: float) -> LogProb:
+    def composed_log_sf(self, y: float) -> LogProb:
         ab = self.a + self.b
         if y >= 0.0:
             return math.log(2.0 * self.a / ab) + float(numcore.log_normal_sf(y / self.a))
@@ -550,61 +483,64 @@ class TwoPiece(SkewingMechanism):
         return f"TwoPiece(a={self.a}, b={self.b})"
 
 
-class NumericMechanism(SkewingMechanism):
-    """Mechanism recovered from a (source, base) pair of distributions:
-    p(x) = source.pdf(Finv(x)) / base.pdf(Finv(x)).
+def _elementwise(method):
+    """Lift a method of one float to floats and arrays, element by element."""
 
-    Evaluation of p is restricted to the open interval; endpoint behavior
-    is a question for the boundedness probe, not for extrapolation.
+    @wraps(method)
+    def lifted(self, x):
+        x = np.asarray(x, dtype=float)
+        return _out(np.array([method(self, float(v)) for v in x.ravel()]).reshape(x.shape))
+
+    return lifted
+
+
+class NumericMechanism(SkewingMechanism):
+    """Mechanism recovered from a source distribution:
+    p(x) = source.pdf(Phi^-1(x)) / phi(Phi^-1(x)).
+
+    The source is a scalar ``ContinuousDistribution``, so arrays are
+    evaluated one element at a time, and values go through Phi^-1(Phi(y))
+    as the definition says. Evaluation of p is restricted to the open
+    interval; endpoint behavior is a question for the boundedness probe,
+    not for extrapolation.
     """
 
-    def __init__(self, source: ContinuousDistribution, base: ContinuousDistribution):
+    def __init__(self, source: ContinuousDistribution):
         self.source = source
-        self.base = base
 
     def _z(self, x: float) -> float:
-        _check_unit_interval(x)
-        if x == 0.0 or x == 1.0:
-            raise DomainError("extracted mechanism is defined on the open interval (0, 1)")
-        return self.base.quantile(x)
+        if not (0.0 < x < 1.0):
+            raise DomainError(f"extracted mechanism is defined on (0, 1), got {x!r}")
+        return _STD.quantile(x)
 
-    def p(self, x: float) -> float:
-        z = self._z(x)
-        return self.source.pdf(z) / self.base.pdf(z)
-
+    @_elementwise
     def log_p(self, x: float) -> float:
         z = self._z(x)
-        return self.source.log_pdf(z) - self.base.log_pdf(z)
+        return self.source.log_pdf(z) - _STD.log_pdf(z)
 
+    @_elementwise
     def cdf_P(self, x: float) -> float:
-        _check_unit_interval(x)
-        if x == 0.0:
-            return 0.0
-        if x == 1.0:
-            return 1.0
-        return self.source.cdf(self._z(x))
+        return x if x == 0.0 or x == 1.0 else self.source.cdf(self._z(x))
 
+    @_elementwise
     def quantile_P(self, q: float) -> float:
-        return self.base.cdf(self.source.quantile(q))
+        return _STD.cdf(self.source.quantile(q))
 
-    def composed_log_cdf(self, base: ContinuousDistribution, y: float) -> LogProb:
-        x = base.cdf(y)
-        if x <= 0.0 or x >= 1.0:
-            # Finv(F(y)) = y exactly in the reals; fall back to it where
-            # the float round trip through x collapses
-            return self.source.log_cdf(y)
-        return self.source.log_cdf(self._z(x))
+    def _round_trip(self, y: float) -> float:
+        # Phi^-1(Phi(y)) = y exactly in the reals; fall back to y where the
+        # float round trip through Phi(y) collapses
+        x = _STD.cdf(y)
+        return self._z(x) if 0.0 < x < 1.0 else y
 
-    def composed_log_sf(self, base: ContinuousDistribution, y: float) -> LogProb:
-        x = base.cdf(y)
-        if x <= 0.0 or x >= 1.0:
-            return self.source.log_sf(y)
-        return self.source.log_sf(self._z(x))
+    def composed_log_cdf(self, y: float) -> LogProb:
+        return self.source.log_cdf(self._round_trip(y))
+
+    def composed_log_sf(self, y: float) -> LogProb:
+        return self.source.log_sf(self._round_trip(y))
 
     @cached_property
     def is_identity(self) -> bool:
-        xs = np.linspace(0.01, 0.99, 99)
-        return all(abs(self.p(float(x)) - 1.0) <= 1e-9 for x in xs)
+        return bool(np.all(np.abs(self.p(np.linspace(0.01, 0.99, 99)) - 1.0) <= 1e-9))
 
     def __repr__(self) -> str:
         return f"NumericMechanism(source={self.source!r})"
@@ -618,11 +554,8 @@ def mo_cdf_P(gamma: float, x):
     """Marshall-Olkin mechanism CDF x / (gamma + (1-gamma) x) on [0, 1]."""
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ParameterError(f"gamma must be positive and finite, got {gamma!r}")
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all((x_arr >= 0.0) & (x_arr <= 1.0)):
-        raise DomainError(f"x must lie in [0, 1], got {x!r}")
-    return x_arr / (gamma + (1.0 - gamma) * x_arr) if x_arr.ndim else float(
-        x_arr / (gamma + (1.0 - gamma) * x_arr))
+    x = _within(x, open_=False)
+    return _out(x / (gamma + (1.0 - gamma) * x))
 
 
 def twopiece_cdf(a: float, b: float, y):
@@ -646,78 +579,83 @@ def twopiece_cdf(a: float, b: float, y):
 # composition
 
 
+def _finite(y: float) -> float:
+    if not math.isfinite(y):
+        raise DomainError(f"y must be finite, got {y!r}")
+    return y
+
+
 class SkewedDistribution(ContinuousDistribution):
-    """Composition S = P o F with density s(y) = f(y) * p(F(y)).
+    """Composition S = P o Phi with density s(y) = phi(y) * p(Phi(y)).
 
     Cumulative quantities delegate to the mechanism's composition hooks,
     which keep both tails finite in log space far past the underflow of
-    the plain formulas. Quantiles go through the mechanism quantile:
-    quantile(q) = Finv(Pinv(q)).
+    the plain formulas; ``cdf`` takes exp(log_cdf) at y <= 0 and
+    1 - exp(log_sf) above. Quantiles go through the mechanism quantile:
+    quantile(q) = Phi^-1(Pinv(q)). A non-finite y raises DomainError.
     """
 
-    def __init__(self, base: ContinuousDistribution, mechanism: SkewingMechanism):
-        self.base = base
+    def __init__(self, mechanism: SkewingMechanism):
         self.mechanism = mechanism
 
     def pdf(self, y: float) -> float:
         return math.exp(self.log_pdf(y))
 
     def log_pdf(self, y: float) -> float:
-        return self.mechanism.composed_log_pdf(self.base, y)
+        return self.mechanism.composed_log_pdf(_finite(y))
 
     def cdf(self, y: float) -> float:
-        return self.mechanism.cdf_P(self.base.cdf(y))
+        return _composed_cdf(self.mechanism, _finite(y))
 
     def cdf_array(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if isinstance(self.base, StandardNormal):
-            x = np.asarray(numcore.normal_cdf(y))
-        else:
-            x = np.array([self.base.cdf(float(v)) for v in y])
-        return self.mechanism.cdf_P_array(x)
+        return self.mechanism.cdf_P(numcore.normal_cdf(np.asarray(y, dtype=float)))
 
     def log_cdf(self, y: float) -> LogProb:
-        return min(0.0, self.mechanism.composed_log_cdf(self.base, y))
+        return min(0.0, self.mechanism.composed_log_cdf(_finite(y)))
 
     def log_sf(self, y: float) -> LogProb:
-        return min(0.0, self.mechanism.composed_log_sf(self.base, y))
+        return min(0.0, self.mechanism.composed_log_sf(_finite(y)))
 
     def quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
-        if not (0.0 < q < 1.0):
-            raise DomainError(f"quantile argument must lie in (0, 1), got {q!r}")
-        return self.base.quantile(self.mechanism.quantile_P(q))
+        return _STD.quantile(self.mechanism.quantile_P(q))
 
     def quantile_array(self, q: np.ndarray) -> np.ndarray:
-        x = self.mechanism.quantile_P_array(np.asarray(q, dtype=float))
-        x = np.clip(x, 5e-324, 1.0 - 2**-53)
-        if isinstance(self.base, StandardNormal):
-            return np.asarray(numcore.normal_quantile(x))
-        return np.array([self.base.quantile(float(v)) for v in x])
+        x = self.mechanism.quantile_P(np.asarray(q, dtype=float))
+        return numcore.normal_quantile(np.clip(x, _TINY, _TOP))
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
         return self.mechanism.breakpoints
 
     def __repr__(self) -> str:
-        return f"SkewedDistribution({self.base!r}, {self.mechanism!r})"
+        return f"SkewedDistribution({_STD!r}, {self.mechanism!r})"
+
+
+def _require_normal_base(base) -> None:
+    if not isinstance(base, StandardNormal):
+        raise ParameterError(f"the base must be StandardNormal(), got {base!r}")
 
 
 def compose(base: StandardNormal, mechanism: SkewingMechanism) -> SkewedDistribution:
-    """Skewed distribution with pdf(y) = f(y) * p(F(y)) and CDF P(F(y))."""
-    return SkewedDistribution(base, mechanism)
+    """Skewed distribution with pdf(y) = phi(y) * p(Phi(y)) and CDF P(Phi(y)).
+    A base other than ``StandardNormal()`` raises ParameterError."""
+    _require_normal_base(base)
+    return SkewedDistribution(mechanism)
 
 
 def extract_mechanism(
     source: ContinuousDistribution, base: StandardNormal
 ) -> NumericMechanism:
-    """Recover the mechanism carrying base to source.
+    """Recover the mechanism carrying the standard normal to source.
 
     For any absolutely continuous source supported on the real line there
-    is a distribution P on (0, 1) with source = P o base; this returns it
-    as a numeric mechanism with p(x) = source.pdf(Finv(x)) / f(Finv(x)).
-    Composing the result with the base reproduces the source.
+    is a distribution P on (0, 1) with source = P o Phi; this returns it
+    as a numeric mechanism with p(x) = source.pdf(Phi^-1(x)) / phi(Phi^-1(x)).
+    Composing the result with the normal reproduces the source. A base
+    other than ``StandardNormal()`` raises ParameterError.
     """
-    return NumericMechanism(source, base)
+    _require_normal_base(base)
+    return NumericMechanism(source)
 
 
 # ---------------------------------------------------------------------------
@@ -725,21 +663,21 @@ def extract_mechanism(
 
 
 def sample_skewed(dist: SkewedDistribution, rng: RngState, n: int) -> np.ndarray:
-    """n inversion draws Finv(Pinv(U)); deterministic given the rng seed."""
+    """n inversion draws Phi^-1(Pinv(U)); deterministic given the rng seed."""
     return dist.sample(rng, n)
 
 
 def sample_flip(pi: Callable, rng: RngState, n: int) -> np.ndarray:
-    """n draws from the density 2 f(y) pi(y) by sign-flipping.
+    """n draws from the density 2 phi(y) pi(y) by sign-flipping.
 
-    Draw X ~ F and U ~ Uniform(0,1); emit X when U <= pi(X), else -X.
-    Because pi(-y) = 1 - pi(y) and f is even, the output density is
-    2 f(y) pi(y), matching the inversion sampler in distribution.
+    Draw X ~ N(0, 1) and U ~ Uniform(0,1); emit X when U <= pi(X), else -X.
+    Because pi(-y) = 1 - pi(y) and phi is even, the output density is
+    2 phi(y) pi(y), matching the inversion sampler in distribution.
     """
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     mech = pi if isinstance(pi, SkewSymmetric) else SkewSymmetric(pi)
     x = rng.standard_normal(n)
     u = rng.uniform(n)
-    keep = u <= mech._pi_vec(x)
+    keep = u <= np.asarray(mech.pi(x), dtype=float)
     return np.where(keep, x, -x)

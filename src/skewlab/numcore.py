@@ -50,6 +50,7 @@ LogProb = float
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
 @dataclass(frozen=True)
@@ -182,12 +183,13 @@ def log_reg_inc_beta_exp(log_x: float, a: float, b: float) -> LogProb:
     if a == 1.0 and b == 1.0:  # I_x(1,1) = x identically
         return log_x
     x = math.exp(log_x)
-    if x > 0.0:
+    if x >= _SMALLEST_NORMAL:  # betainc loses relative precision at a subnormal x
         v = float(_sp.betainc(a, b, x))
         if v >= 1e-300:
             return math.log(v)
-    # Direct value underflowed, so x sits far below the beta mode and the
-    # series ratio x*(a+b+n)/(a+1+n) starts below 1: no term overflow.
+    # Direct value underflowed or x is subnormal, so x sits far below the
+    # beta mode and the series ratio x*(a+b+n)/(a+1+n) starts below 1: no
+    # term overflow.
     term = 1.0
     total = 1.0
     for n in range(1000):

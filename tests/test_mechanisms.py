@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from skewlab import (
     sample_skewed,
     twopiece_cdf,
 )
-from skewlab.numcore import integrate, normal_cdf, normal_quantile
+from skewlab.numcore import integrate, normal_cdf, normal_pdf, normal_quantile
 
 
 class TestConstruction:
@@ -304,7 +305,7 @@ class TestMechanismNormalization:
         if mech.analytic_sup is None:
             pytest.skip("no analytic bound for this instance")
         xs = np.linspace(1e-6, 1.0 - 1e-6, 501)
-        assert np.all(mech.p_array(xs) <= mech.analytic_sup * (1.0 + 1e-12))
+        assert np.all(mech.p(xs) <= mech.analytic_sup * (1.0 + 1e-12))
 
 
 class TestComposedCdfAgainstPdfQuadrature:
@@ -446,5 +447,96 @@ def test_mo_cdf_quantile_roundtrip_property(gamma):
 def test_orderstats_cdf_monotone_property(p1, p2):
     mech = OrderStatistics(p1, p2)
     xs = np.linspace(0.001, 0.999, 41)
-    vals = mech.cdf_P_array(xs)
+    vals = mech.cdf_P(xs)
     assert np.all(np.diff(vals) >= -1e-14)
+
+
+class TestSideOfZeroTails:
+    """Each tail comes from the log tail on its side of 0, so it keeps its
+    digits where Phi(y) rounds to 1 or underflows."""
+
+    @pytest.mark.parametrize("y", [7.5, 9.0])
+    def test_twopiece_heavy_right_tail_cdf(self, std, y):
+        dist = compose(std, TwoPiece(5.0, 0.1))
+        assert dist.cdf(y) == pytest.approx(twopiece_cdf(5.0, 0.1, y), rel=1e-14)
+
+    @pytest.mark.parametrize("y", [8.5, -38.0])
+    def test_orderstats_cdf_in_both_tails(self, std, y):
+        want = mp.betainc(0.5, 0.5, 0, mp.ncdf(mp.mpf(y)), regularized=True)
+        assert compose(std, OrderStatistics(0.5, 0.5)).cdf(y) == pytest.approx(
+            float(want), rel=1e-12, abs=0.0)
+
+    def test_azzalini_bulk_side_log_tails_are_zero(self, std):
+        dist = compose(std, SkewSymmetric.azzalini(3.0))
+        assert abs(dist.log_sf(-40.0)) <= 1e-12
+        assert abs(dist.log_sf(-20.0)) <= 1e-12
+        assert abs(dist.log_cdf(40.0)) <= 1e-12
+
+    def test_indicator_pi_log_cdf_right_of_zero(self, std):
+        mech = SkewSymmetric(lambda y: (np.asarray(y, dtype=float) >= 0.0).astype(float))
+        got = compose(std, mech).log_cdf(20.0)
+        # half-normal: ln(1 - 2 Phi(-20))
+        assert math.isfinite(got)
+        assert got == pytest.approx(float(mp.log1p(-2 * mp.ncdf(-20))), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("mech", [MarshallOlkin(2.0), SkewSymmetric.azzalini(3.0)])
+    @pytest.mark.parametrize("fn", ["pdf", "log_pdf", "cdf", "log_cdf", "log_sf"])
+    @pytest.mark.parametrize("y", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_y_raises(self, std, mech, fn, y):
+        with pytest.raises(DomainError):
+            getattr(compose(std, mech), fn)(y)
+
+
+def _table_accuracy(mech):
+    """h^2/8 * max|s'|, the stated bound on the skew-symmetric table."""
+    h = 2.0 * SkewSymmetric._TABLE_SPAN / (SkewSymmetric._TABLE_N - 1)
+    z = np.linspace(-8.0, 8.0, 160001)
+    alpha = mech.pi.alpha
+    slope = 2.0 * normal_pdf(z) * (alpha * normal_pdf(alpha * z) - z * normal_cdf(alpha * z))
+    return h * h / 8.0 * float(np.max(np.abs(slope))) + 1e-10
+
+
+class TestOneEvaluationPath:
+    @pytest.mark.parametrize("name,mech", shipped_instances())
+    def test_array_calls_equal_scalar_calls(self, name, mech):
+        skew = isinstance(mech, SkewSymmetric)
+        xs = np.linspace(0.0, 1.0, 11 if skew else 101)
+        qs = np.concatenate([[1e-9], np.linspace(0.05, 0.95, 7 if skew else 91), [1 - 1e-9]])
+        inner = xs[1:-1]
+        assert np.array_equal(mech.p(inner), [mech.p(float(x)) for x in inner])
+        cdf_arr = mech.cdf_P(xs)
+        cdf_one = np.array([mech.cdf_P(float(x)) for x in xs])
+        q_arr = mech.quantile_P(qs)
+        if skew:
+            tol = _table_accuracy(mech)
+            assert np.max(np.abs(cdf_arr - cdf_one)) <= tol
+            back = np.array([mech.cdf_P(float(x)) for x in q_arr])
+            assert np.max(np.abs(back - qs)) <= tol
+        else:
+            assert np.array_equal(cdf_arr, cdf_one)
+            assert np.array_equal(q_arr, [mech.quantile_P(float(q)) for q in qs])
+
+    @pytest.mark.parametrize("name,mech", shipped_instances())
+    def test_zero_d_input_returns_float(self, name, mech):
+        for fn in (mech.p, mech.log_p, mech.cdf_P, mech.quantile_P):
+            for x in (0.3, np.float64(0.3), np.array(0.3)):
+                assert type(fn(x)) is float
+
+    def test_array_out_of_range_raises(self):
+        with pytest.raises(DomainError):
+            MarshallOlkin(2.0).quantile_P(np.array([0.5, 1.0]))
+        with pytest.raises(DomainError):
+            OrderStatistics(2.0, 3.0).p(np.array([0.5, 1.5]))
+
+    def test_scalar_only_pi_rejected(self):
+        with pytest.raises(ParameterError):
+            SkewSymmetric(lambda y: 0.5 + 0.5 * math.erf(y))
+        with pytest.raises(ParameterError):
+            SkewSymmetric(lambda y: 0.5)
+
+    def test_base_other_than_standard_normal_rejected(self, std):
+        other = compose(std, MarshallOlkin(2.0))
+        with pytest.raises(ParameterError):
+            compose(other, MarshallOlkin(2.0))
+        with pytest.raises(ParameterError):
+            extract_mechanism(other, other)
