@@ -6,18 +6,21 @@ whose two-sided tail mass m(y) = S(-y) + 1 - S(y) decays so fast that
 T(y) = -ln m(y) / (y ln y) diverges. Three numerical embodiments:
 
 * ``steutel_statistic``: T(y) on a grid, the raw divergence evidence.
-* ``verify_theorem1_bound``: when the mechanism density p is bounded by
-  M, the composed tail obeys m_S(y) <= M * 2*Phi(-y); checked row by row
-  in log space. Divergence of T then follows from the normal's.
+* ``verify_theorem1_bound``: when the mechanism density p has an analytic
+  bound M, the composed tail obeys m_S(y) <= M * 2*Phi(-y); checked row
+  by row in log space. Divergence of T then follows from the normal's.
 * ``verify_theorem2_chain``: the two-piece composition with scales
   {1-g, 1+g}, g in (-1, 0), has an unbounded p, but its tail satisfies
   m_S(y) < 2(1-g) Phi(-y/(1-g)) < 4 Phi(-y/2), which forces the same
-  divergence; both strict inequalities are checked in log space.
+  divergence; both strict inequalities are checked in log space. It
+  covers every two-piece law: rescaling preserves infinite divisibility.
 
 ``estimate_sup_p`` classifies boundedness of p by monotone grid
-refinement clustering at the endpoints, and ``divisibility_verdict``
-routes a mechanism to NOT_ID / NORMAL_ESCAPE / INCONCLUSIVE with the
-evidence attached.
+refinement clustering at the endpoints; a stabilized numeric sup only
+bounds sup p from below, so it is evidence, never the M of a certificate.
+``divisibility_verdict`` picks a rule from what the mechanism states,
+runs it, and returns NOT_ID / NORMAL_ESCAPE / INCONCLUSIVE with the
+rule's rows and the evidence attached.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from . import numcore
 from .distributions import ContinuousDistribution, StandardNormal, log_tail_mass
 from .errors import DomainError, PreconditionError
-from .mechanisms import OrderStatistics, SkewingMechanism, TwoPiece, compose
+from .mechanisms import SkewingMechanism, TwoPiece, compose
 from .numcore import LogProb
 
 __all__ = [
@@ -119,17 +122,15 @@ class BoundednessReport:
 
     @property
     def certified_bound(self) -> float | None:
-        """The bound usable as M, or None when not certified BOUNDED."""
-        if self.classification is not Classification.BOUNDED:
-            return None
-        return self.analytic_bound if self.analytic_bound is not None else self.sup_estimate
+        """The bound usable as M: the analytic one, or None."""
+        return self.analytic_bound
 
     def to_dict(self) -> dict:
         return {
-            "sup_estimate": self.sup_estimate,
-            "classification": self.classification.value,
-            "analytic_bound": self.analytic_bound,
             "sup_trace": [[n, s] for n, s in self.refinement_trace],
+            "classification": self.classification.value,
+            "sup_estimate": self.sup_estimate,
+            "analytic_bound": self.analytic_bound,
         }
 
 
@@ -166,6 +167,7 @@ class DivisibilityVerdict:
     boundedness: BoundednessReport
     tail: TailReport
     note: str | None = None
+    rule_rows: tuple[BoundCheckRow | ChainRow, ...] = ()  # of the rule that ran, even failing
 
     def to_dict(self) -> dict:
         return {
@@ -174,11 +176,9 @@ class DivisibilityVerdict:
             "bound": self.bound,
             "note": self.note,
             "evidence": {
-                "sup_trace": [[n, s] for n, s in self.boundedness.refinement_trace],
-                "classification": self.boundedness.classification.value,
-                "sup_estimate": self.boundedness.sup_estimate,
-                "analytic_bound": self.boundedness.analytic_bound,
+                **self.boundedness.to_dict(),
                 "tail_rows": self.tail.to_dicts(),
+                "rule_rows": [dict(vars(r)) for r in self.rule_rows],
             },
         }
 
@@ -263,37 +263,37 @@ def estimate_sup_p(mech: SkewingMechanism, depth: int = 10) -> BoundednessReport
     )
 
 
-def verify_theorem1_bound(
-    mech: SkewingMechanism,
-    ys=DEFAULT_Y_GRID,
-    report: BoundednessReport | None = None,
-) -> list[BoundCheckRow]:
-    """Row-by-row check of ln m_S(y) <= ln M + ln(2 Phi(-y)).
-
-    Requires the mechanism to be certified BOUNDED (analytically or by a
-    stabilized numeric sup); M is the certified bound. Everything is
-    evaluated in log space so the check is meaningful out to y = 30 and
-    beyond, where the raw masses are near e^-450.
-    """
-    if report is None:
-        report = estimate_sup_p(mech)
-    bound = report.certified_bound
-    if bound is None:
-        raise PreconditionError(
-            f"mechanism not certified bounded (classification: "
-            f"{report.classification.value}); the bound check does not apply"
-        )
-    dist = compose(_STD, mech)
-    log_m = math.log(bound)
-    rows = []
+def _positive(ys):
     for y in ys:
         y = float(y)
         if y <= 0.0:
             raise DomainError(f"ordinates must be positive, got {y}")
-        lhs = log_tail_mass(dist, y)
-        rhs = log_m + math.log(2.0) + float(numcore.log_normal_sf(y))
+        yield y
+
+
+def _bound_rows(bound: float, tails) -> list[BoundCheckRow]:
+    """Theorem-1 rows ln m_S(y) <= ln M + ln(2 Phi(-y)) from (y, ln m_S(y))."""
+    log_2m = math.log(bound) + math.log(2.0)
+    rows = []
+    for y, lhs in tails:
+        rhs = log_2m + float(numcore.log_normal_sf(y))
         rows.append(BoundCheckRow(y, lhs, rhs, passed=lhs <= rhs))
     return rows
+
+
+def verify_theorem1_bound(mech: SkewingMechanism, ys=DEFAULT_Y_GRID) -> list[BoundCheckRow]:
+    """Row-by-row check of ln m_S(y) <= ln M + ln(2 Phi(-y)).
+
+    M is the mechanism's ``analytic_sup``; a mechanism without one raises
+    PreconditionError, since a numeric sup only bounds sup p from below.
+    Everything is evaluated in log space so the check is meaningful out
+    to y = 30 and beyond, where the raw masses are near e^-450.
+    """
+    bound = mech.analytic_sup
+    if bound is None:
+        raise PreconditionError(f"{mech!r} has no analytic bound on p; theorem-1 does not apply")
+    dist = compose(_STD, mech)
+    return _bound_rows(bound, ((y, log_tail_mass(dist, y)) for y in _positive(ys)))
 
 
 def verify_theorem2_chain(gamma: float, ys=DEFAULT_Y_GRID) -> list[ChainRow]:
@@ -306,15 +306,10 @@ def verify_theorem2_chain(gamma: float, ys=DEFAULT_Y_GRID) -> list[ChainRow]:
     """
     if not (math.isfinite(gamma) and -1.0 < gamma < 1.0) or gamma == 0.0:
         raise DomainError(f"gamma must lie in (-1, 0) or (0, 1), got {gamma!r}")
-    if gamma > 0.0:
-        gamma = -gamma
-    a = 1.0 - gamma
-    dist = compose(_STD, TwoPiece.epsilon_skew(gamma))
+    a = 1.0 + abs(gamma)
+    dist = compose(_STD, TwoPiece.epsilon_skew(-abs(gamma)))
     rows = []
-    for y in ys:
-        y = float(y)
-        if y <= 0.0:
-            raise DomainError(f"ordinates must be positive, got {y}")
+    for y in _positive(ys):
         log_tail = log_tail_mass(dist, y)
         log_mid = math.log(2.0 * a) + float(numcore.log_normal_sf(y / a))
         log_outer = math.log(4.0) + float(numcore.log_normal_sf(y / 2.0))
@@ -330,36 +325,31 @@ def divisibility_verdict(
     ys=DEFAULT_Y_GRID,
     depth: int = 10,
 ) -> DivisibilityVerdict:
-    """Route a mechanism to a verdict with evidence attached.
+    """Route a mechanism to a verdict by what it states, and run the rule.
 
-    NORMAL_ESCAPE when the composition is a normal law (identity-like
-    parameters); NOT_ID by the bounded-density rule when sup p is
-    certified, or by the two-piece rule when the scales differ;
-    INCONCLUSIVE otherwise, for example Beta shapes below 1 where the
-    density is unbounded and no shipped rule applies.
+    NORMAL_ESCAPE when the composition is a normal law (``is_identity``).
+    Otherwise theorem-1 with M = ``analytic_sup`` when there is one, else
+    theorem-2 on ``epsilon_skew_gamma`` when there is one, each run on
+    the ordinates of the tail statistic; NOT_ID when every row passes.
+    INCONCLUSIVE when a row fails or no rule applies, for example Beta
+    shapes below 1 or a mechanism known only numerically.
     """
     report = estimate_sup_p(mech, depth)
     tail = steutel_statistic(compose(_STD, mech), [y for y in ys if y > 1.0])
 
     if mech.is_identity:
         return DivisibilityVerdict(Verdict.NORMAL_ESCAPE, "none", None, report, tail)
-    if isinstance(mech, TwoPiece):
-        return DivisibilityVerdict(
-            Verdict.NOT_ID, "theorem-2", None, report, tail,
-            note="two-piece with unequal scales",
-        )
-    bound = report.certified_bound
+    bound, gamma = report.certified_bound, mech.epsilon_skew_gamma
     if bound is not None:
-        note = None
-        if isinstance(mech, OrderStatistics) and min(mech.psi1, mech.psi2) < 1.0:
-            # shapes below 1 sit outside the bounded-density rule even if
-            # a coarse numeric sup happened to stabilize
-            return DivisibilityVerdict(
-                Verdict.INCONCLUSIVE, "none", None, report, tail,
-                note="beta shape below 1: density unbounded at an endpoint",
-            )
-        if isinstance(mech, OrderStatistics) and min(mech.psi1, mech.psi2) == 1.0:
-            note = ("boundary shape parameter equal to 1: density bound "
-                    "still holds, outside the strict >1 sufficient condition")
-        return DivisibilityVerdict(Verdict.NOT_ID, "theorem-1", bound, report, tail, note=note)
-    return DivisibilityVerdict(Verdict.INCONCLUSIVE, "none", None, report, tail)
+        rule, note = "theorem-1", mech.bound_note
+        rows = _bound_rows(bound, ((r.y, r.log_tail) for r in tail.rows))
+    elif gamma is not None:
+        rule, note = "theorem-2", "two-piece with unequal scales"
+        rows = verify_theorem2_chain(gamma, [r.y for r in tail.rows])
+    else:
+        return DivisibilityVerdict(Verdict.INCONCLUSIVE, "none", None, report, tail)
+    failed = [r.y for r in rows if not r.passed]
+    if failed:
+        return DivisibilityVerdict(Verdict.INCONCLUSIVE, "none", None, report, tail,
+                                   f"{rule} rows fail at y={failed}", tuple(rows))
+    return DivisibilityVerdict(Verdict.NOT_ID, rule, bound, report, tail, note, tuple(rows))

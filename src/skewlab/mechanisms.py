@@ -88,8 +88,13 @@ class SkewingMechanism(ABC):
     methods are pure. ``analytic_sup`` is an upper bound for p known in
     closed form, or None; ``is_identity`` reports whether the composition
     with the normal is a normal distribution (the escape hatch of the
-    non-divisibility rules).
+    non-divisibility rules). ``epsilon_skew_gamma`` is the g of the
+    epsilon-skew two-piece law the composition rescales, or None;
+    ``bound_note`` is a caveat on the use of ``analytic_sup``, or None.
     """
+
+    epsilon_skew_gamma: float | None = None
+    bound_note: str | None = None
 
     def p(self, x):
         """Mechanism density at x in [0, 1]."""
@@ -106,8 +111,8 @@ class SkewingMechanism(ABC):
         """Mechanism CDF at x in [0, 1]."""
 
     @abstractmethod
-    def quantile_P(self, q):
-        """Inverse of cdf_P on (0, 1)."""
+    def quantile_P(self, q, tol: Tolerance = DEFAULT_TOL):
+        """Inverse of cdf_P on (0, 1); ``tol`` reaches iterative inversions."""
 
     @property
     def analytic_sup(self) -> float | None:
@@ -297,6 +302,9 @@ class OrderStatistics(SkewingMechanism):
         self.psi1 = float(psi1)
         self.psi2 = float(psi2)
         self._log_b = numcore.log_beta(self.psi1, self.psi2)
+        if min(self.psi1, self.psi2) == 1.0:
+            self.bound_note = ("boundary shape parameter equal to 1: density bound "
+                               "still holds, outside the strict >1 sufficient condition")
 
     def _log_p_from_logs(self, log_x, log_1mx):
         out = -self._log_b
@@ -314,7 +322,7 @@ class OrderStatistics(SkewingMechanism):
     def cdf_P(self, x):
         return _out(numcore.reg_inc_beta(x, self.psi1, self.psi2))
 
-    def quantile_P(self, q):
+    def quantile_P(self, q, tol: Tolerance = DEFAULT_TOL):
         return _out(numcore.inv_reg_inc_beta(q, self.psi1, self.psi2))
 
     def composed_log_pdf(self, y: float) -> float:
@@ -361,7 +369,7 @@ class MarshallOlkin(SkewingMechanism):
     def cdf_P(self, x):
         return mo_cdf_P(self.gamma, x)
 
-    def quantile_P(self, q):
+    def quantile_P(self, q, tol: Tolerance = DEFAULT_TOL):
         q = _within(q, open_=True, what="q")
         return _out(self.gamma * q / (1.0 - (1.0 - self.gamma) * q))
 
@@ -397,7 +405,7 @@ class TwoPiece(SkewingMechanism):
     In x-space the density ratio splits at x = 1/2 (the image of y = 0).
     It is unbounded near an endpoint whenever max(a, b) > 1, so the
     boundedness-based diagnostics do not apply; the dedicated two-piece
-    tail chain does.
+    tail chain does, through the epsilon-skew law Y/s, s = (a+b)/2.
     """
 
     def __init__(self, a: float, b: float):
@@ -405,6 +413,10 @@ class TwoPiece(SkewingMechanism):
             raise ParameterError(f"scale factors must be positive, got ({a!r}, {b!r})")
         self.a = float(a)
         self.b = float(b)
+        # the scales of Y/s are {1-g, 1+g}; |g| reaches 1 only by rounding
+        g = (self.b - self.a) / (self.a + self.b)
+        if 0.0 < abs(g) < 1.0:
+            self.epsilon_skew_gamma = g
 
     @classmethod
     def epsilon_skew(cls, gamma: float) -> "TwoPiece":
@@ -435,7 +447,7 @@ class TwoPiece(SkewingMechanism):
         out[x == 1.0] = 1.0
         return _out(out)
 
-    def quantile_P(self, q):
+    def quantile_P(self, q, tol: Tolerance = DEFAULT_TOL):
         q = _within(q, open_=True, what="q")
         ab = self.a + self.b
         knee = self.b / ab
@@ -487,9 +499,9 @@ def _elementwise(method):
     """Lift a method of one float to floats and arrays, element by element."""
 
     @wraps(method)
-    def lifted(self, x):
+    def lifted(self, x, *args):
         x = np.asarray(x, dtype=float)
-        return _out(np.array([method(self, float(v)) for v in x.ravel()]).reshape(x.shape))
+        return _out(np.array([method(self, float(v), *args) for v in x.ravel()]).reshape(x.shape))
 
     return lifted
 
@@ -499,10 +511,10 @@ class NumericMechanism(SkewingMechanism):
     p(x) = source.pdf(Phi^-1(x)) / phi(Phi^-1(x)).
 
     The source is a scalar ``ContinuousDistribution``, so arrays are
-    evaluated one element at a time, and values go through Phi^-1(Phi(y))
-    as the definition says. Evaluation of p is restricted to the open
-    interval; endpoint behavior is a question for the boundedness probe,
-    not for extrapolation.
+    evaluated one element at a time. The composed log tails are the
+    source's, since P(Phi(y)) = source.cdf(y). Evaluation of p is
+    restricted to the open interval; endpoint behavior is a question for
+    the boundedness probe, not for extrapolation.
     """
 
     def __init__(self, source: ContinuousDistribution):
@@ -523,20 +535,14 @@ class NumericMechanism(SkewingMechanism):
         return x if x == 0.0 or x == 1.0 else self.source.cdf(self._z(x))
 
     @_elementwise
-    def quantile_P(self, q: float) -> float:
-        return _STD.cdf(self.source.quantile(q))
-
-    def _round_trip(self, y: float) -> float:
-        # Phi^-1(Phi(y)) = y exactly in the reals; fall back to y where the
-        # float round trip through Phi(y) collapses
-        x = _STD.cdf(y)
-        return self._z(x) if 0.0 < x < 1.0 else y
+    def quantile_P(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
+        return _STD.cdf(self.source.quantile(q, tol))
 
     def composed_log_cdf(self, y: float) -> LogProb:
-        return self.source.log_cdf(self._round_trip(y))
+        return self.source.log_cdf(y)
 
     def composed_log_sf(self, y: float) -> LogProb:
-        return self.source.log_sf(self._round_trip(y))
+        return self.source.log_sf(y)
 
     @cached_property
     def is_identity(self) -> bool:
@@ -617,7 +623,7 @@ class SkewedDistribution(ContinuousDistribution):
         return min(0.0, self.mechanism.composed_log_sf(_finite(y)))
 
     def quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
-        return _STD.quantile(self.mechanism.quantile_P(q))
+        return _STD.quantile(self.mechanism.quantile_P(q, tol))
 
     def quantile_array(self, q: np.ndarray) -> np.ndarray:
         x = self.mechanism.quantile_P(np.asarray(q, dtype=float))

@@ -159,6 +159,9 @@ class TestCheck:
         assert d["rule"] == "theorem-1"
         assert d["bound"] == 2.0
         assert "sup_trace" in d["evidence"] and "tail_rows" in d["evidence"]
+        rows = d["evidence"]["rule_rows"]
+        assert [r["y"] for r in rows] == [r["y"] for r in d["evidence"]["tail_rows"]]
+        assert all(r["passed"] and r["log_tail"] <= r["log_bound"] for r in rows)
 
     def test_twopiece_identity_escapes(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--family", "twopiece-eps", "--param", "gamma=0")
@@ -229,6 +232,16 @@ class TestEnvTolerance:
         dist = compose(StandardNormal(), build_mechanism(
             "skewsym-custom", {"pi": "logistic", "alpha": 1.5}))
         assert dist.cdf(float(rows[2][1])) == pytest.approx(0.75, abs=1e-6)
+
+    def test_tolerance_changes_quantiles(self, capsys, monkeypatch):
+        argv = ("eval", "--family", "azzalini", "--param", "alpha=3",
+                "--what", "quantile", "--grid=0.3:0.7:2")
+        _, default, _ = run_cli(capsys, *argv)
+        monkeypatch.setenv("SKEWLAB_TOL", "1e-3")
+        code, loose, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert parse_csv(loose)[1][0][1] == "0.36373867509364793"
+        assert parse_csv(default)[1][0][1] == "0.36349057919975586"
 
     def test_bad_value_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("SKEWLAB_TOL", "not-a-number")

@@ -10,6 +10,7 @@ from skewlab import (
     Classification,
     DomainError,
     MarshallOlkin,
+    NumericMechanism,
     OrderStatistics,
     PreconditionError,
     SkewSymmetric,
@@ -156,11 +157,13 @@ class TestBoundVerifier:
         rows = verify_theorem1_bound(MarshallOlkin(4.0), ys=[2.0, 5.0, 10.0, 20.0])
         assert all(r.passed for r in rows)
 
-    def test_unbounded_mechanism_is_rejected(self):
+    def test_unbounded_mechanism_is_rejected(self, std):
         with pytest.raises(PreconditionError):
             verify_theorem1_bound(TwoPiece(0.5, 1.5))
         with pytest.raises(PreconditionError):
             verify_theorem1_bound(OrderStatistics(0.5, 2.0))
+        with pytest.raises(PreconditionError):
+            verify_theorem1_bound(NumericMechanism(compose(std, MarshallOlkin(2.0))))
 
 
 class TestChainVerifier:
@@ -234,6 +237,29 @@ class TestVerdicts:
         assert (v.verdict, v.rule) == (Verdict.INCONCLUSIVE, "none")
         v = divisibility_verdict(OrderStatistics(0.5, 0.5))
         assert v.verdict is Verdict.INCONCLUSIVE
+        # a numeric sup that stabilizes only bounds sup p from below
+        v = divisibility_verdict(OrderStatistics(1.0 - 1e-9, 2.0))
+        assert v.boundedness.classification is Classification.BOUNDED
+        assert v.boundedness.sup_estimate == pytest.approx(2.00000005, rel=1e-8)
+        assert (v.verdict, v.rule, v.rule_rows) == (Verdict.INCONCLUSIVE, "none", ())
+
+    def test_numeric_mechanism_inconclusive(self, std):
+        v = divisibility_verdict(NumericMechanism(compose(std, MarshallOlkin(2.0))))
+        assert v.boundedness.classification is Classification.BOUNDED
+        assert v.boundedness.sup_estimate < 2.0  # sup p = 2
+        assert (v.verdict, v.rule, v.bound) == (Verdict.INCONCLUSIVE, "none", None)
+
+    def test_failing_rule_rows_inconclusive(self):
+        class Understated(MarshallOlkin):
+            @property
+            def analytic_sup(self):
+                return 1.0  # sup p is 4
+
+        v = divisibility_verdict(Understated(4.0))
+        assert (v.verdict, v.rule, v.bound) == (Verdict.INCONCLUSIVE, "none", None)
+        assert not any(r.passed for r in v.rule_rows)
+        assert v.note == f"theorem-1 rows fail at y={list(DEFAULT_Y_GRID)}"
+        assert len(v.to_dict()["evidence"]["rule_rows"]) == len(DEFAULT_Y_GRID)
 
     def test_twopiece_rule(self):
         v = divisibility_verdict(TwoPiece.epsilon_skew(0.3))
@@ -242,6 +268,13 @@ class TestVerdicts:
         assert (v.verdict, v.rule) == (Verdict.NORMAL_ESCAPE, "none")
         v = divisibility_verdict(TwoPiece(2.0, 2.0))
         assert v.verdict is Verdict.NORMAL_ESCAPE
+        # both scales <= 1: p is bounded by 2/(a+b)
+        v = divisibility_verdict(TwoPiece(0.5, 0.8))
+        assert (v.verdict, v.rule, v.note) == (Verdict.NOT_ID, "theorem-1", None)
+        assert v.bound == 2.0 / 1.3
+        # g = (b-a)/(a+b) rounds to -1, outside the chain's domain
+        v = divisibility_verdict(TwoPiece(2.0, 1e-17))
+        assert (v.verdict, v.rule) == (Verdict.INCONCLUSIVE, "none")
 
     def test_evidence_attached(self):
         v = divisibility_verdict(MarshallOlkin(2.0))
@@ -253,6 +286,7 @@ class TestVerdicts:
         assert d["bound"] == 2.0
         assert len(d["evidence"]["sup_trace"]) >= 4
         assert len(d["evidence"]["tail_rows"]) == len(DEFAULT_Y_GRID)
+        assert [r["passed"] for r in d["evidence"]["rule_rows"]] == [True] * len(DEFAULT_Y_GRID)
 
     def test_not_id_always_certified(self):
         # soundness: a NOT_ID verdict carries either a certified bound or
@@ -262,6 +296,11 @@ class TestVerdicts:
             if v.verdict is Verdict.NOT_ID:
                 assert (v.rule == "theorem-2" and isinstance(mech, TwoPiece)) or (
                     v.rule == "theorem-1" and v.boundedness.certified_bound is not None)
+                # the cited rule ran on every tail ordinate and passed
+                assert [r.y for r in v.rule_rows] == [r.y for r in v.tail.rows]
+                assert all(r.passed for r in v.rule_rows)
+                if v.rule == "theorem-1":
+                    assert [r.log_tail for r in v.rule_rows] == [r.log_tail for r in v.tail.rows]
 
     @given(st.floats(min_value=0.05, max_value=0.99),
            st.floats(min_value=0.05, max_value=6.0))

@@ -26,7 +26,7 @@ from skewlab import (
     sample_skewed,
     twopiece_cdf,
 )
-from skewlab.numcore import integrate, normal_cdf, normal_pdf, normal_quantile
+from skewlab.numcore import Tolerance, integrate, normal_cdf, normal_pdf, normal_quantile
 
 
 class TestConstruction:
@@ -273,6 +273,14 @@ class TestSkewSymmetric:
         for q in (0.05, 0.5, 0.95):
             assert mech.cdf_P(mech.quantile_P(q)) == pytest.approx(q, abs=1e-10)
 
+    def test_quantile_honours_tolerance(self, std):
+        dist = compose(std, SkewSymmetric.azzalini(3.0))
+        assert dist.quantile(0.3) == 0.36349057919975586
+        assert dist.quantile(0.3, Tolerance(abs_tol=1e-3)) == 0.36373867509364793
+        extracted = extract_mechanism(dist, std)
+        assert extracted.quantile_P(0.3, Tolerance(abs_tol=1e-3)) == float(
+            normal_cdf(0.36373867509364793))
+
     def test_azzalini_pi_object(self):
         pi = AzzaliniPi(2.5)
         assert pi(0.0) == 0.5
@@ -379,6 +387,21 @@ class TestExtraction:
                 mech.p(bad)
         assert mech.cdf_P(0.0) == 0.0
         assert mech.cdf_P(1.0) == 1.0
+
+    @pytest.mark.parametrize("mech", [MarshallOlkin(2.0), OrderStatistics(2.0, 3.0),
+                                      TwoPiece.epsilon_skew(-0.5)])
+    def test_rebuilt_log_tails_are_the_source(self, mech, std):
+        # S(y) = source.cdf(y) with no round trip through Phi(y), which sits
+        # a few ulps below 1 from y = 6 on
+        dist = compose(std, mech)
+        extracted = extract_mechanism(dist, std)
+        rebuilt = compose(std, extracted)
+        for y in (-30.0, -8.0, 0.0, 6.0, 7.0, 8.0, 8.2, 30.0):
+            assert rebuilt.log_cdf(y) == dist.log_cdf(y)
+            assert rebuilt.log_sf(y) == dist.log_sf(y)
+        qs = np.array([[1e-6, 0.1, 0.5], [0.7, 0.9, 0.999]])
+        assert np.array_equal(extracted.quantile_P(qs),
+                              [[extracted.quantile_P(float(q)) for q in row] for row in qs])
 
     def test_extraction_type(self, std):
         assert isinstance(extract_mechanism(std, std), NumericMechanism)
