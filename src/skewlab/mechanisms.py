@@ -20,17 +20,22 @@ Mechanisms also provide composition hooks (``composed_log_cdf`` and
 friends) so the composed distribution can evaluate its tails entirely in
 log space; the named families override them with closed or series forms
 that stay finite out to |y| ~ 40 where the plain composition is
-numerically 0 or 1.
+numerically 0 or 1. ``SkewSymmetric`` takes its log tails from pi when pi
+carries them, as ``AzzaliniPi`` does in closed form through Owen's T,
+and from adaptive quadrature for any other pi. ``composed_quantile``
+inverts the composed CDF in y; it is Phi^-1(Pinv(q)) unless the family
+roots in y itself, as ``SkewSymmetric`` does.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 from typing import Callable
 
 import numpy as np
+from scipy import special as _sp
 
 from . import numcore
 from .distributions import ContinuousDistribution, RngState, StandardNormal
@@ -58,6 +63,7 @@ _STD = StandardNormal()
 _NEG_INF = float("-inf")
 _INF = float("inf")
 _LOG2 = math.log(2.0)
+_SQRT2 = math.sqrt(2.0)
 # the open unit interval's ends in doubles, where Phi^-1 stays finite
 _TINY, _TOP = 5e-324, 1.0 - 2**-53
 
@@ -140,6 +146,10 @@ class SkewingMechanism(ABC):
     def composed_log_sf(self, y: float) -> LogProb:
         """ln(1 - S(y)), finite far past the rounding of S(y) to 1."""
 
+    def composed_quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
+        """The y with S(y) = q, for q in (0, 1): Phi^-1(Pinv(q))."""
+        return _STD.quantile(self.quantile_P(q, tol))
+
 
 def _composed_cdf(mech: SkewingMechanism, y: float) -> float:
     """P(Phi(y)) from the log tail on y's side of 0, so that neither tail
@@ -156,7 +166,12 @@ def _symmetric_grid(n: int = 500, span: float = 8.0) -> np.ndarray:
 
 
 class AzzaliniPi:
-    """Skewing function pi(y) = Phi(alpha * y)."""
+    """Skewing function pi(y) = Phi(alpha * y).
+
+    It also carries the log tails of the law it composes to, the
+    skew-normal with density 2 phi(y) Phi(alpha y), in closed form;
+    ``SkewSymmetric`` uses them in place of quadrature.
+    """
 
     def __init__(self, alpha: float):
         if not math.isfinite(alpha):
@@ -169,8 +184,102 @@ class AzzaliniPi:
     def log(self, y):
         return numcore.log_normal_cdf(self.alpha * np.asarray(y, dtype=float))
 
+    def composed_log_cdf(self, y: float) -> LogProb:
+        """ln S(y) of the skew-normal law."""
+        return _sn_log_cdf(y, self.alpha)
+
+    def composed_log_sf(self, y: float) -> LogProb:
+        """ln(1 - S(y)) of the skew-normal law."""
+        return _sn_log_sf(y, self.alpha)
+
     def __repr__(self) -> str:
         return f"AzzaliniPi(alpha={self.alpha})"
+
+
+# The skew-normal CDF is S(y) = Phi(y) - 2 T(y, alpha), T Owen's function
+# (Azzalini 1985). For alpha > 0 the difference cancels on the light side,
+# y < 0: for alpha = 3 it is 0 in doubles at y = -5, where ln S = -132.8.
+# There S(-h) is taken as a positive integral, Owen's T integral from
+# alpha to infinity, 1/pi int_alpha^inf exp(-h^2 (1+x^2)/2) / (1+x^2) dx,
+# under x = t/h:
+#     S(-h) = exp(-h^2/2) / (pi h) * int_c^inf exp(-t^2/2) / (1 + t^2/h^2) dt,
+# c = alpha h. Gauss-Laguerre in v = (t^2 - c^2)/2 takes the integral from
+# max(c, _LAGUERRE_FROM), where the branch point of t(v) at v = -c^2/2 is
+# far enough out for 64 nodes; Gauss-Legendre takes the stretch from c up
+# to it, which is clear of the poles t = +-ih while h sqrt(1 + alpha^2)
+# stays above _NEAR_MODE. Nearer the mode Owen's T itself is used. The
+# switch points were chosen by the error against mpmath, which
+# ``SkewSymmetric`` states.
+_LAGUERRE_FROM = 3.0
+_NEAR_MODE = 0.5
+
+
+@cache
+def _gauss_rules() -> tuple[np.ndarray, ...]:
+    """Gauss-Laguerre (64) and Gauss-Legendre (32) nodes and weights, made
+    on first use: the eigensolves take about 10 ms, too much for import."""
+    return (*np.polynomial.laguerre.laggauss(64), *np.polynomial.legendre.leggauss(32))
+
+
+def _laguerre_tail(c: float, h: float) -> float:
+    """exp(c^2/2) * int_c^inf exp(-t^2/2) / (1 + t^2/h^2) dt for c > 0."""
+    x, w = _gauss_rules()[:2]
+    t = np.sqrt(c * c + 2.0 * x)
+    return float(w @ (1.0 / (t * (1.0 + (t / h) ** 2))))
+
+
+def _sn_cdf_owen(y: float, alpha: float) -> float:
+    """S(y) from Owen's T for alpha >= 0, to rounding near the mode and
+    between 0 and the median. For alpha > 1 it uses Owen's reflection
+    T(h, a) + T(ah, 1/a) = (Phi(h) + Phi(ah))/2 - Phi(h) Phi(ah), h, a >= 0,
+    whose two terms have one sign for y >= 0; erf(y/sqrt 2) = 2 Phi(y) - 1."""
+    if alpha <= 1.0:
+        return float(_sp.ndtr(y) - 2.0 * _sp.owens_t(y, alpha))
+    c = alpha * y
+    return float(2.0 * _sp.owens_t(c, 1.0 / alpha) + _sp.ndtr(c) * math.erf(y / _SQRT2))
+
+
+def _sn_log_light(h: float, alpha: float) -> LogProb:
+    """ln S(-h) for alpha >= 0 and h >= 0."""
+    if h * math.hypot(1.0, alpha) < _NEAR_MODE:
+        return math.log(_sn_cdf_owen(-h, alpha))
+    c = alpha * h
+    log_front = -0.5 * h * h - math.log(math.pi * h)
+    if c >= _LAGUERRE_FROM:
+        return log_front - 0.5 * c * c + math.log(_laguerre_tail(c, h))
+    x, w = _gauss_rules()[2:]
+    half = 0.5 * (_LAGUERRE_FROM - c)
+    t = (c + half) + half * x
+    mass = half * float(w @ (np.exp(-0.5 * t * t) / (1.0 + (t / h) ** 2)))
+    mass += math.exp(-0.5 * _LAGUERRE_FROM**2) * _laguerre_tail(_LAGUERRE_FROM, h)
+    return log_front + math.log(mass)
+
+
+def _sn_log_heavy(h: float, alpha: float) -> LogProb:
+    """ln(1 - S(h)) for alpha >= 0 and h >= 0: 1 - S(h) = 2 Phi(-h) - S(-h),
+    where S(-h) <= Phi(-h), so nothing cancels."""
+    log_2sf = _LOG2 + float(_sp.log_ndtr(-h))
+    return log_2sf + math.log1p(-math.exp(_sn_log_light(h, alpha) - log_2sf))
+
+
+def _sn_log_cdf(y: float, alpha: float) -> LogProb:
+    """ln S(y) of the law 2 phi(y) Phi(alpha y)."""
+    if alpha < 0.0:  # S_alpha(y) = 1 - S_-alpha(-y)
+        return _sn_log_sf(-y, -alpha)
+    if y <= 0.0:
+        return _sn_log_light(-y, alpha)
+    log_sf = _sn_log_heavy(y, alpha)
+    # below the median S(y) may still be small: 1 - exp(log_sf) would cancel
+    return _log1mexp(log_sf) if log_sf < -_LOG2 else math.log(_sn_cdf_owen(y, alpha))
+
+
+def _sn_log_sf(y: float, alpha: float) -> LogProb:
+    """ln(1 - S(y)) of the law 2 phi(y) Phi(alpha y)."""
+    if alpha < 0.0:
+        return _sn_log_cdf(-y, -alpha)
+    if y >= 0.0:
+        return _sn_log_heavy(y, alpha)
+    return _log1mexp(_sn_log_light(-y, alpha))  # S(y) <= S(0) <= 1/2
 
 
 class SkewSymmetric(SkewingMechanism):
@@ -180,14 +289,18 @@ class SkewSymmetric(SkewingMechanism):
     everywhere, and maps an array to an array of its shape; both are
     checked at construction. Composed densities are 2 * phi(y) * pi(y).
 
-    The composed CDF has no closed form; ``cdf_P`` and ``quantile_P``
-    choose their numerics from the input. A scalar takes log-space
-    adaptive quadrature of the composed density to ``DEFAULT_TOL`` (and
-    a root find on it for the quantile). An array interpolates a cached
-    CDF table on [-13, 13] with step h = 26/16384, for bulk fitting and
-    sampling. Its error in probability is at most h^2/8 * max|s'|, s the
-    composed density: 1.2e-7 for Azzalini |alpha| = 1, 3.0e-7 for
-    alpha = 3, 5.0e-6 for alpha = 50.
+    The log tails of the composed law come from ``pi.composed_log_cdf``
+    and ``pi.composed_log_sf`` when pi provides them, as ``AzzaliniPi``
+    does; otherwise from log-space adaptive quadrature of the composed
+    density to ``DEFAULT_TOL``. Azzalini's closed form, through Owen's T,
+    is within 1e-14 * max(1, |ln S|) of mpmath for |alpha| <= 1e3 and
+    |y| <= 40 (tests/test_mechanisms.py, ``TestAzzaliniClosedForm``).
+    A scalar ``cdf_P`` and the quantiles use the log tails; a quantile is
+    the root in y on the tail on q's side of 1/2. An array ``cdf_P`` or
+    ``quantile_P`` interpolates a cached CDF table on [-13, 13] with step
+    h = 26/16384, for bulk fitting and sampling. Its error in probability
+    is at most h^2/8 * max|s'|, s the composed density: 1.2e-7 for
+    Azzalini |alpha| = 1, 3.0e-7 for alpha = 3, 5.0e-6 for alpha = 50.
     """
 
     _TABLE_SPAN = 13.0
@@ -196,6 +309,8 @@ class SkewSymmetric(SkewingMechanism):
     def __init__(self, pi: Callable, log_pi: Callable | None = None):
         self.pi = pi
         self._log_pi = log_pi or getattr(pi, "log", None)
+        self._pi_log_cdf = getattr(pi, "composed_log_cdf", None)
+        self._pi_log_sf = getattr(pi, "composed_log_sf", None)
         grid = _symmetric_grid()
         try:
             vals = np.asarray(pi(grid), dtype=float)
@@ -232,14 +347,37 @@ class SkewSymmetric(SkewingMechanism):
     # can miss the bulk of an infinite interval that holds it.
 
     def composed_log_cdf(self, y: float) -> LogProb:
+        if self._pi_log_cdf is not None:
+            return self._pi_log_cdf(y)
         if y <= 0.0:
             return self._log_mass(_NEG_INF, y)
         return _log1mexp(self._log_mass(y, _INF))
 
     def composed_log_sf(self, y: float) -> LogProb:
+        if self._pi_log_sf is not None:
+            return self._pi_log_sf(y)
         if y >= 0.0:
             return self._log_mass(y, _INF)
         return _log1mexp(self._log_mass(_NEG_INF, y))
+
+    def composed_quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
+        # Above 1/2 the root is taken on the upper log tail, where 1 - q is
+        # exact and the CDF would have rounded to 1 long before.
+        q = float(_within(q, open_=True, what="q"))
+        if q <= 0.5:
+            def fn(t):
+                return _composed_cdf(self, t) - q
+        else:
+            log_1mq = math.log1p(-q)
+
+            def fn(t):
+                return log_1mq - self.composed_log_sf(t)
+        lo, hi = -1.0, 1.0
+        while fn(lo) > 0.0 and lo > -40.0:
+            lo *= 2.0
+        while fn(hi) < 0.0 and hi < 40.0:
+            hi *= 2.0
+        return numcore.find_root(fn, lo, hi, tol)
 
     def cdf_P(self, x):
         x = _within(x, open_=False)
@@ -255,19 +393,12 @@ class SkewSymmetric(SkewingMechanism):
         if q.ndim:
             z_grid, cdf = self._cdf_table
             return numcore.normal_cdf(np.interp(q, cdf, z_grid))
-        q = float(q)
-        lo, hi = -1.0, 1.0
-        while _composed_cdf(self, lo) > q and lo > -40.0:
-            lo *= 2.0
-        while _composed_cdf(self, hi) < q and hi < 40.0:
-            hi *= 2.0
-        z = numcore.find_root(lambda t: _composed_cdf(self, t) - q, lo, hi, tol)
-        return float(numcore.normal_cdf(z))
+        return float(numcore.normal_cdf(self.composed_quantile(q, tol)))
 
     @cached_property
     def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(z grid, CDF values): panel-by-panel Gauss quadrature of the
-        composed density, anchored by one exact log-space tail integral."""
+        composed density, anchored by the exact log tail at the left end."""
         z = np.linspace(-self._TABLE_SPAN, self._TABLE_SPAN, self._TABLE_N)
         nodes, weights = np.polynomial.legendre.leggauss(5)
         mid = 0.5 * (z[:-1] + z[1:])
@@ -597,8 +728,9 @@ class SkewedDistribution(ContinuousDistribution):
     Cumulative quantities delegate to the mechanism's composition hooks,
     which keep both tails finite in log space far past the underflow of
     the plain formulas; ``cdf`` takes exp(log_cdf) at y <= 0 and
-    1 - exp(log_sf) above. Quantiles go through the mechanism quantile:
-    quantile(q) = Phi^-1(Pinv(q)). A non-finite y raises DomainError.
+    1 - exp(log_sf) above. ``quantile`` is the mechanism's
+    ``composed_quantile`` hook, Phi^-1(Pinv(q)) unless the family roots
+    in y itself. A non-finite y raises DomainError.
     """
 
     def __init__(self, mechanism: SkewingMechanism):
@@ -623,7 +755,7 @@ class SkewedDistribution(ContinuousDistribution):
         return min(0.0, self.mechanism.composed_log_sf(_finite(y)))
 
     def quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
-        return _STD.quantile(self.mechanism.quantile_P(q, tol))
+        return self.mechanism.composed_quantile(q, tol)
 
     def quantile_array(self, q: np.ndarray) -> np.ndarray:
         x = self.mechanism.quantile_P(np.asarray(q, dtype=float))

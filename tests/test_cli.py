@@ -240,7 +240,7 @@ class TestEnvTolerance:
         monkeypatch.setenv("SKEWLAB_TOL", "1e-3")
         code, loose, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert parse_csv(loose)[1][0][1] == "0.36373867509364793"
+        assert parse_csv(loose)[1][0][1] == "0.3637386750936477"
         assert parse_csv(default)[1][0][1] == "0.36349057919975586"
 
     def test_bad_value_exits_2(self, capsys, monkeypatch):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MO_GAMMAS, OS_SHAPES, shipped_instances
-from oracles import mp_log_normal_sf, mp_reg_inc_beta
+from oracles import mp_log_normal_sf, mp_reg_inc_beta, mp_skew_normal_log_tails
+from skewlab import numcore
 from skewlab import (
     AzzaliniPi,
     DomainError,
@@ -17,14 +18,18 @@ from skewlab import (
     ParameterError,
     RngState,
     SkewSymmetric,
+    StandardNormal,
     TwoPiece,
+    Verdict,
     compose,
+    divisibility_verdict,
     extract_mechanism,
     ks_test,
     mo_cdf_P,
     sample_flip,
     sample_skewed,
     twopiece_cdf,
+    verify_theorem1_bound,
 )
 from skewlab.numcore import Tolerance, integrate, normal_cdf, normal_pdf, normal_quantile
 
@@ -114,9 +119,7 @@ class TestComposeBasics:
     @pytest.mark.parametrize("name,mech", shipped_instances())
     def test_quantile_cdf_identity_central_region(self, name, mech, std):
         dist = compose(std, mech)
-        # coarser grid for the quadrature-backed skew-symmetric family
-        count = 21 if isinstance(mech, SkewSymmetric) else 99
-        for q in np.linspace(0.0005, 0.9995, count):
+        for q in np.linspace(0.0005, 0.9995, 99):
             y = dist.quantile(float(q))
             assert dist.quantile(dist.cdf(y)) == pytest.approx(y, abs=1e-7)
 
@@ -276,10 +279,10 @@ class TestSkewSymmetric:
     def test_quantile_honours_tolerance(self, std):
         dist = compose(std, SkewSymmetric.azzalini(3.0))
         assert dist.quantile(0.3) == 0.36349057919975586
-        assert dist.quantile(0.3, Tolerance(abs_tol=1e-3)) == 0.36373867509364793
+        assert dist.quantile(0.3, Tolerance(abs_tol=1e-3)) == 0.3637386750936477
         extracted = extract_mechanism(dist, std)
         assert extracted.quantile_P(0.3, Tolerance(abs_tol=1e-3)) == float(
-            normal_cdf(0.36373867509364793))
+            normal_cdf(0.3637386750936477))
 
     def test_azzalini_pi_object(self):
         pi = AzzaliniPi(2.5)
@@ -523,8 +526,8 @@ class TestOneEvaluationPath:
     @pytest.mark.parametrize("name,mech", shipped_instances())
     def test_array_calls_equal_scalar_calls(self, name, mech):
         skew = isinstance(mech, SkewSymmetric)
-        xs = np.linspace(0.0, 1.0, 11 if skew else 101)
-        qs = np.concatenate([[1e-9], np.linspace(0.05, 0.95, 7 if skew else 91), [1 - 1e-9]])
+        xs = np.linspace(0.0, 1.0, 101)
+        qs = np.concatenate([[1e-9], np.linspace(0.05, 0.95, 91), [1 - 1e-9]])
         inner = xs[1:-1]
         assert np.array_equal(mech.p(inner), [mech.p(float(x)) for x in inner])
         cdf_arr = mech.cdf_P(xs)
@@ -563,3 +566,115 @@ class TestOneEvaluationPath:
             compose(other, MarshallOlkin(2.0))
         with pytest.raises(ParameterError):
             extract_mechanism(other, other)
+
+
+# Azzalini shapes and ordinates for the closed form against the mpmath
+# oracle, plus ordinates on both sides of its switch points:
+# h sqrt(1 + alpha^2) = 0.5 and alpha h = 3, with h = -y.
+AZZ_ALPHAS = tuple(s * a for a in (1e-3, 0.5, 3.0, 50.0, 1e3) for s in (1.0, -1.0))
+AZZ_YS = (0.0,) + tuple(s * y for y in (0.5, 2.0, 5.0, 8.0, 20.0, 30.0, 40.0) for s in (1.0, -1.0))
+AZZ_SWITCHES = tuple(
+    (a, -edge * f)
+    for a in (0.5, 3.0, 50.0)
+    for edge in (0.5 / math.hypot(1.0, a), 3.0 / a)
+    for f in (1.0 - 1e-9, 1.0 + 1e-9)
+)
+AZZ_POINTS = tuple((a, y) for a in AZZ_ALPHAS for y in AZZ_YS) + AZZ_SWITCHES
+# The stated accuracy of the closed-form log tails (SkewSymmetric docstring).
+AZZ_LOG_REL = 1e-14
+
+
+def _assert_log_tails(alpha, y):
+    dist = compose(StandardNormal(), SkewSymmetric.azzalini(alpha))
+    want_cdf, want_sf = mp_skew_normal_log_tails(y, alpha)
+    for got, want in ((dist.log_cdf(y), want_cdf), (dist.log_sf(y), want_sf)):
+        assert abs(got - want) <= AZZ_LOG_REL * max(1.0, abs(want)), (got, want)
+    # cdf = exp(log_cdf) at y <= 0 and 1 - exp(log_sf) above: the error of
+    # the log carries over, times the mass it is the log of
+    log_mass = want_cdf if y <= 0.0 else want_sf
+    want = math.exp(want_cdf) if y <= 0.0 else -math.expm1(want_sf)
+    tol = AZZ_LOG_REL * max(1.0, abs(log_mass)) * math.exp(log_mass) + 4e-16 * want
+    assert abs(dist.cdf(y) - want) <= tol, (dist.cdf(y), want)
+
+
+class TestAzzaliniClosedForm:
+    """Owen's T closed form against the mpmath integral oracle."""
+
+    @pytest.mark.parametrize("alpha,y", AZZ_POINTS)
+    def test_log_tails_and_cdf(self, alpha, y):
+        _assert_log_tails(alpha, y)
+
+    @given(st.floats(min_value=-1e3, max_value=1e3), st.floats(min_value=-40.0, max_value=40.0))
+    @settings(max_examples=40, deadline=None)
+    def test_log_tails_and_cdf_property(self, alpha, y):
+        _assert_log_tails(alpha, y)
+
+    @pytest.mark.parametrize("alpha,y", [(a, y) for a, y in AZZ_POINTS if abs(y) <= 8.0])
+    def test_quantile_hits_the_tail_mass(self, alpha, y):
+        # q = S(y) from the oracle; the oracle's tail mass at quantile(q)
+        # must be q below the median and 1 - q (exact in doubles) above
+        dist = compose(StandardNormal(), SkewSymmetric.azzalini(alpha))
+        log_cdf, log_sf = mp_skew_normal_log_tails(y, alpha)
+        if log_cdf <= -math.log(2.0):
+            q = math.exp(log_cdf)
+            if q < 1e-300:
+                pytest.skip("S(y) is below the doubles' normal range")
+            got = mp_skew_normal_log_tails(dist.quantile(q), alpha)[0]
+            want = math.log(q)
+        else:
+            q = -math.expm1(log_sf)
+            if q == 1.0:
+                pytest.skip("S(y) rounds to 1")
+            got = mp_skew_normal_log_tails(dist.quantile(q), alpha)[1]
+            want = math.log1p(-q)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (got, want)
+
+    def test_oracle_matches_known_values(self):
+        # S(0) = 1/2 - atan(alpha)/pi, and alpha = 1 gives S = Phi^2
+        for alpha in (-50.0, -0.5, 0.0, 3.0, 1e3):
+            want = float(mp.log(mp.mpf(1) / 2 - mp.atan(alpha) / mp.pi))
+            assert mp_skew_normal_log_tails(0.0, alpha)[0] == pytest.approx(want, rel=1e-15)
+        for y in (-30.0, -5.0, 0.5, 8.0):
+            want = float(2 * mp.log(mp.ncdf(y)))
+            assert mp_skew_normal_log_tails(y, 1.0)[0] == pytest.approx(want, rel=1e-15, abs=1e-300)
+        # alpha = 0 gives S = Phi, also within 1e-12 of the mode
+        for y in (-40.0, -1e-12, 1e-300, 1e-12, 3.0):
+            want = float(mp.log(mp.ncdf(y)))
+            assert mp_skew_normal_log_tails(y, 0.0)[0] == pytest.approx(want, rel=1e-15, abs=1e-300)
+
+
+class TestSkewSymmetricQuantileInY:
+    @pytest.mark.parametrize("q", [0.3, 1 - 1e-6, 1 - 1e-12])
+    def test_indicator_pi_is_half_normal(self, std, q):
+        # pi = 1[y >= 0] composes to the half-normal, S(y) = erf(y / sqrt 2)
+        dist = compose(std, SkewSymmetric(lambda y: (np.asarray(y, dtype=float) >= 0.0).astype(float)))
+        assert dist.quantile(q) == pytest.approx(float(mp.sqrt(2) * mp.erfinv(q)), rel=1e-9)
+
+    def test_upper_quantile_of_custom_pi(self, std):
+        # logistic pi: the root is taken on the upper log tail
+        mech = SkewSymmetric(lambda y: 1.0 / (1.0 + np.exp(-2.0 * np.asarray(y, dtype=float))))
+        dist = compose(std, mech)
+        q = 1 - 1e-12
+        y = dist.quantile(q)
+        assert dist.log_sf(y) == pytest.approx(math.log1p(-q), abs=1e-9)
+        assert mech.quantile_P(q) == float(normal_cdf(y))
+
+
+class TestAzzaliniRunsNoQuadrature:
+    def test_quadrature_is_never_reached(self, std, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numcore.log_integrate was called")
+
+        monkeypatch.setattr(numcore, "log_integrate", forbidden)
+        mech = SkewSymmetric.azzalini(3.0)
+        dist = compose(std, mech)
+        for y in (-30.0, -2.0, 0.0, 2.0, 30.0):
+            dist.cdf(y), dist.log_cdf(y), dist.log_sf(y)
+        for q in (1e-12, 0.3, 1 - 1e-12):
+            dist.quantile(q), mech.quantile_P(q)
+        mech.cdf_P(0.3), dist.cdf_array(np.array([-1.0, 1.0]))
+        assert all(row.passed for row in verify_theorem1_bound(mech))
+        assert divisibility_verdict(mech).verdict is Verdict.NOT_ID
+        custom = compose(std, SkewSymmetric(lambda y: normal_cdf(3.0 * np.asarray(y, dtype=float))))
+        with pytest.raises(AssertionError, match="log_integrate"):
+            custom.log_sf(2.0)
