@@ -5,6 +5,13 @@ Everything here is a pure function of its arguments, safe for concurrent
 use. Scalar floats in, scalar floats out; the normal/beta functions also
 broadcast over numpy arrays because they delegate to scipy ufuncs.
 
+Every kernel checks its argument first: finite, or inside the unit
+interval. A float (``np.float64`` is one) is checked with ``math`` and
+chained comparisons, which costs about 0.1 us; anything else goes
+through ``np.asarray`` and ``np.all``, about 5 us on a scalar, forty
+times the ufunc it guards. Both paths raise the same ``DomainError``
+with the same message, and hand the argument to the ufunc unchanged.
+
 The log-space survival functions are the load-bearing part: plain
 ``1 - Phi(y)`` is numerically 0 from y ~ 38 and loses digits from y ~ 8,
 while ``log_normal_sf`` stays accurate out to |y| = 40 and beyond. Tail
@@ -79,8 +86,17 @@ DEFAULT_TOL = Tolerance()
 
 
 def _require_finite(y, name: str = "y") -> None:
-    if not np.all(np.isfinite(y)):
+    if not (math.isfinite(y) if isinstance(y, float) else np.all(np.isfinite(y))):
         raise DomainError(f"{name} must be finite, got {y!r}")
+
+
+def _in_unit(x, open_: bool) -> bool:
+    """Whether x, a float or anything numpy reads as floats, lies in [0, 1],
+    or in (0, 1) if open_; NaN lies in neither."""
+    if isinstance(x, float):
+        return 0.0 < x < 1.0 if open_ else 0.0 <= x <= 1.0
+    x = np.asarray(x, dtype=float)
+    return bool(np.all((x > 0.0) & (x < 1.0) if open_ else (x >= 0.0) & (x <= 1.0)))
 
 
 def normal_pdf(y):
@@ -116,8 +132,7 @@ def log_normal_sf(y) -> LogProb:
 
 def normal_quantile(q):
     """Inverse of normal_cdf on (0, 1)."""
-    q_arr = np.asarray(q, dtype=float)
-    if not np.all((q_arr > 0.0) & (q_arr < 1.0)):
+    if not _in_unit(q, open_=True):
         raise DomainError(f"quantile argument must lie in (0, 1), got {q!r}")
     return _sp.ndtri(q)
 
@@ -136,8 +151,7 @@ def log_beta(a: float, b: float) -> float:
 def reg_inc_beta(x, a: float, b: float):
     """Regularized incomplete beta I_x(a, b), monotone in x on [0, 1]."""
     _require_beta_params(a, b)
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all((x_arr >= 0.0) & (x_arr <= 1.0)):
+    if not _in_unit(x, open_=False):
         raise DomainError(f"x must lie in [0, 1], got {x!r}")
     return _sp.betainc(a, b, x)
 
@@ -145,8 +159,7 @@ def reg_inc_beta(x, a: float, b: float):
 def inv_reg_inc_beta(q, a: float, b: float):
     """Inverse of reg_inc_beta in x for q in (0, 1)."""
     _require_beta_params(a, b)
-    q_arr = np.asarray(q, dtype=float)
-    if not np.all((q_arr > 0.0) & (q_arr < 1.0)):
+    if not _in_unit(q, open_=True):
         raise DomainError(f"q must lie in (0, 1), got {q!r}")
     return _sp.betaincinv(a, b, q)
 

@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# `--hypothesis-profile=ci` prints the reproduction blob of a failing
+# example, so a failure seen in CI can be replayed with @reproduce_failure.
+settings.register_profile("ci", print_blob=True)
 
 from skewlab import (
     MarshallOlkin,

@@ -240,8 +240,8 @@ class TestEnvTolerance:
         monkeypatch.setenv("SKEWLAB_TOL", "1e-3")
         code, loose, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert parse_csv(loose)[1][0][1] == "0.3637386750936477"
-        assert parse_csv(default)[1][0][1] == "0.36349057919975586"
+        assert parse_csv(loose)[1][0][1] == "0.3637386750936479"
+        assert parse_csv(default)[1][0][1] == "0.3634905791997558"
 
     def test_bad_value_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("SKEWLAB_TOL", "not-a-number")

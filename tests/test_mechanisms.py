@@ -3,11 +3,16 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MO_GAMMAS, OS_SHAPES, shipped_instances
-from oracles import mp_log_normal_sf, mp_reg_inc_beta, mp_skew_normal_log_tails
+from oracles import (
+    _mp_skew_normal_light,
+    mp_log_normal_sf,
+    mp_reg_inc_beta,
+    mp_skew_normal_log_tails,
+)
 from skewlab import numcore
 from skewlab import (
     AzzaliniPi,
@@ -278,11 +283,11 @@ class TestSkewSymmetric:
 
     def test_quantile_honours_tolerance(self, std):
         dist = compose(std, SkewSymmetric.azzalini(3.0))
-        assert dist.quantile(0.3) == 0.36349057919975586
-        assert dist.quantile(0.3, Tolerance(abs_tol=1e-3)) == 0.3637386750936477
+        assert dist.quantile(0.3) == 0.3634905791997558
+        assert dist.quantile(0.3, Tolerance(abs_tol=1e-3)) == 0.3637386750936479
         extracted = extract_mechanism(dist, std)
         assert extracted.quantile_P(0.3, Tolerance(abs_tol=1e-3)) == float(
-            normal_cdf(0.3637386750936477))
+            normal_cdf(0.3637386750936479))
 
     def test_azzalini_pi_object(self):
         pi = AzzaliniPi(2.5)
@@ -589,10 +594,12 @@ def _assert_log_tails(alpha, y):
     want_cdf, want_sf = mp_skew_normal_log_tails(y, alpha)
     for got, want in ((dist.log_cdf(y), want_cdf), (dist.log_sf(y), want_sf)):
         assert abs(got - want) <= AZZ_LOG_REL * max(1.0, abs(want)), (got, want)
-    # cdf = exp(log_cdf) at y <= 0 and 1 - exp(log_sf) above: the error of
-    # the log carries over, times the mass it is the log of
-    log_mass = want_cdf if y <= 0.0 else want_sf
-    want = math.exp(want_cdf) if y <= 0.0 else -math.expm1(want_sf)
+    # cdf = 1 - exp(log_sf) where 1 - S(y) <= 1/2 at y > 0, exp(log_cdf)
+    # elsewhere: the error of the log carries over, times the mass it is
+    # the log of
+    upper = y > 0.0 and want_sf <= -math.log(2.0)
+    log_mass = want_sf if upper else want_cdf
+    want = -math.expm1(want_sf) if upper else math.exp(want_cdf)
     tol = AZZ_LOG_REL * max(1.0, abs(log_mass)) * math.exp(log_mass) + 4e-16 * want
     assert abs(dist.cdf(y) - want) <= tol, (dist.cdf(y), want)
 
@@ -606,6 +613,7 @@ class TestAzzaliniClosedForm:
 
     @given(st.floats(min_value=-1e3, max_value=1e3), st.floats(min_value=-40.0, max_value=40.0))
     @settings(max_examples=40, deadline=None)
+    @example(alpha=1.0, y=2.499971029285763e-10)  # the oracle once missed S here by 1.4e-14
     def test_log_tails_and_cdf_property(self, alpha, y):
         _assert_log_tails(alpha, y)
 
@@ -628,6 +636,28 @@ class TestAzzaliniClosedForm:
             got = mp_skew_normal_log_tails(dist.quantile(q), alpha)[1]
             want = math.log1p(-q)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (got, want)
+
+    @pytest.mark.parametrize("y", [1e-3, 3e-4])
+    def test_cdf_above_zero_below_the_median(self, y):
+        # alpha = 1e3 has its median at 0.67: for y in (0, 0.67), S(y) is the
+        # smaller tail and 1 - exp(log_sf) would lose 5.9e-14 and 1.5e-13
+        dist = compose(StandardNormal(), SkewSymmetric.azzalini(1e3))
+        want = math.exp(mp_skew_normal_log_tails(y, 1e3)[0])
+        assert dist.cdf(y) == pytest.approx(want, rel=4e-16, abs=0.0)
+
+    @pytest.mark.parametrize("h", [2.499971029285763e-10, *np.geomspace(1e-300, 40.0, 24)])
+    def test_oracle_at_alpha_one_is_phi_squared(self, h):
+        # S = Phi^2 at alpha = 1, down to h = 1e-300, where the light-side
+        # integrand's rise near p = 0 spans every scale up to the top
+        h = float(h)
+        light = _mp_skew_normal_light(h, 1.0)
+        assert abs(light / mp.ncdf(-mp.mpf(h)) ** 2 - 1) <= 1e-18
+        for y in (-h, h):
+            want_cdf = 2 * mp.log(mp.ncdf(mp.mpf(y)))
+            want_sf = mp.log(mp.ncdf(-mp.mpf(y)) * (1 + mp.ncdf(mp.mpf(y))))  # 1 - Phi^2
+            got_cdf, got_sf = mp_skew_normal_log_tails(y, 1.0)
+            assert got_cdf == pytest.approx(float(want_cdf), rel=1e-15, abs=0.0)
+            assert got_sf == pytest.approx(float(want_sf), rel=1e-15, abs=0.0)
 
     def test_oracle_matches_known_values(self):
         # S(0) = 1/2 - atan(alpha)/pi, and alpha = 1 gives S = Phi^2
@@ -678,3 +708,134 @@ class TestAzzaliniRunsNoQuadrature:
         custom = compose(std, SkewSymmetric(lambda y: normal_cdf(3.0 * np.asarray(y, dtype=float))))
         with pytest.raises(AssertionError, match="log_integrate"):
             custom.log_sf(2.0)
+
+
+# Upper-tail quantiles of the closed families, from 1 - q, against the
+# mpmath survival function at the returned ordinate.
+def _mp_sf_marshall_olkin(gamma, y):
+    eps = mp.ncdf(-mp.mpf(y))
+    return gamma * eps / (1 - (1 - mp.mpf(gamma)) * eps)
+
+
+def _mp_sf_two_piece(a, b, y):
+    y, a, b = mp.mpf(y), mp.mpf(a), mp.mpf(b)
+    if y >= 0:
+        return 2 * a / (a + b) * mp.ncdf(-y / a)
+    return 1 - 2 * b / (a + b) * mp.ncdf(y / b)
+
+
+def _mp_sf_order_statistics(psi1, psi2, y):
+    return mp.betainc(psi2, psi1, 0, mp.ncdf(-mp.mpf(y)), regularized=True)
+
+
+UPPER_QUANTILE_LAWS = [
+    pytest.param(MarshallOlkin(2.0), lambda y: _mp_sf_marshall_olkin(2.0, y), id="mo-2"),
+    pytest.param(MarshallOlkin(0.25), lambda y: _mp_sf_marshall_olkin(0.25, y), id="mo-0.25"),
+    pytest.param(TwoPiece(5.0, 0.1), lambda y: _mp_sf_two_piece(5.0, 0.1, y), id="twopiece-5-0.1"),
+    pytest.param(TwoPiece(0.5, 2.0), lambda y: _mp_sf_two_piece(0.5, 2.0, y), id="twopiece-0.5-2"),
+    pytest.param(OrderStatistics(0.5, 0.5), lambda y: _mp_sf_order_statistics(0.5, 0.5, y),
+                 id="orderstats-0.5-0.5"),
+    pytest.param(OrderStatistics(2.0, 3.0), lambda y: _mp_sf_order_statistics(2.0, 3.0, y),
+                 id="orderstats-2-3"),
+]
+
+
+class TestUpperTailQuantiles:
+    """Above 1/2 the closed families invert their upper tail from 1 - q,
+    exact in doubles there. Through x = Pinv(q) the tail is lost as x
+    rounds to 1: MarshallOlkin(2) was 1.1e-4 off in ln at q = 1 - 1e-12,
+    and TwoPiece(5, 0.1) raised DomainError from q = 0.999."""
+
+    @pytest.mark.parametrize("mech,sf", UPPER_QUANTILE_LAWS)
+    @pytest.mark.parametrize("q", [1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+    def test_tail_mass_at_the_quantile(self, std, mech, sf, q):
+        y = compose(std, mech).quantile(q)
+        # measured within 6e-15; 1 - q is exact in doubles
+        assert abs(mp.log(sf(y)) - mp.log(1 - mp.mpf(q))) <= 2e-14
+
+    @pytest.mark.parametrize("mech,sf", UPPER_QUANTILE_LAWS)
+    def test_lower_half_keeps_the_mechanism_quantile(self, std, mech, sf):
+        dist = compose(std, mech)
+        for q in (1e-9, 0.1, 0.5):
+            assert dist.quantile(q) == float(normal_quantile(mech.quantile_P(q)))
+
+    def test_two_piece_below_its_knee_keeps_the_mechanism_quantile(self, std):
+        mech = TwoPiece.epsilon_skew(0.3)  # knee b/(a+b) = 0.65
+        assert compose(std, mech).quantile(0.6) == float(normal_quantile(mech.quantile_P(0.6)))
+
+    @pytest.mark.parametrize("mech", [MarshallOlkin(2.0), TwoPiece(5.0, 0.1), OrderStatistics(2.0, 3.0)])
+    @pytest.mark.parametrize("q", [1.0, 1.5, float("nan")])
+    def test_out_of_range_q_raises(self, std, mech, q):
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\)"):
+            compose(std, mech).quantile(q)
+
+
+# (name, call, message): {s} is str() of the argument as a float array,
+# {r} its repr(), as the guard that raises prints it
+_MECH_GUARDS = [
+    ("mo-p", MarshallOlkin(2.0).p, "x must lie in [0, 1], got {s}"),
+    ("mo-cdf_P", MarshallOlkin(2.0).cdf_P, "x must lie in [0, 1], got {s}"),
+    ("mo-quantile_P", MarshallOlkin(2.0).quantile_P, "q must lie in (0, 1), got {s}"),
+    ("skewsym-p", SkewSymmetric.azzalini(3.0).p, "x must lie in (0, 1), got {s}"),
+    ("skewsym-cdf_P", SkewSymmetric.azzalini(3.0).cdf_P, "x must lie in [0, 1], got {s}"),
+    ("skewsym-quantile_P", SkewSymmetric.azzalini(3.0).quantile_P, "q must lie in (0, 1), got {s}"),
+    ("twopiece-p", TwoPiece(5.0, 0.1).p, "x must lie in (0, 1), got {s}"),
+    ("twopiece-cdf_P", TwoPiece(5.0, 0.1).cdf_P, "x must lie in [0, 1], got {s}"),
+    ("orderstats-log_p", OrderStatistics(2.0, 3.0).log_p, "x must lie in [0, 1], got {s}"),
+    ("orderstats-cdf_P", OrderStatistics(2.0, 3.0).cdf_P, "x must lie in [0, 1], got {r}"),
+    ("orderstats-quantile_P", OrderStatistics(2.0, 3.0).quantile_P, "q must lie in (0, 1), got {r}"),
+]
+
+
+def _forms(v):
+    """v as a float, an np.float64, a 0-d array and inside an array."""
+    return (float(v), np.float64(v), np.array(v), np.array([0.5, v]))
+
+
+class TestScalarGuards:
+    """A float argument is range-checked without numpy, an array with it;
+    the error and the value are the same on both paths."""
+
+    @pytest.mark.parametrize("name,call,message", _MECH_GUARDS, ids=[g[0] for g in _MECH_GUARDS])
+    @pytest.mark.parametrize("v", [float("nan"), float("inf"), float("-inf"), -0.5, 1.5])
+    def test_out_of_range_raises_one_message(self, name, call, message, v):
+        for x in _forms(v):
+            with pytest.raises(DomainError) as info:
+                call(x)
+            want = message.format(s=np.asarray(x, dtype=float), r=repr(x))
+            assert str(info.value) == want
+
+    @pytest.mark.parametrize("fn", ["log_p", "cdf_P"])
+    @pytest.mark.parametrize("v", [float("nan"), float("inf"), float("-inf"), -0.5, 1.5])
+    def test_extracted_mechanism_rejects_each_form(self, std, fn, v):
+        mech = extract_mechanism(compose(std, MarshallOlkin(2.0)), std)
+        for x in _forms(v):
+            with pytest.raises(DomainError) as info:
+                getattr(mech, fn)(x)
+            assert str(info.value) == f"extracted mechanism is defined on (0, 1), got {float(v)!r}"
+
+    @pytest.mark.parametrize("name,mech", shipped_instances())
+    def test_float_and_zero_d_agree_bitwise(self, name, mech):
+        xs = np.linspace(0.0, 1.0, 41)
+        for fn, grid in ((mech.p, xs[1:-1]), (mech.log_p, xs[1:-1]), (mech.cdf_P, xs),
+                         (mech.quantile_P, xs[1:-1])):
+            for v in grid:
+                a, b = fn(float(v)), fn(np.array(v))
+                assert np.float64(a).tobytes() == np.float64(b).tobytes(), (fn, v)
+
+    def test_scalar_calls_skip_numpy_all_and_asarray(self, std, monkeypatch):
+        mo = MarshallOlkin(2.0)
+        extracted = extract_mechanism(compose(std, mo), std)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy.all or numpy.asarray was called")
+
+        # a float reaches the kernel without an array made of it
+        monkeypatch.setattr(np, "all", forbidden)
+        monkeypatch.setattr(np, "asarray", forbidden)
+        numcore.normal_cdf(0.7), numcore.log_normal_sf(0.7)
+        numcore.normal_quantile(0.3), numcore.reg_inc_beta(0.3, 2.0, 3.0)
+        assert mo.p(0.3) == mo.p(np.float64(0.3))
+        assert extracted.log_p(0.3) == pytest.approx(mo.log_p(0.3), abs=1e-12)
+        with pytest.raises(AssertionError, match="numpy.all"):
+            numcore.normal_cdf(np.array([0.7]))

@@ -14,6 +14,8 @@ from skewlab.numcore import (
     inv_reg_inc_beta,
     log_beta,
     log_integrate,
+    log_normal_cdf,
+    log_normal_pdf,
     log_normal_sf,
     log_reg_inc_beta,
     log_reg_inc_beta_exp,
@@ -255,3 +257,72 @@ class TestTolerance:
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             Tolerance(**kwargs)
+
+
+def _forms(v):
+    """v as a float, an np.float64, a 0-d array and inside an array."""
+    return (float(v), np.float64(v), np.array(v), np.array([0.5, v]))
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+NORMAL_KERNELS = (normal_pdf, log_normal_pdf, normal_cdf, log_normal_cdf, log_normal_sf)
+
+
+class TestGuards:
+    """A float (np.float64 included) is checked with math and chained
+    comparisons, anything else with numpy; either way a bad argument
+    raises the same DomainError, and the value does not depend on the
+    path."""
+
+    @pytest.mark.parametrize("fn", NORMAL_KERNELS)
+    @pytest.mark.parametrize("v", NON_FINITE)
+    def test_non_finite_y(self, fn, v):
+        for y in _forms(v):
+            with pytest.raises(DomainError) as info:
+                fn(y)
+            assert str(info.value) == f"y must be finite, got {y!r}"
+
+    @pytest.mark.parametrize("v", NON_FINITE + (0.0, 1.0, -0.5, 1.5))
+    def test_open_unit_arguments(self, v):
+        for q in _forms(v):
+            with pytest.raises(DomainError) as info:
+                normal_quantile(q)
+            assert str(info.value) == f"quantile argument must lie in (0, 1), got {q!r}"
+            with pytest.raises(DomainError) as info:
+                inv_reg_inc_beta(q, 2.0, 3.0)
+            assert str(info.value) == f"q must lie in (0, 1), got {q!r}"
+
+    @pytest.mark.parametrize("v", NON_FINITE + (-0.5, 1.5, -1e-300))
+    def test_closed_unit_argument(self, v):
+        for x in _forms(v):
+            with pytest.raises(DomainError) as info:
+                reg_inc_beta(x, 2.0, 3.0)
+            assert str(info.value) == f"x must lie in [0, 1], got {x!r}"
+
+    def test_float_and_zero_d_agree_bitwise(self):
+        ys = np.linspace(-40.0, 40.0, 161)
+        xs = np.linspace(0.0, 1.0, 41)
+        qs = xs[1:-1]
+        cases = [(fn, ys) for fn in NORMAL_KERNELS] + [
+            (normal_quantile, qs),
+            (lambda x: reg_inc_beta(x, 2.0, 3.0), xs),
+            (lambda q: inv_reg_inc_beta(q, 0.5, 0.5), qs),
+        ]
+        for fn, grid in cases:
+            for v in grid:
+                assert _bits(fn(float(v))) == _bits(fn(np.array(v))), (fn, v)
+
+    def test_scalar_guards_use_no_numpy_reduction(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy.all was called")
+
+        monkeypatch.setattr(np, "all", forbidden)
+        assert normal_cdf(0.7) == normal_cdf(np.float64(0.7))
+        log_normal_sf(0.7), normal_quantile(0.3), reg_inc_beta(0.3, 2.0, 3.0)
+        inv_reg_inc_beta(0.3, 2.0, 3.0)
+        with pytest.raises(AssertionError, match="numpy.all"):
+            normal_cdf(np.array([0.7]))
