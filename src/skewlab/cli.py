@@ -35,13 +35,13 @@ FAMILIES = (
     "twopiece-ab",
 )
 
-# named skewing functions for the skewsym-custom family
+# named skewing functions for the skewsym-custom family; each takes a float
+# or a float array of y
 _PI_REGISTRY = {
-    "half": lambda alpha: (lambda y: np.full_like(np.asarray(y, dtype=float), 0.5)),
-    "sign": lambda alpha: (lambda y: (np.asarray(y, dtype=float) >= 0.0).astype(float)),
-    "logistic": lambda alpha: (lambda y: 1.0 / (1.0 + np.exp(-alpha * np.asarray(y, dtype=float)))),
-    "cauchy-cdf": lambda alpha: (
-        lambda y: 0.5 + np.arctan(alpha * np.asarray(y, dtype=float)) / math.pi),
+    "half": lambda alpha: (lambda y: 0.0 * y + 0.5),
+    "sign": lambda alpha: (lambda y: (y >= 0.0) * 1.0),
+    "logistic": lambda alpha: (lambda y: 1.0 / (1.0 + np.exp(-alpha * y))),
+    "cauchy-cdf": lambda alpha: (lambda y: 0.5 + np.arctan(alpha * y) / math.pi),
 }
 
 

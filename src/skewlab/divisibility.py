@@ -323,7 +323,6 @@ def verify_theorem2_chain(gamma: float, ys=DEFAULT_Y_GRID) -> list[ChainRow]:
 def divisibility_verdict(
     mech: SkewingMechanism,
     ys=DEFAULT_Y_GRID,
-    depth: int = 10,
 ) -> DivisibilityVerdict:
     """Route a mechanism to a verdict by what it states, and run the rule.
 
@@ -334,7 +333,7 @@ def divisibility_verdict(
     INCONCLUSIVE when a row fails or no rule applies, for example Beta
     shapes below 1 or a mechanism known only numerically.
     """
-    report = estimate_sup_p(mech, depth)
+    report = estimate_sup_p(mech)
     tail = steutel_statistic(compose(_STD, mech), [y for y in ys if y > 1.0])
 
     if mech.is_identity:

@@ -14,18 +14,18 @@ S(y) = P(Phi(y)). Four families are implemented:
   side of 0, with the epsilon-skew and inverse-scale-factor
   parameterizations as named constructors.
 
-Each family implements its density, ``cdf_P`` and ``quantile_P`` once,
-for a float or an ndarray of any shape (a 0-d input returns a float).
-Mechanisms also provide composition hooks (``composed_log_cdf`` and
-friends) so the composed distribution can evaluate its tails entirely in
-log space; the named families override them with closed or series forms
-that stay finite out to |y| ~ 40 where the plain composition is
-numerically 0 or 1. ``SkewSymmetric`` takes its log tails from pi when pi
-carries them, as ``AzzaliniPi`` does in closed form through Owen's T,
-and from adaptive quadrature for any other pi. ``composed_quantile``
-inverts the composed CDF in y; it is Phi^-1(Pinv(q)) unless the family
-has its own: ``SkewSymmetric`` roots in y, and above q = 1/2 the closed
-families invert their upper tail from 1 - q.
+Each family writes its CDF and quantile once, in its own coordinate,
+for a float or an ndarray of any shape (a 0-d input returns a float):
+Marshall-Olkin and order statistics in x (``cdf_P``, ``quantile_P``),
+the two-piece and skew-symmetric laws in y (``composed_cdf``,
+``composed_quantile``). Each pair defaults to the other through Phi.
+Log-space hooks (``composed_log_cdf`` and friends) keep the tails finite
+out to |y| ~ 40, where the plain composition is numerically 0 or 1:
+closed or series forms for the named families; for ``SkewSymmetric``,
+pi's own log tails when it carries them (``AzzaliniPi``, through Owen's
+T), else adaptive quadrature. At a float, ``SkewSymmetric`` roots its
+quantile in y, and above q = 1/2 Marshall-Olkin and order statistics
+invert their upper tail from 1 - q.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ _NEG_INF = float("-inf")
 _INF = float("inf")
 _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
+_NORMAL_Q3 = 0.6744897501960817  # Phi^-1(3/4)
 # the open unit interval's ends in doubles, where Phi^-1 stays finite
 _TINY, _TOP = 5e-324, 1.0 - 2**-53
 
@@ -89,9 +90,10 @@ def _log1mexp(v: float) -> float:
 
 
 def _upper_half(q) -> bool:
-    """Whether q is a float in (1/2, 1), where 1 - q is exact: the closed
-    families take their quantile from the upper tail there. Anything else
-    takes the generic path, which also raises for q outside (0, 1)."""
+    """Whether q is a float in (1/2, 1), where 1 - q is exact: Marshall-Olkin
+    and order statistics take their quantile from the upper tail there.
+    Anything else takes the generic path, which also raises for q outside
+    (0, 1)."""
     return isinstance(q, float) and 0.5 < q < 1.0
 
 
@@ -104,7 +106,8 @@ def _neg_normal_quantile(eps: float) -> float:
 class SkewingMechanism(ABC):
     """A distribution P on (0, 1) used to skew the standard normal.
 
-    A family defines ``p`` or ``log_p``; the other follows from it here.
+    A family defines one of each pair ``p``/``log_p``, ``cdf_P``/``composed_cdf``
+    and ``quantile_P``/``composed_quantile``; the other follows from it here.
     Instances are immutable and validated at construction; all evaluation
     methods are pure. ``analytic_sup`` is an upper bound for p known in
     closed form, or None; ``is_identity`` reports whether the composition
@@ -127,13 +130,18 @@ class SkewingMechanism(ABC):
         with np.errstate(divide="ignore"):
             return _out(np.log(self.p(x)))
 
-    @abstractmethod
     def cdf_P(self, x):
-        """Mechanism CDF at x in [0, 1]."""
+        """Mechanism CDF at x in [0, 1]: S(Phi^-1(x))."""
+        x = _within(x, open_=False)
+        if isinstance(x, float):
+            return self.composed_cdf(_STD.quantile(x)) if 0.0 < x < 1.0 else x
+        inner = (x > 0.0) & (x < 1.0)
+        z = numcore.normal_quantile(np.where(inner, x, 0.5))
+        return np.where(inner, self.composed_cdf(z), x)
 
-    @abstractmethod
     def quantile_P(self, q, tol: Tolerance = DEFAULT_TOL):
         """Inverse of cdf_P on (0, 1); ``tol`` reaches iterative inversions."""
+        return _out(numcore.normal_cdf(self.composed_quantile(q, tol)))
 
     @property
     def analytic_sup(self) -> float | None:
@@ -148,7 +156,19 @@ class SkewingMechanism(ABC):
         """Ordinates (in y-space) where the composed density is not smooth."""
         return ()
 
-    # -- composition hooks, at a scalar y ----------------------------------
+    # -- composition hooks; the CDF and quantile also take arrays ----------
+
+    def composed_cdf(self, y):
+        """S(y) = cdf_P(Phi(y)) at finite y."""
+        return self.cdf_P(numcore.normal_cdf(y))
+
+    def composed_quantile(self, q, tol: Tolerance = DEFAULT_TOL):
+        """The y with S(y) = q, for q in (0, 1): Phi^-1(quantile_P(q)), with
+        an array's x clipped into the doubles' open unit interval."""
+        x = self.quantile_P(q, tol)
+        if isinstance(x, float):
+            return _STD.quantile(x)
+        return numcore.normal_quantile(np.clip(x, _TINY, _TOP))
 
     def composed_log_pdf(self, y: float) -> float:
         return _STD.log_pdf(y) + self.log_p(_STD.cdf(y))
@@ -161,10 +181,6 @@ class SkewingMechanism(ABC):
     def composed_log_sf(self, y: float) -> LogProb:
         """ln(1 - S(y)), finite far past the rounding of S(y) to 1."""
 
-    def composed_quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
-        """The y with S(y) = q, for q in (0, 1): Phi^-1(Pinv(q))."""
-        return _STD.quantile(self.quantile_P(q, tol))
-
 
 def _composed_cdf(mech: SkewingMechanism, y: float) -> float:
     """P(Phi(y)) from the smaller tail, so that neither rounds to 0 or 1
@@ -176,10 +192,10 @@ def _composed_cdf(mech: SkewingMechanism, y: float) -> float:
     return math.exp(min(0.0, mech.composed_log_cdf(y)))
 
 
-def _symmetric_grid(n: int = 500, span: float = 8.0) -> np.ndarray:
-    # exact +-pairs; excludes 0, where indicator-style pi may break symmetry
-    half = np.linspace(span / n, span, n)
-    return np.concatenate([-half[::-1], half])
+# exact +-pairs; excludes 0, where indicator-style pi may break symmetry
+_HALF_GRID = np.linspace(0.016, 8.0, 500)
+_SYMMETRIC_GRID = np.concatenate([-_HALF_GRID[::-1], _HALF_GRID])
+_SYMMETRIC_GRID.flags.writeable = False
 
 
 class AzzaliniPi:
@@ -196,10 +212,10 @@ class AzzaliniPi:
         self.alpha = float(alpha)
 
     def __call__(self, y):
-        return numcore.normal_cdf(self.alpha * np.asarray(y, dtype=float))
+        return numcore.normal_cdf(self.alpha * y)
 
     def log(self, y):
-        return numcore.log_normal_cdf(self.alpha * np.asarray(y, dtype=float))
+        return numcore.log_normal_cdf(self.alpha * y)
 
     def composed_log_cdf(self, y: float) -> LogProb:
         """ln S(y) of the skew-normal law."""
@@ -300,7 +316,7 @@ def _sn_log_sf(y: float, alpha: float) -> LogProb:
 
 
 class SkewSymmetric(SkewingMechanism):
-    """Mechanism with p(x) = 2 * pi(Phi^-1(x)).
+    """Mechanism with p(x) = 2 * pi(Phi^-1(x)), written in y.
 
     ``pi`` maps the real line to [0, 1] with pi(-y) = 1 - pi(y) almost
     everywhere, and maps an array to an array of its shape; both are
@@ -312,28 +328,33 @@ class SkewSymmetric(SkewingMechanism):
     density to ``DEFAULT_TOL``. Azzalini's closed form, through Owen's T,
     is within 1e-14 * max(1, |ln S|) of mpmath for |alpha| <= 1e3 and
     |y| <= 40 (tests/test_mechanisms.py, ``TestAzzaliniClosedForm``).
-    A scalar ``cdf_P`` and the quantiles use the log tails; a quantile is
-    the root in y on the tail on q's side of 1/2. An array ``cdf_P`` or
-    ``quantile_P`` interpolates a cached CDF table on [-13, 13] with step
-    h = 26/16384, for bulk fitting and sampling. Its error in probability
-    is at most h^2/8 * max|s'|, s the composed density: 1.2e-7 for
-    Azzalini |alpha| = 1, 3.0e-7 for alpha = 3, 5.0e-6 for alpha = 50.
+    By quadrature, the log tail on y's side of 0 integrates from y
+    outward. The other one is ln(1 - e^v), v that integral's log, where
+    |y| >= Phi^-1(3/4): as 2 phi pi <= 2 phi, at most half of the mass
+    lies beyond y there. Nearer 0 it is ln(S(0) + the integral over
+    [0, y]), or its mirror for 1 - S, which does not cancel.
+
+    At a float the CDF comes from the smaller log tail, and a quantile is
+    the root in y on the tail on q's side of 1/2. Arrays interpolate a
+    cached CDF table, read in y on [-13, 13] with step h = 26/16384. Its
+    error in probability is at most h^2/8 * max|s'|, s the composed
+    density: 1.2e-7 for Azzalini |alpha| = 1, 3.0e-7 for alpha = 3,
+    5.0e-6 for alpha = 50.
     """
 
     _TABLE_SPAN = 13.0
     _TABLE_N = 16385
 
-    def __init__(self, pi: Callable, log_pi: Callable | None = None):
+    def __init__(self, pi: Callable):
         self.pi = pi
-        self._log_pi = log_pi or getattr(pi, "log", None)
+        self._log_pi = getattr(pi, "log", None)
         self._pi_log_cdf = getattr(pi, "composed_log_cdf", None)
         self._pi_log_sf = getattr(pi, "composed_log_sf", None)
-        grid = _symmetric_grid()
         try:
-            vals = np.asarray(pi(grid), dtype=float)
+            vals = np.asarray(pi(_SYMMETRIC_GRID), dtype=float)
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"pi must accept an array: {exc}") from exc
-        if vals.shape != grid.shape:
+        if vals.shape != _SYMMETRIC_GRID.shape:
             raise ParameterError("pi must return an array shaped like its input")
         if not np.all((vals >= 0.0) & (vals <= 1.0)):
             raise ParameterError("pi must map into [0, 1]")
@@ -360,14 +381,21 @@ class SkewSymmetric(SkewingMechanism):
     def _log_mass(self, lo: float, hi: float) -> LogProb:
         return min(0.0, numcore.log_integrate(self.composed_log_pdf, lo, hi))
 
-    # Each log tail integrates only the side of 0 that y lies on: quadpack
-    # can miss the bulk of an infinite interval that holds it.
+    @cached_property
+    def _log_halves(self) -> tuple[LogProb, LogProb]:
+        """(ln S(0), ln(1 - S(0))), each by quadrature of its own side."""
+        return self._log_mass(_NEG_INF, 0.0), self._log_mass(0.0, _INF)
+
+    # Quadpack can miss the bulk of an infinite interval that holds it, so
+    # no integral below crosses 0.
 
     def composed_log_cdf(self, y: float) -> LogProb:
         if self._pi_log_cdf is not None:
             return self._pi_log_cdf(y)
         if y <= 0.0:
             return self._log_mass(_NEG_INF, y)
+        if y < _NORMAL_Q3:
+            return float(np.logaddexp(self._log_halves[0], self._log_mass(0.0, y)))
         return _log1mexp(self._log_mass(y, _INF))
 
     def composed_log_sf(self, y: float) -> LogProb:
@@ -375,12 +403,24 @@ class SkewSymmetric(SkewingMechanism):
             return self._pi_log_sf(y)
         if y >= 0.0:
             return self._log_mass(y, _INF)
+        if y > -_NORMAL_Q3:
+            return float(np.logaddexp(self._log_halves[1], self._log_mass(y, 0.0)))
         return _log1mexp(self._log_mass(_NEG_INF, y))
 
-    def composed_quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
+    def composed_cdf(self, y):
+        if isinstance(y, float):
+            return _composed_cdf(self, y)
+        numcore._require_finite(y)
+        y_grid, cdf = self._cdf_table
+        return np.interp(y, y_grid, cdf, left=0.0, right=1.0)
+
+    def composed_quantile(self, q, tol: Tolerance = DEFAULT_TOL):
+        q = _within(q, open_=True, what="q")
+        if not isinstance(q, float):
+            y_grid, cdf = self._cdf_table
+            return np.interp(q, cdf, y_grid)
         # Above 1/2 the root is taken on the upper log tail, where 1 - q is
         # exact and the CDF would have rounded to 1 long before.
-        q = float(_within(q, open_=True, what="q"))
         if q <= 0.5:
             def fn(t):
                 return _composed_cdf(self, t) - q
@@ -396,36 +436,21 @@ class SkewSymmetric(SkewingMechanism):
             hi *= 2.0
         return numcore.find_root(fn, lo, hi, tol)
 
-    def cdf_P(self, x):
-        x = _within(x, open_=False)
-        if isinstance(x, float):
-            return _composed_cdf(self, _STD.quantile(x)) if 0.0 < x < 1.0 else x
-        z_grid, cdf = self._cdf_table
-        z = numcore.normal_quantile(np.clip(x, _TINY, _TOP))
-        return np.interp(z, z_grid, cdf, left=0.0, right=1.0)
-
-    def quantile_P(self, q, tol: Tolerance = DEFAULT_TOL):
-        q = _within(q, open_=True, what="q")
-        if not isinstance(q, float):
-            z_grid, cdf = self._cdf_table
-            return numcore.normal_cdf(np.interp(q, cdf, z_grid))
-        return float(numcore.normal_cdf(self.composed_quantile(q, tol)))
-
     @cached_property
     def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(z grid, CDF values): panel-by-panel Gauss quadrature of the
+        """(y grid, CDF values): panel-by-panel Gauss quadrature of the
         composed density, anchored by the exact log tail at the left end."""
-        z = np.linspace(-self._TABLE_SPAN, self._TABLE_SPAN, self._TABLE_N)
+        y = np.linspace(-self._TABLE_SPAN, self._TABLE_SPAN, self._TABLE_N)
         nodes, weights = np.polynomial.legendre.leggauss(5)
-        mid = 0.5 * (z[:-1] + z[1:])
-        half = 0.5 * (z[1] - z[0])
+        mid = 0.5 * (y[:-1] + y[1:])
+        half = 0.5 * (y[1] - y[0])
         t = mid[:, None] + half * nodes[None, :]
         w = 2.0 * np.asarray(self.pi(t.ravel()), dtype=float).reshape(t.shape)
         w *= np.asarray(numcore.normal_pdf(t.ravel())).reshape(t.shape)
         panels = half * (w @ weights)
-        left = math.exp(self.composed_log_cdf(float(z[0])))
+        left = math.exp(self.composed_log_cdf(float(y[0])))
         cdf = np.concatenate([[left], left + np.cumsum(panels)])
-        return z, cdf
+        return y, cdf
 
     @property
     def analytic_sup(self) -> float:
@@ -433,7 +458,7 @@ class SkewSymmetric(SkewingMechanism):
 
     @cached_property
     def is_identity(self) -> bool:
-        vals = np.asarray(self.pi(_symmetric_grid(500)), dtype=float)
+        vals = np.asarray(self.pi(_SYMMETRIC_GRID), dtype=float)
         return bool(np.all(np.abs(vals - 0.5) <= 1e-12))
 
     def __repr__(self) -> str:
@@ -558,7 +583,7 @@ class MarshallOlkin(SkewingMechanism):
 
 
 class TwoPiece(SkewingMechanism):
-    """Two-piece mechanism: the composed density is
+    """Two-piece mechanism, written in y: the composed density is
     (2/(a+b)) * [phi(y/b) for y < 0, phi(y/a) for y >= 0].
 
     In x-space the density ratio splits at x = 1/2 (the image of y = 0).
@@ -598,31 +623,23 @@ class TwoPiece(SkewingMechanism):
         with np.errstate(over="ignore"):
             return _out((2.0 / (self.a + self.b)) * np.exp(0.5 * z * z * (1.0 - 1.0 / (c * c))))
 
-    def cdf_P(self, x):
-        x = _within(x, open_=False)
-        z = numcore.normal_quantile(np.clip(x, _TINY, _TOP))
-        out = np.asarray(twopiece_cdf(self.a, self.b, z))
-        out[x == 0.0] = 0.0
-        out[x == 1.0] = 1.0
-        return _out(out)
+    def composed_cdf(self, y):
+        a, b, ab = self.a, self.b, self.a + self.b
+        y_arr = np.asarray(y, dtype=float)
+        lower = (2.0 * b / ab) * numcore.normal_cdf(np.minimum(y_arr, 0.0) / b)
+        upper = (b - a) / ab + (2.0 * a / ab) * numcore.normal_cdf(np.maximum(y_arr, 0.0) / a)
+        out = np.where(y_arr < 0.0, lower, upper)
+        return out if y_arr.ndim else float(out)
 
-    def quantile_P(self, q, tol: Tolerance = DEFAULT_TOL):
+    def composed_quantile(self, q, tol: Tolerance = DEFAULT_TOL):
+        # S(y) = (2b/(a+b)) Phi(y/b) below the knee b/(a+b), and above it
+        # 1 - S(y) = (2a/(a+b)) Phi(-y/a); both Phi arguments lie in (0, 1/2]
         q = _within(q, open_=True, what="q")
         ab = self.a + self.b
         knee = self.b / ab
-        arg_left = np.clip(q * ab / (2.0 * self.b), _TINY, _TOP)
-        arg_right = np.clip((q * ab - (self.b - self.a)) / (2.0 * self.a), _TINY, _TOP)
-        z = np.where(q < knee,
-                     self.b * numcore.normal_quantile(arg_left),
-                     self.a * numcore.normal_quantile(arg_right))
-        return _out(numcore.normal_cdf(z))
-
-    def composed_quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
-        ab = self.a + self.b
-        if not (_upper_half(q) and q >= self.b / ab):
-            return super().composed_quantile(q, tol)
-        # above the knee 1 - S(y) = (2a/(a+b)) Phi(-y/a)
-        return self.a * _neg_normal_quantile((1.0 - q) * ab / (2.0 * self.a))
+        lower = self.b * numcore.normal_quantile(np.minimum(q, knee) * ab / (2.0 * self.b))
+        eps = (1.0 - np.maximum(q, knee)) * ab / (2.0 * self.a)
+        return _out(np.where(q < knee, lower, self.a * (0.0 - numcore.normal_quantile(eps))))
 
     def composed_log_pdf(self, y: float) -> float:
         c = self.b if y < 0.0 else self.a
@@ -680,10 +697,10 @@ class NumericMechanism(SkewingMechanism):
     p(x) = source.pdf(Phi^-1(x)) / phi(Phi^-1(x)).
 
     The source is a scalar ``ContinuousDistribution``, so arrays are
-    evaluated one element at a time. The composed log tails are the
-    source's, since P(Phi(y)) = source.cdf(y). Evaluation of p is
-    restricted to the open interval; endpoint behavior is a question for
-    the boundedness probe, not for extrapolation.
+    evaluated one element at a time. The composed CDF, quantile and log
+    tails are the source's, since P(Phi(y)) = source.cdf(y). Evaluation of
+    p is restricted to the open interval; endpoint behavior is a question
+    for the boundedness probe, not for extrapolation.
     """
 
     def __init__(self, source: ContinuousDistribution):
@@ -704,8 +721,12 @@ class NumericMechanism(SkewingMechanism):
         return x if x == 0.0 or x == 1.0 else self.source.cdf(self._z(x))
 
     @_elementwise
-    def quantile_P(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
-        return _STD.cdf(self.source.quantile(q, tol))
+    def composed_cdf(self, y: float) -> float:
+        return self.source.cdf(y)
+
+    @_elementwise
+    def composed_quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
+        return self.source.quantile(q, tol)
 
     def composed_log_cdf(self, y: float) -> LogProb:
         return self.source.log_cdf(y)
@@ -740,14 +761,7 @@ def twopiece_cdf(a: float, b: float, y):
     Continuous at 0 with value b/(a+b); the additive constant on the
     upper branch is forced by integrating the density to total mass 1.
     """
-    if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
-        raise ParameterError(f"scale factors must be positive, got ({a!r}, {b!r})")
-    y_arr = np.asarray(y, dtype=float)
-    ab = a + b
-    lower = (2.0 * b / ab) * numcore.normal_cdf(np.minimum(y_arr, 0.0) / b)
-    upper = (b - a) / ab + (2.0 * a / ab) * numcore.normal_cdf(np.maximum(y_arr, 0.0) / a)
-    out = np.where(y_arr < 0.0, lower, upper)
-    return out if y_arr.ndim else float(out)
+    return TwoPiece(a, b).composed_cdf(y)
 
 
 # ---------------------------------------------------------------------------
@@ -771,16 +785,16 @@ class SkewedDistribution(ContinuousDistribution):
     the median, 1 - exp(log_sf) would lose digits: 1.5e-13 for Azzalini
     alpha = 1e3 at y = 3e-4.
 
-    ``quantile`` is the mechanism's ``composed_quantile`` hook,
-    Phi^-1(Pinv(q)) unless the family has its own. ``SkewSymmetric`` roots
-    in y. Above q = 1/2, where 1 - q is exact in doubles, the closed
-    families invert their upper tail: Marshall-Olkin
-    y = -Phi^-1((1-q) / (1 - (1-gamma) q)), order statistics
-    y = -Phi^-1(I^-1_{1-q}(psi2, psi1)), and ``TwoPiece`` above its knee
-    b/(a+b) y = -a Phi^-1((1-q)(a+b) / (2a)). Their tail mass at the
-    quantile is within 6e-15 in ln of 1 - q out to q = 1 - 1e-12. Through
-    x = Pinv(q) the tail is lost as x rounds to 1: 1e-4 in ln for
-    Marshall-Olkin(2) at q = 1 - 1e-12. A non-finite y raises DomainError.
+    ``quantile``/``quantile_array`` and ``cdf_array`` are the mechanism's
+    ``composed_quantile`` and ``composed_cdf``. ``TwoPiece`` has
+    y = b Phi^-1(q(a+b)/(2b)) below its knee b/(a+b), and
+    y = -a Phi^-1((1-q)(a+b)/(2a)) above. Above q = 1/2, where 1 - q is
+    exact, Marshall-Olkin and order statistics invert their upper tail:
+    y = -Phi^-1((1-q) / (1 - (1-gamma) q)), y = -Phi^-1(I^-1_{1-q}(psi2, psi1)).
+    The tail mass at these quantiles is within 6e-15 in ln of 1 - q out to
+    q = 1 - 1e-12; through x = Pinv(q) it is lost as x rounds to 1, 1e-4
+    in ln for Marshall-Olkin(2) at q = 1 - 1e-12. A non-finite y raises
+    DomainError.
     """
 
     def __init__(self, mechanism: SkewingMechanism):
@@ -796,7 +810,7 @@ class SkewedDistribution(ContinuousDistribution):
         return _composed_cdf(self.mechanism, _finite(y))
 
     def cdf_array(self, y: np.ndarray) -> np.ndarray:
-        return self.mechanism.cdf_P(numcore.normal_cdf(np.asarray(y, dtype=float)))
+        return self.mechanism.composed_cdf(np.asarray(y, dtype=float))
 
     def log_cdf(self, y: float) -> LogProb:
         return min(0.0, self.mechanism.composed_log_cdf(_finite(y)))
@@ -808,8 +822,7 @@ class SkewedDistribution(ContinuousDistribution):
         return self.mechanism.composed_quantile(q, tol)
 
     def quantile_array(self, q: np.ndarray) -> np.ndarray:
-        x = self.mechanism.quantile_P(np.asarray(q, dtype=float))
-        return numcore.normal_quantile(np.clip(x, _TINY, _TOP))
+        return self.mechanism.composed_quantile(np.asarray(q, dtype=float))
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -851,7 +864,7 @@ def extract_mechanism(
 
 
 def sample_skewed(dist: SkewedDistribution, rng: RngState, n: int) -> np.ndarray:
-    """n inversion draws Phi^-1(Pinv(U)); deterministic given the rng seed."""
+    """n inversion draws ``dist.quantile_array(U)``, deterministic given rng."""
     return dist.sample(rng, n)
 
 

@@ -294,7 +294,6 @@ def log_integrate(
     lo: float,
     hi: float,
     tol: Tolerance = DEFAULT_TOL,
-    probe: int = 65,
 ) -> float:
     """ln of the integral of exp(log_fn) over (lo, hi).
 
@@ -308,13 +307,14 @@ def log_integrate(
     if lo == hi:
         return float("-inf")
     a, b = (lo, hi) if lo < hi else (hi, lo)
-    # Probe grid: uniform over the finite part, geometric into infinite ends.
+    # Probe grid: 65 points uniform over the finite part, 24 geometric into
+    # each infinite end.
     pts: list[float] = []
     finite_a = a if math.isfinite(a) else (b - 1.0 if math.isfinite(b) else -1.0)
     finite_b = b if math.isfinite(b) else (a + 1.0 if math.isfinite(a) else 1.0)
     if finite_a > finite_b:
         finite_a, finite_b = finite_b, finite_a
-    pts.extend(np.linspace(finite_a, finite_b, probe))
+    pts.extend(np.linspace(finite_a, finite_b, 65))
     if not math.isfinite(a):
         pts.extend(finite_a - np.geomspace(1e-3, 50.0, 24))
     if not math.isfinite(b):

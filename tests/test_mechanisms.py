@@ -573,6 +573,39 @@ class TestOneEvaluationPath:
             extract_mechanism(other, other)
 
 
+class TestArrayPathInY:
+    """``cdf_array`` and ``quantile_array`` are each family's own formulas
+    in y. Through x = Phi(y), x rounded to 1 from y = 8.2: 9.98% of
+    TwoPiece(5, 0.1) draws sat at Phi^-1(1 - 2^-53) = 8.209536151601387.
+    The checks run against the scalar calls, which share no code with
+    the array path."""
+
+    def test_two_piece_draws_fit_the_scalar_cdf(self, std):
+        dist = compose(std, TwoPiece(5.0, 0.1))
+        draws = np.sort(sample_skewed(dist, RngState(1), 200_000))
+        assert not np.any(draws == 8.209536151601387)
+        n = draws.size
+        f = np.array([dist.cdf(float(y)) for y in draws])
+        i = np.arange(1, n + 1)
+        d = max(np.max(i / n - f), np.max(f - (i - 1) / n))
+        assert d < 1.6276 / math.sqrt(n)  # the 1% point of the KS limit law
+
+    @pytest.mark.parametrize("y", [7.5, 9.0, 20.0, 40.0])
+    def test_two_piece_cdf_array_in_the_heavy_tail(self, std, y):
+        dist = compose(std, TwoPiece(5.0, 0.1))
+        assert abs(dist.cdf_array(np.array([y]))[0] - dist.cdf(y)) <= 1e-15
+
+    def test_azzalini_table_is_read_in_y(self, std):
+        mech = SkewSymmetric.azzalini(3.0)
+        dist = compose(std, mech)
+        tol = _table_accuracy(mech)
+        ys = np.linspace(-12.0, 12.0, 97)
+        assert np.max(np.abs(dist.cdf_array(ys) - [dist.cdf(float(y)) for y in ys])) <= tol
+        qs = np.concatenate([[1e-9], np.linspace(0.05, 0.95, 19), [1 - 1e-9]])
+        back = np.array([dist.cdf(float(y)) for y in dist.quantile_array(qs)])
+        assert np.max(np.abs(back - qs)) <= tol
+
+
 # Azzalini shapes and ordinates for the closed form against the mpmath
 # oracle, plus ordinates on both sides of its switch points:
 # h sqrt(1 + alpha^2) = 0.5 and alpha h = 3, with h = -y.
@@ -690,6 +723,33 @@ class TestSkewSymmetricQuantileInY:
         assert mech.quantile_P(q) == float(normal_cdf(y))
 
 
+def _mp_log_erf(y):
+    """ln S(y) of the half-normal, S(y) = erf(y / sqrt 2)."""
+    return float(mp.log(mp.erf(mp.mpf(y) / mp.sqrt(2))))
+
+
+class TestCustomPiNearZero:
+    """By quadrature, ln S(y) at 0 < y < Phi^-1(3/4) is ln(S(0) + the
+    integral over [0, y]), and ln(1 - S(y)) at -Phi^-1(3/4) < y < 0 its
+    mirror. As ln(1 - e^v), with e^v the mass beyond y, it was 8.5e-6
+    off in relative terms at y = 1e-12. pi = 1[y >= 0] composes to the
+    half-normal, and pi = 1[y <= 0] to its mirror image."""
+
+    @pytest.mark.parametrize("y", [1e-12, 1e-6, 0.3])
+    def test_log_tails_against_erf(self, std, y):
+        right = compose(std, SkewSymmetric(lambda t: (t >= 0.0) * 1.0))
+        left = compose(std, SkewSymmetric(lambda t: (t <= 0.0) * 1.0))
+        want = _mp_log_erf(y)
+        assert right.log_cdf(y) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert left.log_sf(-y) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("q", [1e-12, 1e-6])
+    def test_lower_quantile_hits_its_mass(self, std, q):
+        # the root lies just above 0; it was 3.4e-5 off in ln at q = 1e-12
+        dist = compose(std, SkewSymmetric(lambda t: (t >= 0.0) * 1.0))
+        assert abs(_mp_log_erf(dist.quantile(q)) - math.log(q)) <= 1e-12
+
+
 class TestAzzaliniRunsNoQuadrature:
     def test_quadrature_is_never_reached(self, std, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -753,15 +813,27 @@ class TestUpperTailQuantiles:
         # measured within 6e-15; 1 - q is exact in doubles
         assert abs(mp.log(sf(y)) - mp.log(1 - mp.mpf(q))) <= 2e-14
 
-    @pytest.mark.parametrize("mech,sf", UPPER_QUANTILE_LAWS)
+    @pytest.mark.parametrize("mech,sf", [law for law in UPPER_QUANTILE_LAWS
+                                         if not isinstance(law.values[0], TwoPiece)])
     def test_lower_half_keeps_the_mechanism_quantile(self, std, mech, sf):
         dist = compose(std, mech)
         for q in (1e-9, 0.1, 0.5):
             assert dist.quantile(q) == float(normal_quantile(mech.quantile_P(q)))
 
-    def test_two_piece_below_its_knee_keeps_the_mechanism_quantile(self, std):
-        mech = TwoPiece.epsilon_skew(0.3)  # knee b/(a+b) = 0.65
-        assert compose(std, mech).quantile(0.6) == float(normal_quantile(mech.quantile_P(0.6)))
+    @pytest.mark.parametrize("a,b", [(5.0, 0.1), (0.5, 2.0), (0.7, 1.3)],
+                             ids=["twopiece-5-0.1", "twopiece-0.5-2", "twopiece-eps-0.3"])
+    def test_two_piece_below_the_knee(self, std, a, b):
+        # TwoPiece writes its quantile in y: below the knee b/(a+b) it
+        # inverts S(y) = (2b/(a+b)) Phi(y/b) directly, and the mechanism
+        # quantile is Phi of it
+        mech = TwoPiece(a, b)
+        dist = compose(std, mech)
+        knee = b / (a + b)
+        for q in (1e-300, 1e-9, 0.5 * knee, 0.6, knee * (1.0 - 1e-12)):
+            if q < knee:
+                assert dist.quantile(q) == b * float(normal_quantile(q * (a + b) / (2.0 * b)))
+        for q in (1e-9, 0.1, 0.5, 0.6, 0.9, 1.0 - 1e-12):
+            assert mech.quantile_P(q) == float(normal_cdf(dist.quantile(q)))
 
     @pytest.mark.parametrize("mech", [MarshallOlkin(2.0), TwoPiece(5.0, 0.1), OrderStatistics(2.0, 3.0)])
     @pytest.mark.parametrize("q", [1.0, 1.5, float("nan")])
