@@ -19,13 +19,12 @@ for a float or an ndarray of any shape (a 0-d input returns a float):
 Marshall-Olkin and order statistics in x (``cdf_P``, ``quantile_P``),
 the two-piece and skew-symmetric laws in y (``composed_cdf``,
 ``composed_quantile``). Each pair defaults to the other through Phi.
-Log-space hooks (``composed_log_cdf`` and friends) keep the tails finite
-out to |y| ~ 40, where the plain composition is numerically 0 or 1:
-closed or series forms for the named families; for ``SkewSymmetric``,
-pi's own log tails when it carries them (``AzzaliniPi``, through Owen's
-T), else adaptive quadrature. At a float, ``SkewSymmetric`` roots its
-quantile in y, and above q = 1/2 Marshall-Olkin and order statistics
-invert their upper tail from 1 - q.
+Log tails stay finite out to |y| ~ 40, where S is numerically 0 or 1. A
+family writes the lower one, ``composed_log_cdf``: closed or series
+forms, or for ``SkewSymmetric`` pi's own (``AzzaliniPi``, through Owen's
+T), else quadrature. Its ``mirror``, the mechanism x -> 1 - P(1 - x) of
+-Y, is in the same family and gives the upper tail at -y and the
+quantiles above 1/2 at 1 - q. ``SkewSymmetric`` roots a float's quantile.
 """
 
 from __future__ import annotations
@@ -89,25 +88,13 @@ def _log1mexp(v: float) -> float:
     return math.log1p(-math.exp(v)) if v < 0.0 else _NEG_INF
 
 
-def _upper_half(q) -> bool:
-    """Whether q is a float in (1/2, 1), where 1 - q is exact: Marshall-Olkin
-    and order statistics take their quantile from the upper tail there.
-    Anything else takes the generic path, which also raises for q outside
-    (0, 1)."""
-    return isinstance(q, float) and 0.5 < q < 1.0
-
-
-def _neg_normal_quantile(eps: float) -> float:
-    """The y with Phi(-y) = eps, without forming 1 - eps; 0.0, not -0.0,
-    at eps = 1/2."""
-    return 0.0 - _STD.quantile(eps)
-
-
 class SkewingMechanism(ABC):
     """A distribution P on (0, 1) used to skew the standard normal.
 
     A family defines one of each pair ``p``/``log_p``, ``cdf_P``/``composed_cdf``
     and ``quantile_P``/``composed_quantile``; the other follows from it here.
+    It writes ``composed_log_cdf`` and ``mirror``, the mechanism of -Y, whose
+    lower tail and quantiles are this one's upper ones.
     Instances are immutable and validated at construction; all evaluation
     methods are pure. ``analytic_sup`` is an upper bound for p known in
     closed form, or None; ``is_identity`` reports whether the composition
@@ -163,8 +150,11 @@ class SkewingMechanism(ABC):
         return self.cdf_P(numcore.normal_cdf(y))
 
     def composed_quantile(self, q, tol: Tolerance = DEFAULT_TOL):
-        """The y with S(y) = q, for q in (0, 1): Phi^-1(quantile_P(q)), with
-        an array's x clipped into the doubles' open unit interval."""
+        """The y with S(y) = q, for q in (0, 1): minus the mirror's at 1 - q,
+        exact, for a float q > 1/2; else Phi^-1(quantile_P(q)), with an
+        array's x clipped into the doubles' open unit interval."""
+        if isinstance(q, float) and 0.5 < q < 1.0:
+            return 0.0 - self.mirror.composed_quantile(1.0 - q, tol)  # 0.0, not -0.0
         x = self.quantile_P(q, tol)
         if isinstance(x, float):
             return _STD.quantile(x)
@@ -177,9 +167,9 @@ class SkewingMechanism(ABC):
     def composed_log_cdf(self, y: float) -> LogProb:
         """ln S(y), finite far past the underflow of S(y)."""
 
-    @abstractmethod
     def composed_log_sf(self, y: float) -> LogProb:
         """ln(1 - S(y)), finite far past the rounding of S(y) to 1."""
+        return self.mirror.composed_log_cdf(-y)
 
 
 def _composed_cdf(mech: SkewingMechanism, y: float) -> float:
@@ -217,13 +207,14 @@ class AzzaliniPi:
     def log(self, y):
         return numcore.log_normal_cdf(self.alpha * y)
 
+    @cached_property
+    def mirror(self) -> "AzzaliniPi":
+        """pi(-y) = Phi(-alpha y)."""
+        return AzzaliniPi(-self.alpha)
+
     def composed_log_cdf(self, y: float) -> LogProb:
         """ln S(y) of the skew-normal law."""
         return _sn_log_cdf(y, self.alpha)
-
-    def composed_log_sf(self, y: float) -> LogProb:
-        """ln(1 - S(y)) of the skew-normal law."""
-        return _sn_log_sf(y, self.alpha)
 
     def __repr__(self) -> str:
         return f"AzzaliniPi(alpha={self.alpha})"
@@ -297,22 +288,14 @@ def _sn_log_heavy(h: float, alpha: float) -> LogProb:
 
 def _sn_log_cdf(y: float, alpha: float) -> LogProb:
     """ln S(y) of the law 2 phi(y) Phi(alpha y)."""
-    if alpha < 0.0:  # S_alpha(y) = 1 - S_-alpha(-y)
-        return _sn_log_sf(-y, -alpha)
+    # S_alpha(y) = 1 - S_-alpha(-y), at most 1/2 past 0; -0.0 mirrors 0.0
+    if math.copysign(1.0, alpha) < 0.0:
+        return _sn_log_heavy(-y, -alpha) if y <= 0.0 else _log1mexp(_sn_log_light(y, -alpha))
     if y <= 0.0:
         return _sn_log_light(-y, alpha)
     log_sf = _sn_log_heavy(y, alpha)
     # below the median S(y) may still be small: 1 - exp(log_sf) would cancel
     return _log1mexp(log_sf) if log_sf < -_LOG2 else math.log(_sn_cdf_owen(y, alpha))
-
-
-def _sn_log_sf(y: float, alpha: float) -> LogProb:
-    """ln(1 - S(y)) of the law 2 phi(y) Phi(alpha y)."""
-    if alpha < 0.0:
-        return _sn_log_cdf(-y, -alpha)
-    if y >= 0.0:
-        return _sn_log_heavy(y, alpha)
-    return _log1mexp(_sn_log_light(-y, alpha))  # S(y) <= S(0) <= 1/2
 
 
 class SkewSymmetric(SkewingMechanism):
@@ -322,17 +305,16 @@ class SkewSymmetric(SkewingMechanism):
     everywhere, and maps an array to an array of its shape; both are
     checked at construction. Composed densities are 2 * phi(y) * pi(y).
 
-    The log tails of the composed law come from ``pi.composed_log_cdf``
-    and ``pi.composed_log_sf`` when pi provides them, as ``AzzaliniPi``
-    does; otherwise from log-space adaptive quadrature of the composed
-    density to ``DEFAULT_TOL``. Azzalini's closed form, through Owen's T,
-    is within 1e-14 * max(1, |ln S|) of mpmath for |alpha| <= 1e3 and
-    |y| <= 40 (tests/test_mechanisms.py, ``TestAzzaliniClosedForm``).
-    By quadrature, the log tail on y's side of 0 integrates from y
-    outward. The other one is ln(1 - e^v), v that integral's log, where
-    |y| >= Phi^-1(3/4): as 2 phi pi <= 2 phi, at most half of the mass
-    lies beyond y there. Nearer 0 it is ln(S(0) + the integral over
-    [0, y]), or its mirror for 1 - S, which does not cancel.
+    pi may carry ``log``, ``composed_log_cdf`` (ln S) and ``mirror`` (pi(-y)
+    as such an object), as ``AzzaliniPi`` does; the mirror mechanism is
+    ``SkewSymmetric(pi.mirror)``, else that of pi(-y). ln S is pi's, else
+    log-space adaptive quadrature to ``DEFAULT_TOL``. Azzalini's closed form,
+    through Owen's T, is within 1e-14 * max(1, |ln S|) of mpmath for
+    |alpha| <= 1e3 and |y| <= 40 (tests/test_mechanisms.py,
+    ``TestAzzaliniClosedForm``). By quadrature, at y <= 0 it integrates
+    from y outward; at y >= Phi^-1(3/4) it is ln(1 - e^v), v the log of
+    the integral over [y, inf), at most ln(1/2) as 2 phi pi <= 2 phi; in
+    between, ln(S(0) + the integral over [0, y]), which does not cancel.
 
     At a float the CDF comes from the smaller log tail, and a quantile is
     the root in y on the tail on q's side of 1/2. Arrays interpolate a
@@ -349,7 +331,6 @@ class SkewSymmetric(SkewingMechanism):
         self.pi = pi
         self._log_pi = getattr(pi, "log", None)
         self._pi_log_cdf = getattr(pi, "composed_log_cdf", None)
-        self._pi_log_sf = getattr(pi, "composed_log_sf", None)
         try:
             vals = np.asarray(pi(_SYMMETRIC_GRID), dtype=float)
         except (TypeError, ValueError) as exc:
@@ -364,6 +345,13 @@ class SkewSymmetric(SkewingMechanism):
     @classmethod
     def azzalini(cls, alpha: float) -> "SkewSymmetric":
         return cls(AzzaliniPi(alpha))
+
+    @cached_property
+    def mirror(self) -> "SkewSymmetric":
+        pi = self.pi
+        mirror = SkewSymmetric(pi.mirror if hasattr(pi, "mirror") else lambda y: pi(-y))
+        mirror.mirror = self
+        return mirror
 
     def _log_pi_at(self, t: float) -> float:
         if self._log_pi is not None:
@@ -382,9 +370,9 @@ class SkewSymmetric(SkewingMechanism):
         return min(0.0, numcore.log_integrate(self.composed_log_pdf, lo, hi))
 
     @cached_property
-    def _log_halves(self) -> tuple[LogProb, LogProb]:
-        """(ln S(0), ln(1 - S(0))), each by quadrature of its own side."""
-        return self._log_mass(_NEG_INF, 0.0), self._log_mass(0.0, _INF)
+    def _log_s0(self) -> LogProb:
+        """ln S(0); the mirror's is this law's ln(1 - S(0))."""
+        return self._log_mass(_NEG_INF, 0.0)
 
     # Quadpack can miss the bulk of an infinite interval that holds it, so
     # no integral below crosses 0.
@@ -395,17 +383,8 @@ class SkewSymmetric(SkewingMechanism):
         if y <= 0.0:
             return self._log_mass(_NEG_INF, y)
         if y < _NORMAL_Q3:
-            return float(np.logaddexp(self._log_halves[0], self._log_mass(0.0, y)))
+            return float(np.logaddexp(self._log_s0, self._log_mass(0.0, y)))
         return _log1mexp(self._log_mass(y, _INF))
-
-    def composed_log_sf(self, y: float) -> LogProb:
-        if self._pi_log_sf is not None:
-            return self._pi_log_sf(y)
-        if y >= 0.0:
-            return self._log_mass(y, _INF)
-        if y > -_NORMAL_Q3:
-            return float(np.logaddexp(self._log_halves[1], self._log_mass(y, 0.0)))
-        return _log1mexp(self._log_mass(_NEG_INF, y))
 
     def composed_cdf(self, y):
         if isinstance(y, float):
@@ -497,21 +476,24 @@ class OrderStatistics(SkewingMechanism):
     def quantile_P(self, q, tol: Tolerance = DEFAULT_TOL):
         return _out(numcore.inv_reg_inc_beta(q, self.psi1, self.psi2))
 
-    def composed_quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
-        if not _upper_half(q):
+    @cached_property
+    def mirror(self) -> "OrderStatistics":
+        return OrderStatistics(self.psi2, self.psi1)  # 1 - I_x(a, b) = I_{1-x}(b, a)
+
+    def composed_quantile(self, q, tol: Tolerance = DEFAULT_TOL):
+        if not (isinstance(q, float) and 0.0 < q <= 0.5):
             return super().composed_quantile(q, tol)
-        # 1 - x = I^-1_{1-q}(psi2, psi1), as 1 - I_x(a, b) = I_{1-x}(b, a)
-        return _neg_normal_quantile(numcore.inv_reg_inc_beta(1.0 - q, self.psi2, self.psi1))
+        x = numcore.inv_reg_inc_beta(q, self.psi1, self.psi2)
+        if x >= numcore._SMALLEST_NORMAL:
+            return _STD.quantile(float(x))
+        # I_x = x^psi1 / (psi1 B) to the series' first term, in logs: x underflows
+        return float(_sp.ndtri_exp((math.log(q) + math.log(self.psi1) + self._log_b) / self.psi1))
 
     def composed_log_pdf(self, y: float) -> float:
         return _STD.log_pdf(y) + self._log_p_from_logs(_STD.log_cdf(y), _STD.log_sf(y))
 
     def composed_log_cdf(self, y: float) -> LogProb:
         return numcore.log_reg_inc_beta_exp(_STD.log_cdf(y), self.psi1, self.psi2)
-
-    def composed_log_sf(self, y: float) -> LogProb:
-        # 1 - I_x(a, b) = I_{1-x}(b, a)
-        return numcore.log_reg_inc_beta_exp(_STD.log_sf(y), self.psi2, self.psi1)
 
     @property
     def analytic_sup(self) -> float | None:
@@ -535,8 +517,8 @@ class MarshallOlkin(SkewingMechanism):
     """Odds-tilting mechanism: p(x) = gamma / (x + gamma*(1-x))^2."""
 
     def __init__(self, gamma: float):
-        if not (gamma > 0 and math.isfinite(gamma)):
-            raise ParameterError(f"gamma must be positive and finite, got {gamma!r}")
+        if not (gamma > 0 and math.isfinite(gamma) and math.isfinite(1.0 / gamma)):
+            raise ParameterError(f"gamma and 1/gamma must be positive and finite, got {gamma!r}")
         self.gamma = float(gamma)
 
     def p(self, x):
@@ -551,11 +533,11 @@ class MarshallOlkin(SkewingMechanism):
         q = _within(q, open_=True, what="q")
         return _out(self.gamma * q / (1.0 - (1.0 - self.gamma) * q))
 
-    def composed_quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
-        if not _upper_half(q):
-            return super().composed_quantile(q, tol)
-        # 1 - x = (1 - q) / (1 - (1 - gamma) q) solves 1 - cdf_P(x) = 1 - q
-        return _neg_normal_quantile((1.0 - q) / (1.0 - (1.0 - self.gamma) * q))
+    @cached_property
+    def mirror(self) -> "MarshallOlkin":
+        mirror = MarshallOlkin(1.0 / self.gamma)
+        mirror.mirror = self  # 1/(1/gamma) need not round to gamma
+        return mirror
 
     def composed_log_pdf(self, y: float) -> float:
         den = _STD.cdf(y) + self.gamma * math.exp(_STD.log_sf(y))
@@ -563,12 +545,9 @@ class MarshallOlkin(SkewingMechanism):
 
     def composed_log_cdf(self, y: float) -> LogProb:
         lx = _STD.log_cdf(y)
-        return lx - math.log(self.gamma + (1.0 - self.gamma) * math.exp(lx))
-
-    def composed_log_sf(self, y: float) -> LogProb:
-        # 1 - cdf_P(1 - eps) = gamma*eps / (1 - (1-gamma)*eps)
-        ls = _STD.log_sf(y)
-        return math.log(self.gamma) + ls - math.log1p(-(1.0 - self.gamma) * math.exp(ls))
+        if y <= 0.0:
+            return lx - math.log(self.gamma + (1.0 - self.gamma) * math.exp(lx))
+        return lx - math.log1p((self.gamma - 1.0) * _STD.cdf(-y))  # Phi(-y), not 1 - x
 
     @property
     def analytic_sup(self) -> float:
@@ -649,15 +628,15 @@ class TwoPiece(SkewingMechanism):
         ab = self.a + self.b
         if y < 0.0:
             return math.log(2.0 * self.b / ab) + float(numcore.log_normal_cdf(y / self.b))
+        sf = 2.0 * self.a / ab * float(numcore.normal_cdf(-y / self.a))
+        if sf <= 0.5:  # S near 1: ln(1 - sf) keeps the mass beyond y
+            return math.log1p(-sf)
         # (b-a)/(a+b) + (2a/(a+b)) Phi(y/a) without the cancellation when a > b
         return math.log((self.b + self.a * math.erf(y / (self.a * _SQRT2))) / ab)
 
-    def composed_log_sf(self, y: float) -> LogProb:
-        ab = self.a + self.b
-        if y >= 0.0:
-            return math.log(2.0 * self.a / ab) + float(numcore.log_normal_sf(y / self.a))
-        v = (2.0 * self.b / ab) * float(numcore.normal_cdf(y / self.b))
-        return math.log1p(-v)
+    @cached_property
+    def mirror(self) -> "TwoPiece":
+        return TwoPiece(self.b, self.a)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -697,10 +676,10 @@ class NumericMechanism(SkewingMechanism):
     p(x) = source.pdf(Phi^-1(x)) / phi(Phi^-1(x)).
 
     The source is a scalar ``ContinuousDistribution``, so arrays are
-    evaluated one element at a time. The composed CDF, quantile and log
-    tails are the source's, since P(Phi(y)) = source.cdf(y). Evaluation of
-    p is restricted to the open interval; endpoint behavior is a question
-    for the boundedness probe, not for extrapolation.
+    evaluated one element at a time. The composed CDF, quantile and both
+    log tails are the source's, since P(Phi(y)) = source.cdf(y); it has no
+    mirror. Evaluation of p is restricted to the open interval; endpoint
+    behavior is a question for the boundedness probe, not extrapolation.
     """
 
     def __init__(self, source: ContinuousDistribution):
@@ -787,14 +766,12 @@ class SkewedDistribution(ContinuousDistribution):
 
     ``quantile``/``quantile_array`` and ``cdf_array`` are the mechanism's
     ``composed_quantile`` and ``composed_cdf``. ``TwoPiece`` has
-    y = b Phi^-1(q(a+b)/(2b)) below its knee b/(a+b), and
-    y = -a Phi^-1((1-q)(a+b)/(2a)) above. Above q = 1/2, where 1 - q is
-    exact, Marshall-Olkin and order statistics invert their upper tail:
-    y = -Phi^-1((1-q) / (1 - (1-gamma) q)), y = -Phi^-1(I^-1_{1-q}(psi2, psi1)).
-    The tail mass at these quantiles is within 6e-15 in ln of 1 - q out to
-    q = 1 - 1e-12; through x = Pinv(q) it is lost as x rounds to 1, 1e-4
-    in ln for Marshall-Olkin(2) at q = 1 - 1e-12. A non-finite y raises
-    DomainError.
+    y = b Phi^-1(q(a+b)/(2b)) below its knee b/(a+b); above it, and above
+    q = 1/2 for the other closed families, y is minus the mirror's quantile
+    at 1 - q, exact there. The tail mass at these quantiles is within
+    6e-15 in ln of 1 - q out to q = 1 - 1e-12; through x = Pinv(q) it is
+    lost as x rounds to 1, 1e-4 in ln for Marshall-Olkin(2) at
+    q = 1 - 1e-12. A non-finite y raises DomainError.
     """
 
     def __init__(self, mechanism: SkewingMechanism):

@@ -13,7 +13,7 @@ from oracles import (
     mp_reg_inc_beta,
     mp_skew_normal_log_tails,
 )
-from skewlab import numcore
+from skewlab import cli, numcore
 from skewlab import (
     AzzaliniPi,
     DomainError,
@@ -40,7 +40,8 @@ from skewlab.numcore import Tolerance, integrate, normal_cdf, normal_pdf, normal
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    # at 1e-310 the mirror's 1/gamma overflows
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), 1e-310])
     def test_marshall_olkin_rejects(self, bad):
         with pytest.raises(ParameterError):
             MarshallOlkin(bad)
@@ -911,3 +912,85 @@ class TestScalarGuards:
         assert extracted.log_p(0.3) == pytest.approx(mo.log_p(0.3), abs=1e-12)
         with pytest.raises(AssertionError, match="numpy.all"):
             numcore.normal_cdf(np.array([0.7]))
+
+
+# x = k/1024, where 1 - x is exact; 1/2 is left out, where an indicator pi
+# need not be symmetric
+_DYADIC = np.delete(np.arange(1, 1024) / 1024.0, 511)
+
+
+def _reflects(mech, mirror) -> bool:
+    """Whether mirror's density is mech's reflected, p_m(1 - x) = p(x)."""
+    return bool(np.allclose(mirror.p(1.0 - _DYADIC), mech.p(_DYADIC), rtol=1e-12, atol=0.0))
+
+
+MIRRORED = shipped_instances() + [
+    ("twopiece-0.1-5", TwoPiece(0.1, 5.0)),
+    ("orderstats-0.5-2", OrderStatistics(0.5, 2.0)),
+    ("marshall-olkin-0.3", MarshallOlkin(0.3)),
+    ("pi-logistic", cli.build_mechanism("skewsym-custom", {"pi": "logistic"})),
+    ("pi-sign", cli.build_mechanism("skewsym-custom", {"pi": "sign"})),
+]
+
+
+class TestMirror:
+    """Each family's mirror is the mechanism of -Y, x -> 1 - P(1 - x); the
+    upper tail and the quantiles above 1/2 are taken from it. These tests
+    check it from the densities alone, without the tails."""
+
+    @pytest.mark.parametrize("name,mech", MIRRORED)
+    def test_mirror_is_the_reflection(self, name, mech):
+        assert _reflects(mech, mech.mirror)
+        assert repr(mech.mirror.mirror) == repr(mech)
+
+    @pytest.mark.parametrize("mech,wrong", [
+        (MarshallOlkin(0.3), MarshallOlkin(0.3)),
+        (OrderStatistics(0.5, 2.0), OrderStatistics(0.5, 2.0)),
+        (TwoPiece(0.1, 5.0), TwoPiece(0.1, 5.0)),
+        (SkewSymmetric.azzalini(3.0), SkewSymmetric.azzalini(3.0)),
+    ], ids=["marshall-olkin", "orderstats", "twopiece", "azzalini"])
+    def test_a_wrong_mirror_fails(self, mech, wrong):
+        assert not _reflects(mech, wrong)
+
+    @pytest.mark.parametrize("y", [-1e-12, -1e-6, -1e-3, -0.1, -1.0])
+    def test_two_piece_upper_tail_below_zero(self, std, y):
+        # the mirror's ln S at -y > 0 has no cancellation; ln(1 - v) with
+        # v = (2b/(a+b)) Phi(y/b) was 1.7e-15 off at y = -1e-6
+        want = mp.log(_mp_sf_two_piece(0.1, 5.0, y))
+        assert abs(compose(std, TwoPiece(0.1, 5.0)).log_sf(y) - want) <= 4e-16 * abs(want)
+
+    @pytest.mark.parametrize("mech,sf", [
+        (MarshallOlkin(0.25), lambda y: _mp_sf_marshall_olkin(0.25, y)),
+        (MarshallOlkin(2.0), lambda y: _mp_sf_marshall_olkin(2.0, y)),
+        (TwoPiece(5.0, 0.1), lambda y: _mp_sf_two_piece(5.0, 0.1, y)),
+        (TwoPiece(1.3, 0.7), lambda y: _mp_sf_two_piece(1.3, 0.7, y)),
+    ], ids=["marshall-olkin-0.25", "marshall-olkin-2", "twopiece-5-0.1", "twopiece-1.3-0.7"])
+    @pytest.mark.parametrize("y", [2.0, 4.0, 8.0, 13.75])
+    def test_log_cdf_where_the_cdf_nears_one(self, std, mech, sf, y):
+        # ln S(y) = ln(1 - m), m the mass beyond y, is the mirror's upper
+        # tail at -y; from S rounded near 1 MarshallOlkin(2) was 0.035 off
+        # at y = 8, and TwoPiece(1.3, 0.7) gave 0.0 at y = 13.75
+        want = mp.log1p(-sf(y))
+        got = compose(std, mech).log_cdf(y)
+        assert abs(got - want) <= 5e-14 * abs(want)
+        assert compose(std, mech.mirror).log_sf(-y) == got
+
+
+class TestOrderStatisticsUnderflowingQuantile:
+    """Below 1/2 an order-statistics quantile is Phi^-1 of the Beta
+    quantile x, which underflows for psi1 well below 1: it raised
+    DomainError at x = 0. There ln x comes from the leading term of the
+    series for I_x."""
+
+    @pytest.mark.parametrize("psi1,psi2,q", [(0.01, 1.0, 1e-4), (0.01, 3.0, 1e-4),
+                                             (0.01, 1.0, 1e-12)])
+    def test_lower_quantile_hits_its_mass(self, std, psi1, psi2, q):
+        y = compose(std, OrderStatistics(psi1, psi2)).quantile(q)
+        got = mp.log(mp.betainc(psi1, psi2, 0, mp.ncdf(y), regularized=True))
+        assert abs(got - mp.log(q)) <= 1e-12 * max(1.0, abs(math.log(q)))
+
+    def test_upper_quantile_through_the_mirror(self, std):
+        q = 1.0 - 1e-4
+        y = compose(std, OrderStatistics(1.0, 0.01)).quantile(q)
+        got = mp.log(_mp_sf_order_statistics(1.0, 0.01, y))
+        assert abs(got - mp.log(1 - mp.mpf(q))) <= 1e-12 * abs(math.log1p(-q))
