@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--grid", required=True, metavar="LO:HI:N")
     p_eval.set_defaults(fn=cmd_eval)
 
-    p_sample = sub.add_parser("sample", help="newline-delimited inversion samples")
+    p_sample = sub.add_parser("sample", help="newline-delimited draws")
     add_common(p_sample)
     p_sample.add_argument("--n", type=int, required=True)
     p_sample.add_argument("--seed", type=int, default=None)

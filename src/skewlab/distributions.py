@@ -29,9 +29,9 @@ class RngState:
 
     Wraps a counter-based generator (Philox): identical seed, identical
     stream, and child streams obtained with :meth:`split` are
-    statistically independent of the parent and of each other. A state is
-    owned by its caller; nothing in the package shares one behind the
-    caller's back.
+    statistically independent of the parent and of each other. It draws
+    the samplers' uniform, normal and gamma variates. A state is owned by
+    its caller; nothing in the package shares one behind its back.
     """
 
     def __init__(self, seed: int | None = None):
@@ -64,6 +64,9 @@ class RngState:
 
     def standard_normal(self, n: int) -> np.ndarray:
         return self.generator.standard_normal(n)
+
+    def standard_gamma(self, shape: float, n: int) -> np.ndarray:
+        return self.generator.standard_gamma(shape, n)
 
     def __repr__(self) -> str:
         return f"RngState(seed={self.seed})"

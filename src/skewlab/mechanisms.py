@@ -25,6 +25,8 @@ forms, or for ``SkewSymmetric`` pi's own (``AzzaliniPi``, through Owen's
 T), else quadrature. Its ``mirror``, the mechanism x -> 1 - P(1 - x) of
 -Y, is in the same family and gives the upper tail at -y and the
 quantiles above 1/2 at 1 - q. ``SkewSymmetric`` roots a float's quantile.
+``composed_sample`` inverts ``composed_quantile``, except for the exact
+constructions: a normal's sign flip and a ratio of gamma variates.
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ class SkewingMechanism(ABC):
     A family defines one of each pair ``p``/``log_p``, ``cdf_P``/``composed_cdf``
     and ``quantile_P``/``composed_quantile``; the other follows from it here.
     It writes ``composed_log_cdf`` and ``mirror``, the mechanism of -Y, whose
-    lower tail and quantiles are this one's upper ones.
+    lower tail and quantiles are this one's upper ones, and may write
+    ``composed_sample`` in place of inversion.
     Instances are immutable and validated at construction; all evaluation
     methods are pure. ``analytic_sup`` is an upper bound for p known in
     closed form, or None; ``is_identity`` reports whether the composition
@@ -162,6 +165,10 @@ class SkewingMechanism(ABC):
 
     def composed_log_pdf(self, y: float) -> float:
         return _STD.log_pdf(y) + self.log_p(_STD.cdf(y))
+
+    def composed_sample(self, rng: RngState, n: int) -> np.ndarray:
+        """n draws of S given rng; by default ``composed_quantile`` of uniforms."""
+        return self.composed_quantile(rng.uniform(n))
 
     @abstractmethod
     def composed_log_cdf(self, y: float) -> LogProb:
@@ -317,11 +324,11 @@ class SkewSymmetric(SkewingMechanism):
     between, ln(S(0) + the integral over [0, y]), which does not cancel.
 
     At a float the CDF comes from the smaller log tail, and a quantile is
-    the root in y on the tail on q's side of 1/2. Arrays interpolate a
-    cached CDF table, read in y on [-13, 13] with step h = 26/16384. Its
-    error in probability is at most h^2/8 * max|s'|, s the composed
-    density: 1.2e-7 for Azzalini |alpha| = 1, 3.0e-7 for alpha = 3,
-    5.0e-6 for alpha = 50.
+    the root in y on the tail on q's side of 1/2. Arrays (not draws, the
+    sign flip) interpolate a cached CDF table, read in y on [-13, 13] with
+    step h = 26/16384. Its error in probability is at most h^2/8 * max|s'|,
+    s the composed density: 1.2e-7 for Azzalini |alpha| = 1, 3.0e-7 for
+    alpha = 3, 5.0e-6 for alpha = 50.
     """
 
     _TABLE_SPAN = 13.0
@@ -415,6 +422,13 @@ class SkewSymmetric(SkewingMechanism):
             hi *= 2.0
         return numcore.find_root(fn, lo, hi, tol)
 
+    def composed_sample(self, rng: RngState, n: int) -> np.ndarray:
+        # the sign flip (Wang, Boyer & Genton 2004): X ~ N(0, 1) kept where
+        # U <= pi(X), else negated, has density 2 phi pi as pi(-y) = 1 - pi(y)
+        x = rng.standard_normal(n)
+        keep = rng.uniform(n) <= np.asarray(self.pi(x), dtype=float)
+        return x * (2.0 * keep - 1.0)  # -x where not kept, no branch per draw
+
     @cached_property
     def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(y grid, CDF values): panel-by-panel Gauss quadrature of the
@@ -493,7 +507,33 @@ class OrderStatistics(SkewingMechanism):
         return _STD.log_pdf(y) + self._log_p_from_logs(_STD.log_cdf(y), _STD.log_sf(y))
 
     def composed_log_cdf(self, y: float) -> LogProb:
+        if y > 0.0:  # Phi(y) rounds toward 1: take S from 1 - S, exact in Phi(-y)
+            log_sf = self.mirror.composed_log_cdf(-y)
+            if log_sf <= -_LOG2:
+                return _log1mexp(log_sf)
+            s = float(_sp.betaincc(self.psi2, self.psi1, _STD.cdf(-y)))
+            if s >= 1e-300:
+                return math.log(s)
         return numcore.log_reg_inc_beta_exp(_STD.log_cdf(y), self.psi1, self.psi2)
+
+    def composed_sample(self, rng: RngState, n: int) -> np.ndarray:
+        # X = G1/(G1 + G2), G_i ~ Gamma(psi_i) (Jones 2004). With
+        # z = ln(X/(1 - X)), ln min(X, 1 - X) = -|z| - ln(1 + e^-|z|), and
+        # y = Phi^-1 of it, signed as z, is exact in both tails.
+        z = self._log_gamma(rng, self.psi1, n)
+        z -= self._log_gamma(rng, self.psi2, n)
+        t = -np.abs(z)
+        y = t - np.log1p(np.exp(t))
+        return np.copysign(_sp.ndtri_exp(y, out=y), z, out=y)
+
+    @staticmethod
+    def _log_gamma(rng: RngState, psi: float, n: int) -> np.ndarray:
+        """ln of n Gamma(psi) draws; up to psi 1 ln G' + ln(U)/psi with
+        G' ~ Gamma(psi + 1), finite where a draw would underflow to 0."""
+        g = np.log(rng.standard_gamma(psi if psi > 1.0 else psi + 1.0, n))
+        if psi <= 1.0:
+            g += np.log(rng.uniform(n)) / psi
+        return g
 
     @property
     def analytic_sup(self) -> float | None:
@@ -771,7 +811,8 @@ class SkewedDistribution(ContinuousDistribution):
     at 1 - q, exact there. The tail mass at these quantiles is within
     6e-15 in ln of 1 - q out to q = 1 - 1e-12; through x = Pinv(q) it is
     lost as x rounds to 1, 1e-4 in ln for Marshall-Olkin(2) at
-    q = 1 - 1e-12. A non-finite y raises DomainError.
+    q = 1 - 1e-12. A non-finite y raises DomainError. ``sample`` is the
+    mechanism's ``composed_sample``.
     """
 
     def __init__(self, mechanism: SkewingMechanism):
@@ -800,6 +841,11 @@ class SkewedDistribution(ContinuousDistribution):
 
     def quantile_array(self, q: np.ndarray) -> np.ndarray:
         return self.mechanism.composed_quantile(np.asarray(q, dtype=float))
+
+    def sample(self, rng: RngState, n: int) -> np.ndarray:
+        if n < 1:
+            raise DomainError(f"sample count must be >= 1, got {n}")
+        return self.mechanism.composed_sample(rng, n)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -841,21 +887,12 @@ def extract_mechanism(
 
 
 def sample_skewed(dist: SkewedDistribution, rng: RngState, n: int) -> np.ndarray:
-    """n inversion draws ``dist.quantile_array(U)``, deterministic given rng."""
+    """n draws ``dist.sample(rng, n)``, deterministic given rng."""
     return dist.sample(rng, n)
 
 
 def sample_flip(pi: Callable, rng: RngState, n: int) -> np.ndarray:
-    """n draws from the density 2 phi(y) pi(y) by sign-flipping.
-
-    Draw X ~ N(0, 1) and U ~ Uniform(0,1); emit X when U <= pi(X), else -X.
-    Because pi(-y) = 1 - pi(y) and phi is even, the output density is
-    2 phi(y) pi(y), matching the inversion sampler in distribution.
-    """
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n}")
+    """n draws from the density 2 phi(y) pi(y), pi a skewing function or a
+    ``SkewSymmetric``, by the sign flip ``SkewSymmetric.composed_sample``."""
     mech = pi if isinstance(pi, SkewSymmetric) else SkewSymmetric(pi)
-    x = rng.standard_normal(n)
-    u = rng.uniform(n)
-    keep = u <= np.asarray(mech.pi(x), dtype=float)
-    return np.where(keep, x, -x)
+    return SkewedDistribution(mech).sample(rng, n)

@@ -460,7 +460,7 @@ class TestSamplers:
         from scipy import stats
         mech = SkewSymmetric.azzalini(3.0)
         dist = compose(std, mech)
-        a = sample_skewed(dist, RngState(11), 10**5)
+        a = dist.quantile_array(RngState(11).uniform(10**5))  # inversion
         b = sample_flip(mech, RngState(12), 10**5)
         d = stats.ks_2samp(a, b).statistic
         assert d < 1.6276 * math.sqrt(2.0 / 10**5)
@@ -994,3 +994,135 @@ class TestOrderStatisticsUnderflowingQuantile:
         y = compose(std, OrderStatistics(1.0, 0.01)).quantile(q)
         got = mp.log(_mp_sf_order_statistics(1.0, 0.01, y))
         assert abs(got - mp.log(1 - mp.mpf(q))) <= 1e-12 * abs(math.log1p(-q))
+
+
+# Phi^-1(1 - 2^-53), where inversion through x = Phi(y) clipped its draws
+_CLIP = 8.209536151601387
+
+
+def _ks_bound(draws, cdf, step: int) -> float:
+    """An upper bound on sqrt(n) times the KS distance of draws from cdf
+    that calls the scalar cdf at every step-th order statistic only: between
+    two of them both the empirical and the true CDF are bracketed by their
+    values at the two ends, as both are monotone. At step 1 it is the
+    statistic itself."""
+    x = np.sort(draws)
+    n = x.size
+    idx = np.unique(np.append(np.arange(0, n, step), n - 1))
+    f = np.array([cdf(float(v)) for v in x[idx]])
+    d_plus = max(np.max((idx + 1) / n - f), np.max(idx[1:] / n - f[:-1]))
+    d_minus = max(np.max(f - idx / n), np.max(f[1:] - (idx[:-1] + 1) / n))
+    return math.sqrt(n) * max(d_plus, d_minus)
+
+
+def _custom(pi):
+    return cli.build_mechanism("skewsym-custom", {"pi": pi, "alpha": 2.0})
+
+
+# (mechanism, every how many order statistics the scalar cdf is called):
+# the skew-symmetric laws but Azzalini's integrate their scalar cdf, about
+# 1 ms a call
+EXACT_SAMPLER_LAWS = [
+    pytest.param(OrderStatistics(2.0, 3.0), 20, id="orderstats-2-3"),
+    pytest.param(OrderStatistics(0.5, 0.5), 20, id="orderstats-0.5-0.5"),
+    pytest.param(OrderStatistics(2.0, 0.05), 20, id="orderstats-2-0.05"),
+    pytest.param(OrderStatistics(5.0, 1e-3), 20, id="orderstats-5-0.001"),
+    pytest.param(OrderStatistics(1e-3, 5.0), 20, id="orderstats-0.001-5"),
+    pytest.param(SkewSymmetric.azzalini(3.0), 20, id="azzalini-3"),
+    pytest.param(SkewSymmetric.azzalini(-3.0), 20, id="azzalini--3"),
+    pytest.param(_custom("logistic"), 200, id="logistic"),
+    pytest.param(_custom("sign"), 200, id="sign"),
+]
+
+
+class TestExactSamplers:
+    """Order statistics draw X = G1/(G1 + G2) from gamma variates and the
+    skew-symmetric laws flip the sign of a normal draw; neither inverts a
+    CDF. Through x = Phi(y), 96.6% of OrderStatistics(5, 1e-3) draws sat
+    at the clip Phi^-1(1 - 2^-53), sqrt(n) D = 216 against the scalar cdf.
+    The checks run against the scalar ``cdf``, which shares no code with
+    the samplers; the other families still invert, draw for draw."""
+
+    N = 200_000
+
+    @pytest.mark.parametrize("mech,step", EXACT_SAMPLER_LAWS)
+    def test_draws_fit_the_scalar_cdf(self, std, mech, step):
+        dist = compose(std, mech)
+        draws = sample_skewed(dist, RngState(1), self.N)
+        assert np.all(np.isfinite(draws))
+        assert not np.any(draws == _CLIP)
+        assert _ks_bound(draws, dist.cdf, step) < 1.6276  # the 1% point of the KS limit law
+        assert np.array_equal(draws, sample_skewed(dist, RngState(1), self.N))
+
+    def test_ks_bound_holds_the_statistic(self, std):
+        dist = compose(std, OrderStatistics(2.0, 3.0))
+        draws = sample_skewed(dist, RngState(3), 5000)
+        exact = ks_test(draws, dist.cdf_array).statistic * math.sqrt(draws.size)
+        assert _ks_bound(draws, dist.cdf, 1) == pytest.approx(exact, rel=1e-9)
+        assert all(_ks_bound(draws, dist.cdf, step) >= exact for step in (2, 7, 50))
+
+    def test_sharded_order_statistics_draws_reproduce(self, std):
+        dist = compose(std, OrderStatistics(0.5, 2.0))
+        shards = [dist.sample(rng, 500) for rng in RngState(64).split(4)]
+        again = [dist.sample(rng, 500) for rng in RngState(64).split(4)]
+        assert all(np.array_equal(a, b) for a, b in zip(shards, again))
+        assert len(np.unique(np.concatenate(shards))) == 2000
+
+    @pytest.mark.parametrize("mech,pinned", [
+        (MarshallOlkin(2.0), (-1.1491945838215754, -1.0517628532258358, -1.513009440534413,
+                              1.3622618121200585, -4.228611236551916, 4.897144084749851)),
+        (TwoPiece.epsilon_skew(-0.5), (-0.5547575461578517, -0.5013020369468605,
+                                       -0.747981787757566, 1.8703560233439847,
+                                       -2.114304956880972, 7.260428420174584)),
+    ], ids=["marshall-olkin-2", "twopiece-eps--0.5"])
+    def test_closed_inversion_draws_are_unchanged(self, std, mech, pinned):
+        # draws 0, 1, 99,999 and 199,999, the smallest and the largest
+        dist = compose(std, mech)
+        draws = sample_skewed(dist, RngState(1), self.N)
+        assert np.array_equal(draws, dist.quantile_array(RngState(1).uniform(self.N)))
+        got = (*draws[[0, 1, 99_999, 199_999]], draws.min(), draws.max())
+        assert got == pinned
+
+    def test_flip_is_the_skew_symmetric_sampler(self, std):
+        mech = SkewSymmetric.azzalini(3.0)
+        assert np.array_equal(sample_flip(mech, RngState(5), 1000),
+                              sample_skewed(compose(std, mech), RngState(5), 1000))
+        assert np.array_equal(sample_flip(mech.pi, RngState(5), 1000),
+                              sample_flip(mech, RngState(5), 1000))
+
+    def test_count_is_checked(self, std):
+        for mech in (OrderStatistics(2.0, 3.0), SkewSymmetric.azzalini(3.0), MarshallOlkin(2.0)):
+            with pytest.raises(DomainError):
+                sample_skewed(compose(std, mech), RngState(1), 0)
+        with pytest.raises(DomainError):
+            sample_flip(AzzaliniPi(1.0), RngState(1), 0)
+
+
+class TestOrderStatisticsLogCdfAboveZero:
+    """Above 0, Phi(y) rounds toward 1 and I_{Phi(y)}(psi1, psi2) loses the
+    mass beyond y: ln S(9) of (2, 3) was 0.0, and OrderStatistics(5, 1e-3)
+    gave S(8.2934) = 1.0 where it is 0.0347. ln S is now ln(1 - m) from the
+    mirror's lower tail m where m <= 1/2, else betaincc at Phi(-y)."""
+
+    @pytest.mark.parametrize("psi1", [1e-3, 0.05, 0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("psi2", [1e-3, 0.05, 0.5, 2.0, 5.0])
+    def test_log_cdf_against_mpmath(self, std, psi1, psi2):
+        dist = compose(std, OrderStatistics(psi1, psi2))
+        for y in (1e-6, 0.5, 2.0, 8.0, 9.0, 20.0, 38.0):
+            # the mass m beyond y comes from its log, so it is exact to about
+            # |ln m| ulps; below 1e-300, ln S = -m rounds to -0.0
+            m = _mp_sf_order_statistics(psi1, psi2, y)
+            want = mp.log1p(-m)
+            tol = 4e-15 * abs(want) * max(1.0, abs(float(mp.log(m))))
+            assert abs(dist.log_cdf(y) - want) <= tol + 1e-300
+
+    @pytest.mark.parametrize("psi1,psi2,y,want", [
+        (2.0, 3.0, 9.0, -5.75e-57),
+        (1.0, 0.05, 10.0, -0.0724),
+    ])
+    def test_mass_beyond_y_is_kept(self, std, psi1, psi2, y, want):
+        got = compose(std, OrderStatistics(psi1, psi2)).log_cdf(y)
+        assert got == pytest.approx(want, rel=1e-3, abs=0.0)
+
+    def test_cdf_below_the_median_far_out(self, std):
+        assert compose(std, OrderStatistics(5.0, 1e-3)).cdf(8.2934) == pytest.approx(0.03474, rel=1e-3)
