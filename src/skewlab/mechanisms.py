@@ -95,6 +95,9 @@ class SkewingMechanism(ABC):
 
     A family defines one of each pair ``p``/``log_p``, ``cdf_P``/``composed_cdf``
     and ``quantile_P``/``composed_quantile``; the other follows from it here.
+    Each keeps an array's shape, a constant density too, and returns a
+    float for a float or a 0-d array: ``estimate_sup_p`` calls ``p`` once
+    on all its probe points and reads the result grid by grid.
     It writes ``composed_log_cdf`` and ``mirror``, the mechanism of -Y, whose
     lower tail and quantiles are this one's upper ones, and may write
     ``composed_sample`` in place of inversion.
@@ -482,7 +485,10 @@ class OrderStatistics(SkewingMechanism):
     def log_p(self, x):
         x = _within(x, open_=False)
         with np.errstate(divide="ignore"):
-            return _out(self._log_p_from_logs(np.log(x), np.log1p(-x)))
+            out = self._log_p_from_logs(np.log(x), np.log1p(-x))
+        if np.shape(out) != np.shape(x):  # both shapes 1: out is the constant -ln B
+            out = np.full(np.shape(x), out)
+        return _out(out)
 
     def cdf_P(self, x):
         return _out(numcore.reg_inc_beta(x, self.psi1, self.psi2))
@@ -498,6 +504,14 @@ class OrderStatistics(SkewingMechanism):
         if not (isinstance(q, float) and 0.0 < q <= 0.5):
             return super().composed_quantile(q, tol)
         x = numcore.inv_reg_inc_beta(q, self.psi1, self.psi2)
+        if x > 0.5:  # 1 - x, rounded or 1 outright, is the mirror's x at 1 - q
+            u = numcore.inv_reg_inc_beta(1.0 - q, self.psi2, self.psi1)
+            return 0.0 - self.mirror._normal_quantile_of(1.0 - q, u)
+        return self._normal_quantile_of(q, x)
+
+    def _normal_quantile_of(self, q: float, x) -> float:
+        """Phi^-1(x) for x = I^-1_q(psi1, psi2) <= 1/2, from logs where x
+        underflows."""
         if x >= numcore._SMALLEST_NORMAL:
             return _STD.quantile(float(x))
         # I_x = x^psi1 / (psi1 B) to the series' first term, in logs: x underflows

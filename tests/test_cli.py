@@ -252,6 +252,40 @@ class TestEnvTolerance:
         assert "SKEWLAB_TOL" in err
 
 
+class TestRepeatedCalls:
+    """The parser is built once per process and reused by every main call."""
+
+    CALLS = (
+        ("check", "--family", "orderstats", "--param", "psi1=1", "--param", "psi2=1"),
+        ("eval", "--family", "marshall-olkin", "--param", "gamma=2", "--what", "p",
+         "--grid=0.1:0.9:5", "--format", "json"),
+        ("check", "--family", "twopiece-ab", "--param", "a=0.5", "--param", "b=0.8",
+         "--ys", "2,5,20"),
+    )
+
+    def test_reused_parser_prints_the_bytes_of_a_first_call(self, capsys):
+        import skewlab.cli as cli_mod
+
+        first = []
+        for argv in self.CALLS:
+            cli_mod._parser.cache_clear()
+            first.append(run_cli(capsys, *argv))
+        parser = cli_mod._parser()
+        again = [run_cli(capsys, *argv) for argv in self.CALLS + self.CALLS]
+        assert cli_mod._parser() is parser
+        assert again == first + first
+        assert all(code == 0 and out and not err for code, out, err in again)
+
+    def test_param_lists_do_not_carry_over(self, capsys):
+        import skewlab.cli as cli_mod
+
+        run_cli(capsys, *self.CALLS[0])
+        args = cli_mod._parser().parse_args(["check", "--family", "azzalini", "--param", "alpha=2"])
+        assert args.param == ["alpha=2"] and args.ys is None
+        args = cli_mod._parser().parse_args(["tail", "--family", "azzalini"])
+        assert args.param == []
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "skewlab.cli", "tail", "--family", "azzalini",

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from skewlab import (
     OrderStatistics,
     PreconditionError,
     SkewSymmetric,
+    StandardNormal,
     TwoPiece,
     Verdict,
     compose,
@@ -24,8 +26,10 @@ from skewlab import (
     verify_theorem1_bound,
     verify_theorem2_chain,
 )
+from skewlab import cli
 from skewlab.distributions import ContinuousDistribution
-from skewlab.divisibility import DEFAULT_Y_GRID
+from skewlab.divisibility import DEFAULT_Y_GRID, _probe_grid
+from skewlab.mechanisms import SkewingMechanism
 
 
 class TestSteutelStatistic:
@@ -132,6 +136,97 @@ class TestBoundednessClassifier:
         assert bounded.certified_bound == 4.0
         unbounded = estimate_sup_p(TwoPiece(0.5, 1.5))
         assert unbounded.certified_bound is None
+
+
+def _refinement_grids(depth):
+    """The base grid and the depth endpoint clusters, one array each."""
+    grids = [np.concatenate([np.linspace(1e-3, 1.0 - 1e-3, 1999), [0.5]])]
+    for k in range(1, depth + 1):
+        eps = 10.0 ** (-(2 + k))
+        cluster = np.geomspace(eps, eps * 100.0, 13)
+        grids.append(np.concatenate([cluster, 1.0 - cluster]))
+    return grids
+
+
+def _per_grid_sup_p(mech, depth):
+    """estimate_sup_p's (trace, sup, classification) with p called on each
+    refinement grid in turn."""
+    grids = _refinement_grids(depth)
+    sup, count, trace = 0.0, 0, []
+    for grid in grids:
+        vals = np.asarray(mech.p(grid), dtype=float)
+        finite = vals[np.isfinite(vals)]
+        if finite.size:
+            sup = max(sup, float(np.max(finite)))
+        if np.any(np.isinf(vals)):
+            sup = float("inf")
+        count += grid.size
+        trace.append((count, sup))
+    s = [v for _, v in trace[-3:]]
+    if mech.analytic_sup is not None:
+        cls = Classification.BOUNDED
+    elif math.isinf(s[-1]):
+        cls = Classification.UNBOUNDED
+    elif s[-1] - s[0] <= 1e-6 * max(s[-1], 1e-300):
+        cls = Classification.BOUNDED
+    elif s[-1] >= 4.0 * s[0] and s[0] < s[1] < s[2]:
+        cls = Classification.UNBOUNDED
+    else:
+        cls = Classification.INCONCLUSIVE
+    return tuple(trace), sup, cls
+
+
+class _Spiky(SkewingMechanism):
+    """p = 1 + x, but NaN on all of refinement grid 5 (points 1e-7 to 1e-5
+    from an end) and +inf closer than 5e-10 to an end, from grid 8 on."""
+
+    def p(self, x):
+        x = np.asarray(x, dtype=float)
+        edge = np.minimum(x, 1.0 - x)
+        out = np.where((edge >= 0.99e-7) & (edge <= 1.01e-5), np.nan, 1.0 + x)
+        return np.where(edge < 5e-10, np.inf, out)
+
+    def composed_log_cdf(self, y):
+        raise NotImplementedError
+
+
+class TestSupProbeInOneCall:
+    """estimate_sup_p calls p once on all its grids; its report is the one
+    a call per grid gives, bit for bit."""
+
+    @pytest.mark.parametrize("mech", [
+        SkewSymmetric.azzalini(3.0), SkewSymmetric.azzalini(-4.0), SkewSymmetric.azzalini(0.0),
+        cli.build_mechanism("skewsym-custom", {"pi": "logistic", "alpha": 2.0}),
+        cli.build_mechanism("skewsym-custom", {"pi": "sign"}),
+        MarshallOlkin(0.25), MarshallOlkin(4.0), MarshallOlkin(1.0),
+        OrderStatistics(2.0, 3.0), OrderStatistics(1.0, 1.0), OrderStatistics(1.0, 2.0),
+        OrderStatistics(0.5, 2.0), OrderStatistics(0.5, 0.5), OrderStatistics(5.0, 1e-3),
+        TwoPiece(0.5, 1.5), TwoPiece(5.0, 0.1), TwoPiece(0.5, 0.8), TwoPiece(1.5, 1.5),
+        NumericMechanism(compose(StandardNormal(), MarshallOlkin(2.0))),
+        _Spiky(),
+    ], ids=repr)
+    @pytest.mark.parametrize("depth", [3, 10])
+    def test_report_equals_per_grid_loop(self, mech, depth):
+        trace, sup, cls = _per_grid_sup_p(mech, depth)
+        report = estimate_sup_p(mech, depth)
+        assert report.refinement_trace == trace
+        assert [math.copysign(1.0, v) for _, v in report.refinement_trace] == \
+            [math.copysign(1.0, v) for _, v in trace]
+        assert report.sup_estimate == sup and report.classification is cls
+
+    def test_spiky_trace_skips_nan_and_takes_inf(self):
+        sups = [s for _, s in estimate_sup_p(_Spiky()).refinement_trace]
+        assert sups[0] == 1.999 and sups[5] == sups[4] < sups[6] < sups[7] < 2.0
+        assert sups[8:] == [math.inf] * 3
+
+    def test_grid_is_a_fixed_read_only_input(self):
+        grid, starts, ends = _probe_grid(10)
+        assert _probe_grid(10)[0] is grid
+        grids = _refinement_grids(10)
+        assert np.array_equal(grid, np.concatenate(grids)) and ends[-1] == 2260
+        assert [grid[a:b].size for a, b in zip(starts, ends)] == [g.size for g in grids]
+        with pytest.raises(ValueError):
+            grid[0] = 0.5
 
 
 class TestBoundVerifier:

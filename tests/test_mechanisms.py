@@ -996,6 +996,53 @@ class TestOrderStatisticsUnderflowingQuantile:
         assert abs(got - mp.log(1 - mp.mpf(q))) <= 1e-12 * abs(math.log1p(-q))
 
 
+class TestOrderStatisticsQuantileNearOne:
+    """At q <= 1/2 the Beta quantile x can still lie above 1/2, and for a
+    small psi2 it rounds to 1: OrderStatistics(5, 1e-3) raised DomainError
+    from q = 0.05 to 1/2, and at q = 0.03, where 1 - x = 4e-13 kept three
+    digits, S(y) was 1.7e-4 off q. There 1 - x is the mirror's Beta
+    quantile at 1 - q, with its own series where it underflows."""
+
+    @pytest.mark.parametrize("q", [0.0125, 0.03, 0.05, 0.1, 0.3, 0.5])
+    def test_quantile_hits_its_mass(self, std, q):
+        y = compose(std, OrderStatistics(5.0, 1e-3)).quantile(q)
+        got = 1 - _mp_sf_order_statistics(5.0, 1e-3, y)
+        assert abs(got / q - 1) <= 1e-14
+
+    def test_cli_grid_exits_0(self, capsys):
+        code = cli.main(["eval", "--family", "orderstats", "--param", "psi1=5",
+                         "--param", "psi2=0.001", "--what", "quantile",
+                         "--grid=0.00001:0.99999:41"])
+        rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
+        assert code == 0 and len(rows) == 41
+        ys = [float(y) for _, y in rows]
+        assert all(a < b for a, b in zip(ys, ys[1:]))
+
+
+class TestArrayShapes:
+    """p, log_p and cdf_P keep an array's shape and return a float for a
+    0-d input, on the instances whose density is constant or whose p
+    reduces to a scalar expression: OrderStatistics(1, 1) returned the
+    float 1.0 for any array."""
+
+    @pytest.mark.parametrize("mech", [
+        OrderStatistics(1.0, 1.0), OrderStatistics(1.0, 2.0), MarshallOlkin(1.0),
+        TwoPiece(1.0, 1.0), SkewSymmetric.azzalini(0.0),
+        cli.build_mechanism("skewsym-custom", {"pi": "half"}),
+        extract_mechanism(compose(StandardNormal(), OrderStatistics(2.0, 3.0)), StandardNormal()),
+    ], ids=["orderstats-1-1", "orderstats-1-2", "marshall-olkin-1", "twopiece-1-1",
+            "azzalini-0", "pi-half", "numeric"])
+    def test_shape_follows_input(self, mech):
+        for fn in (mech.p, mech.log_p, mech.cdf_P):
+            assert type(fn(np.array(0.3))) is float
+            for shape in ((1,), (5,), (2, 3)):
+                out = fn(np.full(shape, 0.3))
+                assert isinstance(out, np.ndarray) and out.shape == shape
+                # a skew-symmetric cdf_P reads a table for an array (1.2e-7 here)
+                tol = 1e-6 if fn == mech.cdf_P and isinstance(mech, SkewSymmetric) else 0.0
+                assert np.max(np.abs(out - fn(0.3))) <= tol
+
+
 # Phi^-1(1 - 2^-53), where inversion through x = Phi(y) clipped its draws
 _CLIP = 8.209536151601387
 
