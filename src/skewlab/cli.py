@@ -1,11 +1,17 @@
 """Batch command-line surface.
 
-Subcommands: eval, sample, tail, check, verify. Output is CSV (header
-row, '.' decimal, full double precision) or JSON with round-trip exact
-numbers; exit codes are 0 for success, 1 for a verification failure and
-2 for usage or domain errors. Every command is pure given its flags and
-seed. The SKEWLAB_TOL environment variable overrides the default
-absolute tolerance of the underlying numerics.
+Subcommands: eval, sample, tail, check, verify. ``--format`` chooses CSV
+(header row, '.' decimal, full double precision) or JSON with round-trip
+exact numbers for the tables of eval, tail and verify; check always
+prints JSON and sample one draw per line. Exit codes are 0 for success,
+1 for a verification failure and 2 for usage or domain errors. Every
+command is pure given its flags and seed. The SKEWLAB_TOL environment
+variable overrides the default absolute tolerance of the underlying
+numerics.
+
+Each family name appears once, in ``_FAMILIES``, with its numeric
+parameters and constructor; ``FAMILIES``, the ``--family`` choices and
+``build_mechanism`` all read it.
 
 The argument parser is built once per process, on the first ``main``
 call, and reused: ``main`` can be called repeatedly in one process, and
@@ -29,16 +35,6 @@ from .errors import SkewlabError
 from .numcore import DEFAULT_TOL, Tolerance
 
 _STD = StandardNormal()
-
-FAMILIES = (
-    "azzalini",
-    "skewsym-custom",
-    "orderstats",
-    "marshall-olkin",
-    "twopiece-eps",
-    "twopiece-isf",
-    "twopiece-ab",
-)
 
 # named skewing functions for the skewsym-custom family; each takes a float
 # or a float array of y
@@ -78,48 +74,46 @@ def _parse_params(pairs: list[str]) -> dict:
     return params
 
 
-def _need(params: dict, family: str, *names: str) -> list[float]:
-    out = []
-    for name in names:
-        if name not in params:
-            raise UsageError(f"family {family!r} requires --param {name}=...")
-        value = params[name]
-        if not isinstance(value, float):
-            raise UsageError(f"parameter {name!r} must be numeric, got {value!r}")
-        out.append(value)
-    return out
+def _param(params: dict, family: str, name: str, default: float | None = None) -> float:
+    if name not in params and default is None:
+        raise UsageError(f"family {family!r} requires --param {name}=...")
+    value = params.get(name, default)
+    if not isinstance(value, float):
+        raise UsageError(f"parameter {name!r} must be numeric, got {value!r}")
+    return value
+
+
+def _skewsym_custom(params: dict) -> mechanisms.SkewSymmetric:
+    kind = params.get("pi")
+    if kind not in _PI_REGISTRY:
+        raise UsageError(
+            f"skewsym-custom requires --param pi=<{'|'.join(sorted(_PI_REGISTRY))}>")
+    alpha = _param(params, "skewsym-custom", "alpha", 1.0)
+    return mechanisms.SkewSymmetric(_PI_REGISTRY[kind](alpha))
+
+
+# each family's numeric --param names, in constructor order, and its
+# constructor; an entry without names reads the parameters itself
+_FAMILIES = {
+    "azzalini": (("alpha",), mechanisms.SkewSymmetric.azzalini),
+    "skewsym-custom": ((), _skewsym_custom),
+    "orderstats": (("psi1", "psi2"), mechanisms.OrderStatistics),
+    "marshall-olkin": (("gamma",), mechanisms.MarshallOlkin),
+    "twopiece-eps": (("gamma",), mechanisms.TwoPiece.epsilon_skew),
+    "twopiece-isf": (("gamma",), mechanisms.TwoPiece.inverse_scale_factors),
+    "twopiece-ab": (("a", "b"), mechanisms.TwoPiece),
+}
+FAMILIES = tuple(_FAMILIES)
 
 
 def build_mechanism(family: str, params: dict) -> mechanisms.SkewingMechanism:
     """The mechanism a family name and its named parameters describe."""
-    if family == "azzalini":
-        (alpha,) = _need(params, family, "alpha")
-        return mechanisms.SkewSymmetric.azzalini(alpha)
-    if family == "skewsym-custom":
-        kind = params.get("pi")
-        if kind not in _PI_REGISTRY:
-            raise UsageError(
-                f"skewsym-custom requires --param pi=<{'|'.join(sorted(_PI_REGISTRY))}>")
-        alpha = params.get("alpha", 1.0)
-        if not isinstance(alpha, float):
-            raise UsageError(f"parameter 'alpha' must be numeric, got {alpha!r}")
-        return mechanisms.SkewSymmetric(_PI_REGISTRY[kind](alpha))
-    if family == "orderstats":
-        psi1, psi2 = _need(params, family, "psi1", "psi2")
-        return mechanisms.OrderStatistics(psi1, psi2)
-    if family == "marshall-olkin":
-        (gamma,) = _need(params, family, "gamma")
-        return mechanisms.MarshallOlkin(gamma)
-    if family == "twopiece-eps":
-        (gamma,) = _need(params, family, "gamma")
-        return mechanisms.TwoPiece.epsilon_skew(gamma)
-    if family == "twopiece-isf":
-        (gamma,) = _need(params, family, "gamma")
-        return mechanisms.TwoPiece.inverse_scale_factors(gamma)
-    if family == "twopiece-ab":
-        a, b = _need(params, family, "a", "b")
-        return mechanisms.TwoPiece(a, b)
-    raise UsageError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+    if family not in FAMILIES:
+        raise UsageError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+    names, make = _FAMILIES[family]
+    if not names:
+        return make(params)
+    return make(*[_param(params, family, name) for name in names])
 
 
 def _parse_grid(raw: str) -> np.ndarray:
@@ -178,15 +172,9 @@ def cmd_eval(args, out) -> int:
     dist = mechanisms.compose(_STD, mech)
     if args.what in ("quantile", "p") and not np.all((grid > 0.0) & (grid < 1.0)):
         raise UsageError(f"--what {args.what} needs a grid inside (0, 1)")
-    if args.what == "pdf":
-        values = [dist.pdf(float(x)) for x in grid]
-    elif args.what == "cdf":
-        values = [dist.cdf(float(x)) for x in grid]
-    elif args.what == "quantile":
-        tol = _tolerance()
-        values = [dist.quantile(float(x), tol) for x in grid]
-    else:
-        values = [mech.p(float(x)) for x in grid]
+    fn = {"pdf": dist.pdf, "cdf": dist.cdf, "quantile": dist.quantile, "p": mech.p}[args.what]
+    extra = (_tolerance(),) if args.what == "quantile" else ()
+    values = [fn(float(x), *extra) for x in grid]
     _emit_table(["x", "value"], [[float(x), v] for x, v in zip(grid, values)], args.format, out)
     return 0
 
@@ -204,10 +192,7 @@ def cmd_sample(args, out) -> int:
 
 def cmd_tail(args, out) -> int:
     mech = build_mechanism(args.family, _parse_params(args.param))
-    ys = _parse_ys(args.ys)
-    if any(y <= 1.0 for y in ys):
-        raise UsageError(f"--ys must all exceed 1, got {ys}")
-    report = divisibility.steutel_statistic(mechanisms.compose(_STD, mech), ys)
+    report = divisibility.steutel_statistic(mechanisms.compose(_STD, mech), _parse_ys(args.ys))
     rows = [[r.y, r.log_tail, r.statistic] for r in report.rows]
     _emit_table(["y", "log_tail", "statistic"], rows, args.format, out)
     return 0
@@ -307,41 +292,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_family=True):
+    def add_command(name, fn, help, with_family=True, with_format=True):
+        p = sub.add_parser(name, help=help)
         if with_family:
             p.add_argument("--family", required=True, choices=FAMILIES)
             p.add_argument("--param", action="append", default=[],
                            metavar="NAME=VALUE", help="mechanism parameter, repeatable")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if with_format:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.set_defaults(fn=fn)
+        return p
 
-    p_eval = sub.add_parser("eval", help="tabulate pdf/cdf/quantile/p on a grid")
-    add_common(p_eval)
+    p_eval = add_command("eval", cmd_eval, "tabulate pdf/cdf/quantile/p on a grid")
     p_eval.add_argument("--what", required=True, choices=("pdf", "cdf", "quantile", "p"))
     p_eval.add_argument("--grid", required=True, metavar="LO:HI:N")
-    p_eval.set_defaults(fn=cmd_eval)
 
-    p_sample = sub.add_parser("sample", help="newline-delimited draws")
-    add_common(p_sample)
+    p_sample = add_command("sample", cmd_sample, "newline-delimited draws", with_format=False)
     p_sample.add_argument("--n", type=int, required=True)
     p_sample.add_argument("--seed", type=int, default=None)
-    p_sample.set_defaults(fn=cmd_sample)
 
-    p_tail = sub.add_parser("tail", help="log tail mass and divergence statistic")
-    add_common(p_tail)
+    p_tail = add_command("tail", cmd_tail, "log tail mass and divergence statistic")
     p_tail.add_argument("--ys", default=None, metavar="Y1,Y2,...")
-    p_tail.set_defaults(fn=cmd_tail)
 
-    p_check = sub.add_parser("check", help="divisibility verdict as JSON")
-    add_common(p_check)
+    p_check = add_command("check", cmd_check, "divisibility verdict as JSON", with_format=False)
     p_check.add_argument("--ys", default=None, metavar="Y1,Y2,...")
-    p_check.set_defaults(fn=cmd_check)
 
-    p_verify = sub.add_parser("verify", help="run the shipped verification matrices")
-    add_common(p_verify, with_family=False)
+    p_verify = add_command("verify", cmd_verify, "run the shipped verification matrices",
+                           with_family=False)
     p_verify.add_argument("--suite", choices=("thm1", "thm2", "roundtrip", "all"),
                           default="all")
-    p_verify.set_defaults(fn=cmd_verify)
     return parser
 
 

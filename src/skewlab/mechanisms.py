@@ -19,6 +19,8 @@ for a float or an ndarray of any shape (a 0-d input returns a float):
 Marshall-Olkin and order statistics in x (``cdf_P``, ``quantile_P``),
 the two-piece and skew-symmetric laws in y (``composed_cdf``,
 ``composed_quantile``). Each pair defaults to the other through Phi.
+Order statistics also write ``composed_cdf``, from Phi(-|y|), which
+never rounds toward 1.
 Log tails stay finite out to |y| ~ 40, where S is numerically 0 or 1. A
 family writes the lower one, ``composed_log_cdf``: closed or series
 forms, or for ``SkewSymmetric`` pi's own (``AzzaliniPi``, through Owen's
@@ -143,11 +145,6 @@ class SkewingMechanism(ABC):
     @property
     def is_identity(self) -> bool:
         return False
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        """Ordinates (in y-space) where the composed density is not smooth."""
-        return ()
 
     # -- composition hooks; the CDF and quantile also take arrays ----------
 
@@ -517,6 +514,26 @@ class OrderStatistics(SkewingMechanism):
         # I_x = x^psi1 / (psi1 B) to the series' first term, in logs: x underflows
         return float(_sp.ndtri_exp((math.log(q) + math.log(self.psi1) + self._log_b) / self.psi1))
 
+    def composed_cdf(self, y):
+        # above 0, one minus the mirror's at -y: x = Phi(-|y|) never rounds to 1
+        y = np.asarray(y, dtype=float)
+        up = y > 0.0
+        s = np.empty_like(y)
+        s[~up] = self._lower_cdf(y[~up])
+        s[up] = 1.0 - self.mirror._lower_cdf(-y[up])
+        return _out(s)
+
+    def _lower_cdf(self, y: np.ndarray) -> np.ndarray:
+        """I_x(psi1, psi2) at x = Phi(y) for y <= 0; where x is subnormal,
+        the series' first term x^psi1 / (psi1 B), from ln x."""
+        x = numcore.normal_cdf(y)
+        s = _sp.betainc(self.psi1, self.psi2, x)
+        sub = x < numcore._SMALLEST_NORMAL
+        if np.any(sub):
+            log_x = numcore.log_normal_cdf(y[sub])
+            s[sub] = np.exp(self.psi1 * log_x - math.log(self.psi1) - self._log_b)
+        return s
+
     def composed_log_pdf(self, y: float) -> float:
         return _STD.log_pdf(y) + self._log_p_from_logs(_STD.log_cdf(y), _STD.log_sf(y))
 
@@ -693,10 +710,6 @@ class TwoPiece(SkewingMechanism):
         return TwoPiece(self.b, self.a)
 
     @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return (0.0,)
-
-    @property
     def analytic_sup(self) -> float | None:
         if max(self.a, self.b) <= 1.0:
             return 2.0 / (self.a + self.b)  # both pieces peak at y = 0
@@ -860,10 +873,6 @@ class SkewedDistribution(ContinuousDistribution):
         if n < 1:
             raise DomainError(f"sample count must be >= 1, got {n}")
         return self.mechanism.composed_sample(rng, n)
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return self.mechanism.breakpoints
 
     def __repr__(self) -> str:
         return f"SkewedDistribution({_STD!r}, {self.mechanism!r})"

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from skewlab.cli import main
+from skewlab import mechanisms
+from skewlab.cli import FAMILIES, UsageError, build_mechanism, main
 
 
 def run_cli(capsys, *argv):
@@ -140,9 +141,10 @@ class TestTail:
         assert [float(r[0]) for r in rows] == [1.5, 2, 3, 5, 8, 10, 15, 20, 30]
 
     def test_rejects_small_ordinates(self, capsys):
-        code, _, _ = run_cli(capsys, "tail", "--family", "azzalini",
-                             "--param", "alpha=1", "--ys", "0.5,2")
+        code, _, err = run_cli(capsys, "tail", "--family", "azzalini",
+                               "--param", "alpha=1", "--ys", "0.5,2")
         assert code == 2
+        assert err == "error: all ordinates must exceed 1, got [0.5, 2.0]\n"
 
     def test_rejects_empty_grid(self, capsys):
         code, _, _ = run_cli(capsys, "tail", "--family", "azzalini",
@@ -251,6 +253,13 @@ class TestEnvTolerance:
         assert code == 2
         assert "SKEWLAB_TOL" in err
 
+    @pytest.mark.parametrize("what", ["pdf", "cdf", "p"])
+    def test_bad_value_is_read_by_quantile_only(self, capsys, monkeypatch, what):
+        monkeypatch.setenv("SKEWLAB_TOL", "not-a-number")
+        code, _, _ = run_cli(capsys, "eval", "--family", "azzalini", "--param", "alpha=1",
+                             "--what", what, "--grid=0.25:0.75:3")
+        assert code == 0
+
 
 class TestRepeatedCalls:
     """The parser is built once per process and reused by every main call."""
@@ -303,3 +312,77 @@ def test_unknown_family_usage_error():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 2
+
+
+# one README-style instance per family name, and the mechanism it builds
+FAMILY_INSTANCES = {
+    "azzalini": ({"alpha": 3.0}, "SkewSymmetric(pi=AzzaliniPi(alpha=3.0))"),
+    "skewsym-custom": ({"pi": "logistic", "alpha": 2.0}, None),
+    "orderstats": ({"psi1": 2.0, "psi2": 3.0}, "OrderStatistics(psi1=2.0, psi2=3.0)"),
+    "marshall-olkin": ({"gamma": 2.0}, "MarshallOlkin(gamma=2.0)"),
+    "twopiece-eps": ({"gamma": -0.5}, "TwoPiece(a=1.5, b=0.5)"),
+    "twopiece-isf": ({"gamma": 2.0}, "TwoPiece(a=0.5, b=2.0)"),
+    "twopiece-ab": ({"a": 5.0, "b": 0.1}, "TwoPiece(a=5.0, b=0.1)"),
+}
+
+
+class TestFamilyTable:
+    """Every family name lives in one table, read by ``FAMILIES``, the
+    ``--family`` choices and ``build_mechanism``."""
+
+    def test_every_family_has_an_instance(self):
+        assert FAMILIES == tuple(FAMILY_INSTANCES)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_builds(self, family):
+        params, expected = FAMILY_INSTANCES[family]
+        mech = build_mechanism(family, dict(params))
+        assert isinstance(mech, mechanisms.SkewingMechanism)
+        if expected is not None:
+            assert repr(mech) == expected
+
+    def test_twopiece_isf_checks_from_the_cli(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "--family", "twopiece-isf", "--param", "gamma=2")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "NOT_ID"
+
+    def test_skewsym_custom_alpha_defaults_to_one(self):
+        mech = build_mechanism("skewsym-custom", {"pi": "logistic"})
+        assert mech.pi(1.0) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), rel=1e-15)
+
+    @pytest.mark.parametrize("family,params,text", [
+        ("orderstats", {"psi1": 2.0}, "family 'orderstats' requires --param psi2=..."),
+        ("twopiece-ab", {}, "family 'twopiece-ab' requires --param a=..."),
+        ("orderstats", {"psi1": "x"}, "parameter 'psi1' must be numeric, got 'x'"),
+        ("skewsym-custom", {"pi": "logistic", "alpha": "z"},
+         "parameter 'alpha' must be numeric, got 'z'"),
+        ("skewsym-custom", {"pi": "nope"},
+         "skewsym-custom requires --param pi=<cauchy-cdf|half|logistic|sign>"),
+        ("nope", {}, "unknown family 'nope'; choose from azzalini, skewsym-custom, "
+                     "orderstats, marshall-olkin, twopiece-eps, twopiece-isf, twopiece-ab"),
+    ])
+    def test_usage_error_texts(self, family, params, text):
+        with pytest.raises(UsageError) as info:
+            build_mechanism(family, params)
+        assert str(info.value) == text
+
+
+class TestFormatOption:
+    """``--format`` exists where a table is printed: eval, tail and verify."""
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--family", "azzalini", "--param", "alpha=2", "--format", "json"),
+        ("sample", "--family", "azzalini", "--param", "alpha=2", "--n", "3",
+         "--format", "csv"),
+    ])
+    def test_rejected_where_nothing_reads_it(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+    def test_tail_prints_json(self, capsys):
+        code, out, _ = run_cli(capsys, "tail", "--family", "azzalini", "--param", "alpha=1",
+                               "--ys", "5,10", "--format", "json")
+        assert code == 0
+        assert [row["y"] for row in json.loads(out)] == [5.0, 10.0]

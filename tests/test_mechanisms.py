@@ -596,6 +596,24 @@ class TestArrayPathInY:
         dist = compose(std, TwoPiece(5.0, 0.1))
         assert abs(dist.cdf_array(np.array([y]))[0] - dist.cdf(y)) <= 1e-15
 
+    @pytest.mark.parametrize("psi1,psi2", [(2.0, 0.05), (5.0, 1e-3), (1e-3, 5.0)])
+    def test_order_statistics_draws_fit_cdf_array(self, std, psi1, psi2):
+        # about half the draws of the last two laws lie beyond |y| = 38, where
+        # Phi(y) rounds to 1 or underflows; the gamma-ratio draws share no
+        # code with cdf_array
+        dist = compose(std, OrderStatistics(psi1, psi2))
+        draws = sample_skewed(dist, RngState(1), 200_000)
+        res = ks_test(draws, dist.cdf_array)
+        assert res.statistic < 1.6276 / math.sqrt(res.n)
+
+    @pytest.mark.parametrize("psi1,psi2", [(2.0, 0.05), (5.0, 1e-3), (1e-3, 5.0), (2.0, 3.0),
+                                           (0.5, 0.5)])
+    def test_order_statistics_cdf_array_matches_cdf(self, std, psi1, psi2):
+        dist = compose(std, OrderStatistics(psi1, psi2))
+        ys = [-40.0, -38.5, -8.0, -1.0, 0.0, 0.5, 2.0, 8.2, 9.0, 12.0, 30.0, 40.0]
+        dev = np.abs(dist.cdf_array(np.array(ys)) - [dist.cdf(y) for y in ys])
+        assert np.max(dev) <= 1e-15
+
     def test_azzalini_table_is_read_in_y(self, std):
         mech = SkewSymmetric.azzalini(3.0)
         dist = compose(std, mech)

@@ -30,6 +30,12 @@ class TestOracleCdf:
         dist = compose(std, TwoPiece.epsilon_skew(-0.5))
         assert oracle_cdf(dist, 1.0) == pytest.approx(0.62126119367961563, abs=1e-9)
 
+    def test_twopiece_pinned(self, std):
+        # the values of the panels split at -8, 0 and 8, bit for bit
+        dist = compose(std, TwoPiece(5.0, 0.1))
+        got = [oracle_cdf(dist, y) for y in (-1.0, 0.5, 3.0)]
+        assert got == [3.0408484824388214e-25, 0.0977016417196647, 0.46224878872534597]
+
     def test_total_mass_one(self, std):
         for mech in (SkewSymmetric.azzalini(3.0), TwoPiece.epsilon_skew(0.3)):
             assert oracle_cdf(compose(std, mech), float("inf")) == pytest.approx(1.0, abs=1e-8)
