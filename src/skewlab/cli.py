@@ -28,6 +28,7 @@ import os
 import sys
 
 import numpy as np
+from scipy import special
 
 from . import divisibility, mechanisms
 from .distributions import RngState, StandardNormal
@@ -41,7 +42,7 @@ _STD = StandardNormal()
 _PI_REGISTRY = {
     "half": lambda alpha: (lambda y: 0.0 * y + 0.5),
     "sign": lambda alpha: (lambda y: (y >= 0.0) * 1.0),
-    "logistic": lambda alpha: (lambda y: 1.0 / (1.0 + np.exp(-alpha * y))),
+    "logistic": lambda alpha: (lambda y: special.expit(alpha * y)),  # no overflow far out
     "cauchy-cdf": lambda alpha: (lambda y: 0.5 + np.arctan(alpha * y) / math.pi),
 }
 

@@ -24,9 +24,10 @@ never rounds toward 1.
 Log tails stay finite out to |y| ~ 40, where S is numerically 0 or 1. A
 family writes the lower one, ``composed_log_cdf``: closed or series
 forms, or for ``SkewSymmetric`` pi's own (``AzzaliniPi``, through Owen's
-T), else quadrature. Its ``mirror``, the mechanism x -> 1 - P(1 - x) of
--Y, is in the same family and gives the upper tail at -y and the
-quantiles above 1/2 at 1 - q. ``SkewSymmetric`` roots a float's quantile.
+T), else a composite Gauss-Legendre rule. Its ``mirror``, the mechanism
+x -> 1 - P(1 - x) of -Y, is in the same family and gives the upper tail
+at -y and the quantiles above 1/2 at 1 - q. ``SkewSymmetric`` roots a
+float's quantile.
 ``composed_sample`` inverts ``composed_quantile``, except for the exact
 constructions: a normal's sign flip and a ratio of gamma variates.
 """
@@ -43,7 +44,7 @@ from scipy import special as _sp
 
 from . import numcore
 from .distributions import ContinuousDistribution, RngState, StandardNormal
-from .errors import DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError
 from .numcore import DEFAULT_TOL, LogProb, Tolerance
 
 __all__ = [
@@ -65,10 +66,10 @@ __all__ = [
 
 _STD = StandardNormal()
 _NEG_INF = float("-inf")
-_INF = float("inf")
 _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 _NORMAL_Q3 = 0.6744897501960817  # Phi^-1(3/4)
+_NEAR_ONE = -1.0 / 32.0  # ln S above it loses relative digits taken from S
 # the open unit interval's ends in doubles, where Phi^-1 stays finite
 _TINY, _TOP = 5e-324, 1.0 - 2**-53
 
@@ -90,6 +91,14 @@ def _within(x, open_: bool, what: str = "x"):
 def _log1mexp(v: float) -> float:
     """ln(1 - e^v) for v <= 0."""
     return math.log1p(-math.exp(v)) if v < 0.0 else _NEG_INF
+
+
+def _log_share(u: float, v: float) -> float:
+    """ln(u / (u + v)) for u, v >= 0, without rounding u / (u + v)."""
+    if u == 0.0:
+        return _NEG_INF
+    r = v / u
+    return math.log(u) - math.log(u + v) if math.isinf(r) else -math.log1p(r)
 
 
 class SkewingMechanism(ABC):
@@ -178,15 +187,15 @@ class SkewingMechanism(ABC):
         """ln(1 - S(y)), finite far past the rounding of S(y) to 1."""
         return self.mirror.composed_log_cdf(-y)
 
-
-def _composed_cdf(mech: SkewingMechanism, y: float) -> float:
-    """P(Phi(y)) from the smaller tail, so that neither rounds to 0 or 1
-    before it is taken: 1 - exp(log_sf) only where 1 - S(y) <= 1/2."""
-    if y > 0.0:
-        log_sf = mech.composed_log_sf(y)
-        if log_sf <= -_LOG2:
-            return -math.expm1(log_sf)
-    return math.exp(min(0.0, mech.composed_log_cdf(y)))
+    def _cdf_at(self, y: float) -> float:
+        """S(y) at a float y from the smaller tail, so that neither rounds
+        to 0 or 1 before it is taken: 1 - exp(log_sf) only where
+        1 - S(y) <= 1/2."""
+        if y > 0.0:
+            log_sf = self.composed_log_sf(y)
+            if log_sf <= -_LOG2:
+                return -math.expm1(log_sf)
+        return math.exp(min(0.0, self.composed_log_cdf(y)))
 
 
 # exact +-pairs; excludes 0, where indicator-style pi may break symmetry
@@ -252,6 +261,53 @@ def _gauss_rules() -> tuple[np.ndarray, ...]:
     return (*np.polynomial.laguerre.laggauss(64), *np.polynomial.legendre.leggauss(32))
 
 
+@cache
+def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes on [-1, 1] of the 32-point Gauss-Legendre rule and of a
+    15-point Gauss-Lobatto rule drawn in to +-(1 - 2^-30), side by side,
+    and the weights that sum values at the 47 by either rule. The Lobatto
+    rule gives each 2^-30 sliver it leaves its end node's value."""
+    legendre = np.polynomial.legendre
+    x32, w32 = legendre.leggauss(32)
+    p14 = np.eye(15)[14]  # P_14 in the Legendre basis
+    d1, d2 = legendre.legder(p14), legendre.legder(p14, 2)
+    x = -np.cos(np.pi * np.arange(1, 14) / 14.0)
+    for _ in range(6):  # Newton to the roots of P_14', with no general eigensolve
+        x -= legendre.legval(x, d1) / legendre.legval(x, d2)
+    x15 = np.concatenate([[-1.0], x, [1.0]])
+    w15 = 2.0 / (15 * 14 * legendre.legval(x15, p14) ** 2)
+    eps = 2.0**-30
+    w15 *= 1.0 - eps
+    w15[[0, -1]] += eps
+    return (np.concatenate([x32, (1.0 - eps) * x15]),
+            np.concatenate([w32, np.zeros(15)]), np.concatenate([np.zeros(32), w15]))
+
+
+# The custom-pi panel rule (SkewSymmetric). With t = y - s,
+#     S(y) = 2 phi(y) int_0^inf exp(y s - s^2/2) pi(y - s) ds,
+# a positive integrand whose exponent peaks at s = max(y, 0). A stretch
+# [a, b] of s is cut into panels geometric in s (edges at 2^-9 .. 1 of
+# it), which resolve the 1/|y| decay far out, plus an edge at t = 0, where
+# an indicator pi jumps; each panel is scaled by its own peak and summed
+# by the 32-point Gauss-Legendre rule, one pi call for all of them. The
+# first stretch ends at s = y + sqrt(y^2 + 90), where the exponent is -45.
+# As pi <= 1, the mass below t is at most 2 Phi(t); while that bound at
+# the stretch's end exceeds rel_tol of S, another follows, at least four
+# times as deep, or after one with no mass the deepest, 45 * 4^3 nats.
+# Panels are bisected until their error estimates add up to rel_tol / 4.3
+# of the total. The estimate is the distance from a 15-point Lobatto rule
+# whose end nodes sit 2^-30 of the panel inside its edges: it reads a step
+# at least 0.236 times its error anywhere outside those slivers, where two
+# Gauss rules share blind spots (32 and 16 points see no jump within
+# 0.048 of the middle or 0.0027 of an edge).
+_PANEL_EDGES = np.concatenate([[0.0], 2.0 ** np.arange(-9.0, 1.0)])
+_FIRST_DROP = 45.0
+_STRETCHES = 4
+_MAX_PANELS = 400  # per stretch, bisected ones included
+_SLACK = 4.3  # 1 / 0.236, the estimate's worst reading of a step
+_LOG_REL = math.log(DEFAULT_TOL.rel_tol)
+
+
 def _laguerre_tail(c: float, h: float) -> float:
     """exp(c^2/2) * int_c^inf exp(-t^2/2) / (1 + t^2/h^2) dt for c > 0."""
     x, w = _gauss_rules()[:2]
@@ -315,18 +371,27 @@ class SkewSymmetric(SkewingMechanism):
     pi may carry ``log``, ``composed_log_cdf`` (ln S) and ``mirror`` (pi(-y)
     as such an object), as ``AzzaliniPi`` does; the mirror mechanism is
     ``SkewSymmetric(pi.mirror)``, else that of pi(-y). ln S is pi's, else
-    log-space adaptive quadrature to ``DEFAULT_TOL``. Azzalini's closed form,
-    through Owen's T, is within 1e-14 * max(1, |ln S|) of mpmath for
-    |alpha| <= 1e3 and |y| <= 40 (tests/test_mechanisms.py,
-    ``TestAzzaliniClosedForm``). By quadrature, at y <= 0 it integrates
-    from y outward; at y >= Phi^-1(3/4) it is ln(1 - e^v), v the log of
-    the integral over [y, inf), at most ln(1/2) as 2 phi pi <= 2 phi; in
-    between, ln(S(0) + the integral over [0, y]), which does not cancel.
+    a fixed rule (see the comment above ``_PANEL_EDGES``). Azzalini's
+    closed form, through Owen's T, is within 1e-14 * max(1, |ln S|) of
+    mpmath for |alpha| <= 1e3 and |y| <= 40 (tests/test_mechanisms.py,
+    ``TestAzzaliniClosedForm``).
 
-    At a float the CDF comes from the smaller log tail, and a quantile is
-    the root in y on the tail on q's side of 1/2. Arrays (not draws, the
-    sign flip) interpolate a cached CDF table, read in y on [-13, 13] with
-    step h = 26/16384. Its error in probability is at most h^2/8 * max|s'|,
+    The rule gives ln S(y) for y < Phi^-1(3/4) to ``DEFAULT_TOL``'s
+    rel_tol, or raises ``ConvergenceError`` with the partial past 400
+    panels a stretch; where pi has no mass down to the exponent -2880, S
+    is 0. Where S is 3/4 or more, or above e^(-1/32), ln S is ln(1 - e^v),
+    v the mirror's ln S at -y. A pi smooth off 0 (the CLI's named pis)
+    gives ln S and ln(1 - S) within 1e-14 * max(1, |ln|) of mpmath for
+    |y| <= 40 (``TestCustomPiPanelRule``); one that jumps elsewhere, S and
+    1 - S within rel_tol, unless a jump lies within 2^-30 of a panel's
+    width from its edge, where no node sees it.
+
+    At a float the CDF is exp of the rule's ln S below Phi^-1(3/4) and one
+    minus the mirror's mass above it (for ``AzzaliniPi``, from the smaller
+    log tail); a quantile is the root in y of the CDF at q <= 1/2 and minus
+    the mirror's at 1 - q above. Arrays (not draws, the sign flip)
+    interpolate a cached CDF table, read in y on [-13, 13] with step
+    h = 26/16384. Its error in probability is at most h^2/8 * max|s'|,
     s the composed density: 1.2e-7 for Azzalini |alpha| = 1, 3.0e-7 for
     alpha = 3, 5.0e-6 for alpha = 50.
     """
@@ -373,29 +438,95 @@ class SkewSymmetric(SkewingMechanism):
     def composed_log_pdf(self, y: float) -> float:
         return _LOG2 + self._log_pi_at(y) + _STD.log_pdf(y)
 
-    def _log_mass(self, lo: float, hi: float) -> LogProb:
-        return min(0.0, numcore.log_integrate(self.composed_log_pdf, lo, hi))
-
-    @cached_property
-    def _log_s0(self) -> LogProb:
-        """ln S(0); the mirror's is this law's ln(1 - S(0))."""
-        return self._log_mass(_NEG_INF, 0.0)
-
-    # Quadpack can miss the bulk of an infinite interval that holds it, so
-    # no integral below crosses 0.
-
     def composed_log_cdf(self, y: float) -> LogProb:
         if self._pi_log_cdf is not None:
             return self._pi_log_cdf(y)
-        if y <= 0.0:
-            return self._log_mass(_NEG_INF, y)
         if y < _NORMAL_Q3:
-            return float(np.logaddexp(self._log_s0, self._log_mass(0.0, y)))
-        return _log1mexp(self._log_mass(y, _INF))
+            v = self._rule_log_cdf(y)
+            if v <= _NEAR_ONE:
+                return v
+        # from the mass above y, where S is 3/4 or more, or near 1 at all
+        return _log1mexp(self.mirror._rule_log_cdf(-y))
+
+    def _rule_log_cdf(self, y: float) -> LogProb:
+        """ln S(y) for y < Phi^-1(3/4) by the panel rule."""
+        numcore._require_finite(y)
+        log_front = _LOG2 + _STD.log_pdf(y)
+        log_mass, a, drop = _NEG_INF, 0.0, _FIRST_DROP
+        for _ in range(_STRETCHES):
+            b = y + math.sqrt(y * y + 2.0 * drop)
+            total, converged = self._log_stretch(y, a, b)
+            log_mass = float(np.logaddexp(log_mass, total))
+            if not converged:
+                raise ConvergenceError(
+                    f"panel rule for ln S({y!r}) did not converge in {_MAX_PANELS} panels",
+                    partial=min(0.0, log_front + log_mass))
+            # pi <= 1 bounds the mass below t = y - b by 2 Phi(y - b)
+            log_target = _LOG_REL + log_front + log_mass
+            if _LOG2 + float(_sp.log_ndtr(y - b)) <= log_target:
+                return min(0.0, log_front + log_mass)
+            a, drop = b, 4.0 * drop
+            if log_target == _NEG_INF:  # nothing yet: straight to the deepest stretch
+                drop = _FIRST_DROP * 4.0 ** (_STRETCHES - 1)
+            else:  # or as deep as 2 Phi(y - b) <= e^log_target asks
+                need = y + math.sqrt(2.0 * (_LOG2 - log_target))
+                drop = max(drop, need * (0.5 * need - y))
+        if log_mass == _NEG_INF:
+            return _NEG_INF
+        raise ConvergenceError(f"panel rule for ln S({y!r}) did not reach its truncation bound",
+                               partial=min(0.0, log_front + log_mass))
+
+    def _log_stretch(self, y: float, a: float, b: float) -> tuple[float, bool]:
+        """(ln int_a^b exp(y s - s^2/2) pi(y - s) ds, whether its error
+        estimate met rel_tol within _MAX_PANELS panels)."""
+        edges = a + (b - a) * _PANEL_EDGES
+        if a < y < b:
+            edges = np.sort(np.append(edges, y))
+        lo, hi = edges[:-1], edges[1:]
+        logs, errs = self._panel_logs(y, lo, hi)
+        while True:
+            top = logs.max()
+            if top == _NEG_INF:
+                return _NEG_INF, True
+            mass = np.exp(logs - top).sum()
+            total = float(top + math.log(mass))
+            if np.exp(errs - top).sum() <= DEFAULT_TOL.rel_tol / _SLACK * mass:
+                return total, True
+            if logs.size >= _MAX_PANELS:
+                return total, False
+            # one panel at least is over its share when the sum is over
+            bad = errs > _LOG_REL - math.log(_SLACK * logs.size) + total
+            mid = 0.5 * (lo[bad] + hi[bad])
+            new_lo, new_hi = np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]])
+            new_logs, new_errs = self._panel_logs(y, new_lo, new_hi)
+            lo, hi = np.concatenate([lo[~bad], new_lo]), np.concatenate([hi[~bad], new_hi])
+            logs = np.concatenate([logs[~bad], new_logs])
+            errs = np.concatenate([errs[~bad], new_errs])
+
+    def _panel_logs(self, y: float, lo: np.ndarray, hi: np.ndarray):
+        """Per panel [lo, hi] of s: ln of the 32-point sum of exp(y s - s^2/2)
+        pi(y - s), and ln of its error estimate."""
+        x, w_gauss, w_lobatto = _panel_rule()
+        half = 0.5 * (hi - lo)
+        s = (lo + half)[:, None] + half[:, None] * x
+        peak = np.minimum(np.maximum(lo, y), hi)
+        shift = peak * (y - 0.5 * peak)  # the exponent's largest value on the panel
+        f = np.exp(s * (y - 0.5 * s) - shift[:, None])
+        f *= np.asarray(self.pi((y - s).ravel()), dtype=float).reshape(s.shape)
+        gauss, lobatto = (f @ w_gauss) * half, (f @ w_lobatto) * half
+        with np.errstate(divide="ignore"):
+            return shift + np.log(gauss), shift + np.log(np.abs(gauss - lobatto))
+
+    def _cdf_at(self, y: float) -> float:
+        if self._pi_log_cdf is not None:
+            return super()._cdf_at(y)
+        if y < _NORMAL_Q3:  # one rule call: S itself keeps its digits
+            return math.exp(self._rule_log_cdf(y))
+        return -math.expm1(self.mirror._rule_log_cdf(-y))
 
     def composed_cdf(self, y):
         if isinstance(y, float):
-            return _composed_cdf(self, y)
+            return self._cdf_at(y)
         numcore._require_finite(y)
         y_grid, cdf = self._cdf_table
         return np.interp(y, y_grid, cdf, left=0.0, right=1.0)
@@ -405,16 +536,11 @@ class SkewSymmetric(SkewingMechanism):
         if not isinstance(q, float):
             y_grid, cdf = self._cdf_table
             return np.interp(q, cdf, y_grid)
-        # Above 1/2 the root is taken on the upper log tail, where 1 - q is
-        # exact and the CDF would have rounded to 1 long before.
-        if q <= 0.5:
-            def fn(t):
-                return _composed_cdf(self, t) - q
-        else:
-            log_1mq = math.log1p(-q)
+        if q > 0.5:  # 1 - q is exact, where the CDF would have rounded to 1
+            return 0.0 - self.mirror.composed_quantile(1.0 - q, tol)
 
-            def fn(t):
-                return log_1mq - self.composed_log_sf(t)
+        def fn(t):
+            return self._cdf_at(t) - q
         lo, hi = -1.0, 1.0
         while fn(lo) > 0.0 and lo > -40.0:
             lo *= 2.0
@@ -570,11 +696,15 @@ class OrderStatistics(SkewingMechanism):
     def analytic_sup(self) -> float | None:
         if self.psi1 < 1.0 or self.psi2 < 1.0:
             return None  # density diverges at an endpoint
-        if self.psi1 == 1.0 and self.psi2 == 1.0:
-            return 1.0
-        denom = self.psi1 + self.psi2 - 2.0
-        mode = (self.psi1 - 1.0) / denom
-        return self.p(mode)
+        a, b = self.psi1 - 1.0, self.psi2 - 1.0
+        if a == 0.0 or b == 0.0:  # a shape of 1: the mode is an endpoint
+            return self.p(1.0 if a > 0.0 else 0.0)
+        mode = a / (self.psi1 + self.psi2 - 2.0)
+        if 0.0 < mode < 1.0:
+            return self.p(mode)
+        # the mode a / (a + b) rounded onto an endpoint, where p is 0 or
+        # infinite: from ln x and ln(1 - x) at it
+        return math.exp(self._log_p_from_logs(_log_share(a, b), _log_share(b, a)))
 
     @property
     def is_identity(self) -> bool:
@@ -852,7 +982,7 @@ class SkewedDistribution(ContinuousDistribution):
         return self.mechanism.composed_log_pdf(_finite(y))
 
     def cdf(self, y: float) -> float:
-        return _composed_cdf(self.mechanism, _finite(y))
+        return self.mechanism._cdf_at(_finite(y))
 
     def cdf_array(self, y: np.ndarray) -> np.ndarray:
         return self.mechanism.composed_cdf(np.asarray(y, dtype=float))

@@ -301,6 +301,10 @@ def log_integrate(
     quadrature, so integrals far below the double underflow threshold
     (total mass down to e^-700 and beyond) come out as finite logs.
     Returns -inf when the integrand is 0 everywhere it was probed.
+
+    No library code calls it: custom-pi tails take ``SkewSymmetric``'s
+    fixed panel rule. It stays because perfbench's tracer wraps it by name
+    (``perfbench/spans.py``), until the benchmark drops that wrap.
     """
     if math.isnan(lo) or math.isnan(hi):
         raise DomainError("integration limits must not be NaN")

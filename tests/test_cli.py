@@ -152,6 +152,37 @@ class TestTail:
         assert code == 2
 
 
+class TestLogisticPi:
+    """pi=logistic is scipy's expit: 1 / (1 + exp(-alpha y)) overflowed, a
+    RuntimeWarning, from alpha y ~ -710, at alpha = 10 by |y| = 71."""
+
+    @pytest.mark.parametrize("alpha", [10.0, 1e3])
+    def test_tail_out_to_forty(self, capsys, alpha):
+        import mpmath as mp
+        import numpy as np
+        from oracles import mp_skew_symmetric_log_tails
+
+        code, out, _ = run_cli(capsys, "tail", "--family", "skewsym-custom", "--param",
+                               "pi=logistic", "--param", f"alpha={alpha!r}", "--ys", "5,20,40")
+        assert code == 0
+        mp_pi = lambda t: 1 / (1 + mp.exp(-alpha * t))
+        for y, log_tail, _ in parse_csv(out)[1]:
+            y = float(y)
+            want = np.logaddexp(mp_skew_symmetric_log_tails(mp_pi, -y)[0],
+                                mp_skew_symmetric_log_tails(mp_pi, y)[1])
+            assert float(log_tail) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [10.0, 1e3])
+    def test_eval_over_the_grid(self, capsys, alpha):
+        for what, grid in (("pdf", "-40:40:17"), ("cdf", "-40:40:17"),
+                           ("quantile", "0.00001:0.99999:9")):
+            code, out, _ = run_cli(capsys, "eval", "--family", "skewsym-custom", "--param",
+                                   "pi=logistic", "--param", f"alpha={alpha!r}",
+                                   "--what", what, f"--grid={grid}")
+            assert code == 0
+            assert all(math.isfinite(float(r[1])) for r in parse_csv(out)[1])
+
+
 class TestCheck:
     def test_azzalini_not_id(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--family", "azzalini", "--param", "alpha=2")
@@ -169,6 +200,17 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "--family", "twopiece-eps", "--param", "gamma=0")
         assert code == 0
         assert json.loads(out)["verdict"] == "NORMAL_ESCAPE"
+
+    @pytest.mark.parametrize("p1,p2", [("1", "1.0000000000000002"), ("1.00000000000001", "1"),
+                                       ("1.000000000000001", "1")])
+    def test_orderstats_shape_next_to_one(self, capsys, p1, p2):
+        # analytic_sup divided by zero or left [0, 1] at these shapes
+        code, out, _ = run_cli(capsys, "check", "--family", "orderstats",
+                               "--param", f"psi1={p1}", "--param", f"psi2={p2}")
+        assert code == 0
+        d = json.loads(out)
+        assert d["verdict"] == "NOT_ID" and d["rule"] == "theorem-1"
+        assert d["bound"] == pytest.approx(max(float(p1), float(p2)), rel=1e-15)
 
     def test_orderstats_below_one_inconclusive(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--family", "orderstats",

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -12,8 +15,9 @@ from oracles import (
     mp_log_normal_sf,
     mp_reg_inc_beta,
     mp_skew_normal_log_tails,
+    mp_skew_symmetric_log_tails,
 )
-from skewlab import cli, numcore
+from skewlab import ConvergenceError, cli, mechanisms, numcore
 from skewlab import (
     AzzaliniPi,
     DomainError,
@@ -191,6 +195,23 @@ class TestOrderStatisticsForms:
         assert OrderStatistics(1.0, 2.0).analytic_sup == pytest.approx(2.0, abs=1e-12)
         assert OrderStatistics(0.5, 2.0).analytic_sup is None
         assert OrderStatistics(1.0, 1.0).analytic_sup == 1.0
+
+    @pytest.mark.parametrize("p1,p2", [(1.0, 1.0000000000000002), (1.0 + 1e-14, 1.0),
+                                       (1.0 + 1e-15, 1.0), (1.0000000000000002, 1.0)])
+    def test_analytic_sup_with_a_shape_of_one(self, p1, p2):
+        # the other shape is the density's value at the mode, an endpoint;
+        # psi1 + psi2 - 2 once rounded to 0 or put the mode outside [0, 1]
+        assert OrderStatistics(p1, p2).analytic_sup == pytest.approx(max(p1, p2), rel=1e-15)
+
+    @given(st.sampled_from([1.0, 1.0 + 2**-52, 1.0 + 1e-15, 1.0 + 1e-14, 1.0 + 1e-9, 2.0, 1e3]),
+           st.sampled_from([1.0, 1.0 + 2**-52, 1.0 + 1e-15, 1.0 + 1e-14, 1.0 + 1e-9, 2.0, 1e3]))
+    @settings(max_examples=49, deadline=None)
+    def test_analytic_sup_is_the_density_at_the_mode(self, p1, p2):
+        # against the Beta density at the exact mode in mpmath
+        a, b = mp.mpf(p1) - 1, mp.mpf(p2) - 1
+        mode = mp.mpf(0) if a == 0 else (mp.mpf(1) if b == 0 else a / (a + b))
+        want = mode ** a * (1 - mode) ** b / mp.beta(p1, p2)
+        assert OrderStatistics(p1, p2).analytic_sup == pytest.approx(float(want), rel=1e-12)
 
 
 class TestTwoPieceForms:
@@ -748,8 +769,8 @@ def _mp_log_erf(y):
 
 
 class TestCustomPiNearZero:
-    """By quadrature, ln S(y) at 0 < y < Phi^-1(3/4) is ln(S(0) + the
-    integral over [0, y]), and ln(1 - S(y)) at -Phi^-1(3/4) < y < 0 its
+    """ln S(y) at 0 < y < Phi^-1(3/4) is the panel rule's integral from y
+    down, with an edge at 0, and ln(1 - S(y)) at -Phi^-1(3/4) < y < 0 its
     mirror. As ln(1 - e^v), with e^v the mass beyond y, it was 8.5e-6
     off in relative terms at y = 1e-12. pi = 1[y >= 0] composes to the
     half-normal, and pi = 1[y <= 0] to its mirror image."""
@@ -762,6 +783,25 @@ class TestCustomPiNearZero:
         assert right.log_cdf(y) == pytest.approx(want, rel=1e-15, abs=0.0)
         assert left.log_sf(-y) == pytest.approx(want, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("y", [1e-12, 1e-6, 0.3])
+    def test_log_tails_near_zero_nats(self, std, y):
+        # ln(1 - erf(y / sqrt 2)) is log1p of minus the smaller mass, not
+        # the log of a mass near 1, which lost 2.7e-4 of it at y = 1e-12;
+        # that mass is exp of a log of 28 nats, good to 28 ulp
+        right = compose(std, SkewSymmetric(lambda t: (t >= 0.0) * 1.0))
+        left = compose(std, SkewSymmetric(lambda t: (t <= 0.0) * 1.0))
+        want = float(mp.log1p(-mp.erf(mp.mpf(y) / mp.sqrt(2))))
+        assert right.log_sf(y) == pytest.approx(want, rel=4e-15, abs=0.0)
+        assert left.log_cdf(-y) == pytest.approx(want, rel=4e-15, abs=0.0)
+
+    @pytest.mark.parametrize("q", [1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+    def test_left_skewed_upper_quantile_hits_its_mass(self, std, q):
+        # minus the mirror's quantile at 1 - q: the root lies just below 0,
+        # where 1 - S jumps to 0; rooted on ln(1 - S) it was 0.16 off in ln
+        # at q = 1 - 1e-12
+        dist = compose(std, SkewSymmetric(lambda t: (t <= 0.0) * 1.0))
+        assert abs(_mp_log_erf(-dist.quantile(q)) - math.log1p(-q)) <= 1e-12
+
     @pytest.mark.parametrize("q", [1e-12, 1e-6])
     def test_lower_quantile_hits_its_mass(self, std, q):
         # the root lies just above 0; it was 3.4e-5 off in ln at q = 1e-12
@@ -769,12 +809,158 @@ class TestCustomPiNearZero:
         assert abs(_mp_log_erf(dist.quantile(q)) - math.log(q)) <= 1e-12
 
 
+# Custom pis for the panel rule, each with its mpmath twin and the points
+# where it jumps: the CLI's named pis, and one that jumps at -1 and 1.
+def _jump_pi(t):
+    t = np.asarray(t, dtype=float)
+    return np.where(t >= 1.0, 1.0, np.where(t > -1.0, 0.5, 0.0))
+
+
+def _mp_jump_pi(t):
+    return mp.mpf(1) if t >= 1 else (mp.mpf(1) / 2 if t > -1 else mp.mpf(0))
+
+
+def _mp_logistic(alpha):
+    return lambda t: 1 / (1 + mp.exp(-alpha * t))
+
+
+def _named_pi(kind, alpha=1.0):
+    return cli.build_mechanism("skewsym-custom", {"pi": kind, "alpha": alpha})
+
+
+CUSTOM_PIS = {
+    "sign": (_named_pi("sign"), lambda t: mp.mpf(1 if t >= 0 else 0), (0,)),
+    "logistic-1": (_named_pi("logistic", 1.0), _mp_logistic(1), ()),
+    "logistic-10": (_named_pi("logistic", 10.0), _mp_logistic(10), ()),
+    "cauchy-cdf": (_named_pi("cauchy-cdf"), lambda t: mp.mpf(1) / 2 + mp.atan(t) / mp.pi, ()),
+    "jump": (SkewSymmetric(_jump_pi), _mp_jump_pi, (-1, 1)),
+}
+# The stated accuracy of the panel rule (SkewSymmetric docstring): in nats
+# times max(1, |ln|) for a pi smooth off 0, and rel_tol in S and 1 - S
+# for one that jumps elsewhere.
+CUSTOM_LOG_REL = {"jump": 1e-10}
+
+
+def _assert_custom_log_tails(name, y):
+    mech, mp_pi, jumps = CUSTOM_PIS[name]
+    dist = compose(StandardNormal(), mech)
+    want_cdf, want_sf = mp_skew_symmetric_log_tails(mp_pi, y, jumps)
+    tol = CUSTOM_LOG_REL.get(name, 1e-14)
+    for got, want in ((dist.log_cdf(y), want_cdf), (dist.log_sf(y), want_sf)):
+        if math.isinf(want):
+            assert got == want, (got, want)
+        else:
+            assert abs(got - want) <= tol * max(1.0, abs(want)), (got, want)
+    upper = y > 0.0 and want_sf <= -math.log(2.0)
+    log_mass = want_sf if upper else want_cdf
+    want = -math.expm1(want_sf) if upper else math.exp(want_cdf)
+    tol_cdf = tol * max(1.0, abs(log_mass)) * want + 4e-16 * want if want > 0.0 else 0.0
+    assert abs(dist.cdf(y) - want) <= tol_cdf, (dist.cdf(y), want)
+
+
+class TestCustomPiPanelRule:
+    """The custom-pi log tails by the composite Gauss-Legendre rule, against
+    the split mpmath oracle."""
+
+    @given(st.sampled_from(sorted(CUSTOM_PIS)), st.floats(min_value=-40.0, max_value=40.0))
+    @settings(max_examples=60, deadline=None)
+    @example(name="jump", y=-0.999)  # the jump 1e-3 below y; quadpack gave -inf
+    @example(name="jump", y=0.6744897501960817)  # Phi^-1(3/4), the rule's top
+    @example(name="sign", y=1e-9)
+    @example(name="logistic-10", y=-40.0)  # pi(y) = e^-400 needs a second stretch
+    @example(name="cauchy-cdf", y=40.0)
+    def test_log_tails_and_cdf(self, name, y):
+        _assert_custom_log_tails(name, y)
+
+    @staticmethod
+    def _count(monkeypatch, method):
+        calls = []
+        original = getattr(SkewSymmetric, method)
+
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(SkewSymmetric, method, counted)
+        return calls
+
+    def test_truncation_extends_past_a_pi_empty_near_y(self, monkeypatch):
+        # pi = 1 below -12 and on [0, 12], else 0: S(y) = 2 Phi(-12) for y in
+        # (-12, 0), all of it below the first stretch's end at t = -9.5
+        def far_pi(t):
+            t = np.asarray(t, dtype=float)
+            return ((t < -12.0) | ((t >= 0.0) & (t <= 12.0))) * 1.0
+
+        stretches = self._count(monkeypatch, "_log_stretch")
+        got = compose(StandardNormal(), SkewSymmetric(far_pi)).log_cdf(-1.0)
+        assert len(stretches) == 2
+        want = float(mp.log(2 * mp.ncdf(-12)))
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_truncation_extends_for_a_fast_decaying_pi(self, monkeypatch):
+        # logistic 10 at y = -40: 2 Phi(y - b) at the first stretch's end
+        # is above rel_tol of S ~ e^-1204, so a second stretch is taken
+        stretches = self._count(monkeypatch, "_log_stretch")
+        _assert_custom_log_tails("logistic-10", -40.0)
+        assert len(stretches) >= 2
+
+    def test_a_jump_off_zero_is_bisected(self, monkeypatch):
+        # pi jumps at t = -1, 0.5 above the left end of y = -0.5's stretch;
+        # S(-0.5) = Phi(-0.5) - Phi(-1)
+        rounds = self._count(monkeypatch, "_panel_logs")
+        got = compose(StandardNormal(), SkewSymmetric(_jump_pi)).log_cdf(-0.5)
+        assert len(rounds) > 10
+        want = float(mp.log(mp.ncdf(-0.5) - mp.ncdf(-1)))
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_smooth_pi_takes_one_round(self, monkeypatch):
+        rounds = self._count(monkeypatch, "_panel_logs")
+        compose(StandardNormal(), CUSTOM_PIS["cauchy-cdf"][0]).log_cdf(-2.0)
+        assert len(rounds) == 1
+
+    def test_panel_cap_raises_with_the_partial(self):
+        # a jump every pi/50 in t: the cap of panels comes first
+        def comb_pi(t):
+            return 0.5 + 0.5 * np.sign(np.sin(50.0 * np.asarray(t, dtype=float)))
+
+        mech = SkewSymmetric(comb_pi)
+        with pytest.raises(ConvergenceError, match="did not converge") as info:
+            mech.composed_log_cdf(-1.0)
+        # about half the mass of 2 phi below -1, which is 2 Phi(-1)
+        assert info.value.partial == pytest.approx(math.log(float(normal_cdf(-1.0))), abs=0.1)
+
+    def test_pi_zero_below_y_gives_minus_inf(self):
+        mech = CUSTOM_PIS["jump"][0]
+        assert mech.composed_log_cdf(-1.5) == float("-inf")
+        assert compose(StandardNormal(), mech).cdf(-30.0) == 0.0
+
+    def test_rule_nodes_are_made_on_first_use(self):
+        # not at import or construction, so setup costs no eigensolve
+        code = ("from skewlab import cli, mechanisms; "
+                "cli.build_mechanism('skewsym-custom', {'pi': 'logistic'}); "
+                "print(mechanisms._panel_rule.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "0"
+        x, w_gauss, w_lobatto = mechanisms._panel_rule()
+        assert np.all(np.abs(x) < 1.0)
+        for w in (w_gauss, w_lobatto):  # exact up to degree 27 on [-1, 1]
+            for k in range(28):
+                assert w @ x**k == pytest.approx((1 + (-1) ** k) / (k + 1), abs=2e-15)
+
+
 class TestAzzaliniRunsNoQuadrature:
     def test_quadrature_is_never_reached(self, std, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("numcore.log_integrate was called")
+        # neither quadpack nor the custom-pi panel rule; the control, a
+        # custom pi equal to Azzalini's, does reach the rule
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} was called")
+            return call
 
-        monkeypatch.setattr(numcore, "log_integrate", forbidden)
+        monkeypatch.setattr(numcore, "log_integrate", forbidden("numcore.log_integrate"))
+        monkeypatch.setattr(SkewSymmetric, "_rule_log_cdf", forbidden("the panel rule"))
         mech = SkewSymmetric.azzalini(3.0)
         dist = compose(std, mech)
         for y in (-30.0, -2.0, 0.0, 2.0, 30.0):
@@ -785,7 +971,7 @@ class TestAzzaliniRunsNoQuadrature:
         assert all(row.passed for row in verify_theorem1_bound(mech))
         assert divisibility_verdict(mech).verdict is Verdict.NOT_ID
         custom = compose(std, SkewSymmetric(lambda y: normal_cdf(3.0 * np.asarray(y, dtype=float))))
-        with pytest.raises(AssertionError, match="log_integrate"):
+        with pytest.raises(AssertionError, match="panel rule"):
             custom.log_sf(2.0)
 
 
