@@ -58,8 +58,10 @@ __all__ = [
 # Moderate through extreme tails, staying inside log-double reach.
 DEFAULT_Y_GRID = (1.5, 2.0, 3.0, 5.0, 8.0, 10.0, 15.0, 20.0, 30.0)
 
-# Classifier knobs: stabilization for BOUNDED, growth factor for UNBOUNDED,
-# both measured across the last three refinements.
+# Classifier knobs: refinements toward each endpoint, stabilization for
+# BOUNDED, growth factor for UNBOUNDED, the last two measured across the
+# last three refinements.
+_DEPTH = 10
 _STABLE_REL = 1e-6
 _GROWTH_FACTOR = 4.0
 
@@ -209,12 +211,12 @@ def steutel_statistic(dist: ContinuousDistribution, ys) -> TailReport:
 
 
 @cache
-def _probe_grid(depth: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """The base grid and ``depth`` endpoint clusters end to end, the offset
+def _probe_grid() -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The base grid and the _DEPTH endpoint clusters end to end, the offset
     each starts at (both read-only), and the cumulative grid sizes: fixed
-    inputs, built once per depth."""
+    inputs, built once."""
     grids = [np.concatenate([np.linspace(1e-3, 1.0 - 1e-3, 1999), [0.5]])]
-    for k in range(1, depth + 1):
+    for k in range(1, _DEPTH + 1):
         eps = 10.0 ** (-(2 + k))
         cluster = np.geomspace(eps, eps * 100.0, 13)
         grids.append(np.concatenate([cluster, 1.0 - cluster]))
@@ -224,24 +226,22 @@ def _probe_grid(depth: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     return grid, starts, ends
 
 
-def estimate_sup_p(mech: SkewingMechanism, depth: int = 10) -> BoundednessReport:
+def estimate_sup_p(mech: SkewingMechanism) -> BoundednessReport:
     """Classify sup p by refining evaluation grids toward the endpoints.
 
-    Refinement k pushes the closest grid points to 10^-(2+k) from each
-    endpoint, down to 1e-12 at the default depth. The running sup over
-    the accumulated grid is monotone, so the classifier only has to look
-    at its increments: stabilized within 1e-6 relative over the last
+    Refinement k = 1 .. 10 pushes the closest grid points to 10^-(2+k)
+    from each endpoint, down to 1e-12. The running sup over the
+    accumulated grid is monotone, so the classifier only has to look at
+    its increments: stabilized within 1e-6 relative over the last
     three refinements reads BOUNDED, growth by a factor >= 4 over the
     same window reads UNBOUNDED, anything in between is INCONCLUSIVE.
     An analytic bound on the mechanism certifies BOUNDED directly.
 
-    The grids are fixed and built once per depth. p is called once, on
-    all of them end to end; the running sup takes each grid's largest
-    finite value, and is +inf from the first grid with an infinite p on.
+    The grids are fixed and built once. p is called once, on all of them
+    end to end; the running sup takes each grid's largest finite value,
+    and is +inf from the first grid with an infinite p on.
     """
-    if depth < 3:
-        raise DomainError(f"need at least 3 refinements, got depth={depth}")
-    grid, starts, ends = _probe_grid(depth)
+    grid, starts, ends = _probe_grid()
     vals = np.asarray(mech.p(grid), dtype=float)
     grid_max = np.maximum.reduceat(np.where(np.isfinite(vals), vals, -np.inf), starts).tolist()
     grid_inf = np.logical_or.reduceat(np.isinf(vals), starts).tolist()

@@ -111,7 +111,9 @@ class SkewingMechanism(ABC):
     on all its probe points and reads the result grid by grid.
     It writes ``composed_log_cdf`` and ``mirror``, the mechanism of -Y, whose
     lower tail and quantiles are this one's upper ones, and may write
-    ``composed_sample`` in place of inversion.
+    ``composed_sample`` in place of inversion. ``composed_log_cdf`` works
+    from the smaller tail, ln(1 - e^v) of the mirror's v where S is near 1,
+    so exp of it is S(y) at a float (``SkewedDistribution.cdf``).
     Instances are immutable and validated at construction; all evaluation
     methods are pure. ``analytic_sup`` is an upper bound for p known in
     closed form, or None; ``is_identity`` reports whether the composition
@@ -187,16 +189,6 @@ class SkewingMechanism(ABC):
         """ln(1 - S(y)), finite far past the rounding of S(y) to 1."""
         return self.mirror.composed_log_cdf(-y)
 
-    def _cdf_at(self, y: float) -> float:
-        """S(y) at a float y from the smaller tail, so that neither rounds
-        to 0 or 1 before it is taken: 1 - exp(log_sf) only where
-        1 - S(y) <= 1/2."""
-        if y > 0.0:
-            log_sf = self.composed_log_sf(y)
-            if log_sf <= -_LOG2:
-                return -math.expm1(log_sf)
-        return math.exp(min(0.0, self.composed_log_cdf(y)))
-
 
 # exact +-pairs; excludes 0, where indicator-style pi may break symmetry
 _HALF_GRID = np.linspace(0.016, 8.0, 500)
@@ -268,7 +260,7 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and the weights that sum values at the 47 by either rule. The Lobatto
     rule gives each 2^-30 sliver it leaves its end node's value."""
     legendre = np.polynomial.legendre
-    x32, w32 = legendre.leggauss(32)
+    x32, w32 = _gauss_rules()[2:]
     p14 = np.eye(15)[14]  # P_14 in the Legendre basis
     d1, d2 = legendre.legder(p14), legendre.legder(p14, 2)
     x = -np.cos(np.pi * np.arange(1, 14) / 14.0)
@@ -386,9 +378,8 @@ class SkewSymmetric(SkewingMechanism):
     1 - S within rel_tol, unless a jump lies within 2^-30 of a panel's
     width from its edge, where no node sees it.
 
-    At a float the CDF is exp of the rule's ln S below Phi^-1(3/4) and one
-    minus the mirror's mass above it (for ``AzzaliniPi``, from the smaller
-    log tail); a quantile is the root in y of the CDF at q <= 1/2 and minus
+    At a float the CDF is exp of ln S, and a quantile is its root in y at
+    q <= 1/2, bracketed by ``ContinuousDistribution.quantile``, and minus
     the mirror's at 1 - q above. Arrays (not draws, the sign flip)
     interpolate a cached CDF table, read in y on [-13, 13] with step
     h = 26/16384. Its error in probability is at most h^2/8 * max|s'|,
@@ -486,16 +477,19 @@ class SkewSymmetric(SkewingMechanism):
         logs, errs = self._panel_logs(y, lo, hi)
         while True:
             top = logs.max()
-            if top == _NEG_INF:
-                return _NEG_INF, True
-            mass = np.exp(logs - top).sum()
-            total = float(top + math.log(mass))
-            if np.exp(errs - top).sum() <= DEFAULT_TOL.rel_tol / _SLACK * mass:
-                return total, True
+            if top == _NEG_INF:  # no Gauss node saw mass: bisect where a Lobatto node did
+                total, bad = _NEG_INF, errs > _NEG_INF
+                if not bad.any():
+                    return _NEG_INF, True
+            else:
+                mass = np.exp(logs - top).sum()
+                total = float(top + math.log(mass))
+                if np.exp(errs - top).sum() <= DEFAULT_TOL.rel_tol / _SLACK * mass:
+                    return total, True
+                # one panel at least is over its share when the sum is over
+                bad = errs > _LOG_REL - math.log(_SLACK * logs.size) + total
             if logs.size >= _MAX_PANELS:
                 return total, False
-            # one panel at least is over its share when the sum is over
-            bad = errs > _LOG_REL - math.log(_SLACK * logs.size) + total
             mid = 0.5 * (lo[bad] + hi[bad])
             new_lo, new_hi = np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]])
             new_logs, new_errs = self._panel_logs(y, new_lo, new_hi)
@@ -517,16 +511,9 @@ class SkewSymmetric(SkewingMechanism):
         with np.errstate(divide="ignore"):
             return shift + np.log(gauss), shift + np.log(np.abs(gauss - lobatto))
 
-    def _cdf_at(self, y: float) -> float:
-        if self._pi_log_cdf is not None:
-            return super()._cdf_at(y)
-        if y < _NORMAL_Q3:  # one rule call: S itself keeps its digits
-            return math.exp(self._rule_log_cdf(y))
-        return -math.expm1(self.mirror._rule_log_cdf(-y))
-
     def composed_cdf(self, y):
         if isinstance(y, float):
-            return self._cdf_at(y)
+            return math.exp(self.composed_log_cdf(y))
         numcore._require_finite(y)
         y_grid, cdf = self._cdf_table
         return np.interp(y, y_grid, cdf, left=0.0, right=1.0)
@@ -538,15 +525,7 @@ class SkewSymmetric(SkewingMechanism):
             return np.interp(q, cdf, y_grid)
         if q > 0.5:  # 1 - q is exact, where the CDF would have rounded to 1
             return 0.0 - self.mirror.composed_quantile(1.0 - q, tol)
-
-        def fn(t):
-            return self._cdf_at(t) - q
-        lo, hi = -1.0, 1.0
-        while fn(lo) > 0.0 and lo > -40.0:
-            lo *= 2.0
-        while fn(hi) < 0.0 and hi < 40.0:
-            hi *= 2.0
-        return numcore.find_root(fn, lo, hi, tol)
+        return ContinuousDistribution.quantile(SkewedDistribution(self), q, tol)
 
     def composed_sample(self, rng: RngState, n: int) -> np.ndarray:
         # the sign flip (Wang, Boyer & Genton 2004): X ~ N(0, 1) kept where
@@ -624,21 +603,21 @@ class OrderStatistics(SkewingMechanism):
         return OrderStatistics(self.psi2, self.psi1)  # 1 - I_x(a, b) = I_{1-x}(b, a)
 
     def composed_quantile(self, q, tol: Tolerance = DEFAULT_TOL):
-        if not (isinstance(q, float) and 0.0 < q <= 0.5):
-            return super().composed_quantile(q, tol)
-        x = numcore.inv_reg_inc_beta(q, self.psi1, self.psi2)
-        if x > 0.5:  # 1 - x, rounded or 1 outright, is the mirror's x at 1 - q
-            u = numcore.inv_reg_inc_beta(1.0 - q, self.psi2, self.psi1)
-            return 0.0 - self.mirror._normal_quantile_of(1.0 - q, u)
-        return self._normal_quantile_of(q, x)
+        # Phi^-1(x), x = I^-1_q(psi1, psi2), or minus the mirror's at 1 - q:
+        # above 1/2, where 1 - q is exact, unless the mirror's x lies above
+        # 1/2, and below 1/2 where x does, as 1 - x rounds there, or to 1
+        q = _within(q, open_=True, what="q")
+        x = _sp.betaincinv(self.psi1, self.psi2, q)
+        u = _sp.betaincinv(self.psi2, self.psi1, 1.0 - q)
+        own = np.where(q > 0.5, u > 0.5, ~(x > 0.5))  # a NaN x, unsolved, is tiny
+        return _out(np.where(own, self._normal_quantile_of(q, x),
+                             0.0 - self.mirror._normal_quantile_of(1.0 - q, u)))
 
-    def _normal_quantile_of(self, q: float, x) -> float:
-        """Phi^-1(x) for x = I^-1_q(psi1, psi2) <= 1/2, from logs where x
-        underflows."""
-        if x >= numcore._SMALLEST_NORMAL:
-            return _STD.quantile(float(x))
-        # I_x = x^psi1 / (psi1 B) to the series' first term, in logs: x underflows
-        return float(_sp.ndtri_exp((math.log(q) + math.log(self.psi1) + self._log_b) / self.psi1))
+    def _normal_quantile_of(self, q, x):
+        """Phi^-1(x) for x = I^-1_q(psi1, psi2), from logs where x underflows."""
+        # I_x = x^psi1 / (psi1 B) to the series' first term, in logs
+        log_x = (np.log(q) + math.log(self.psi1) + self._log_b) / self.psi1
+        return np.where(x >= numcore._SMALLEST_NORMAL, _sp.ndtri(x), _sp.ndtri_exp(log_x))
 
     def composed_cdf(self, y):
         # above 0, one minus the mirror's at -y: x = Phi(-|y|) never rounds to 1
@@ -893,10 +872,6 @@ class NumericMechanism(SkewingMechanism):
         return self.source.log_pdf(z) - _STD.log_pdf(z)
 
     @_elementwise
-    def cdf_P(self, x: float) -> float:
-        return x if x == 0.0 or x == 1.0 else self.source.cdf(self._z(x))
-
-    @_elementwise
     def composed_cdf(self, y: float) -> float:
         return self.source.cdf(y)
 
@@ -955,11 +930,9 @@ class SkewedDistribution(ContinuousDistribution):
 
     Cumulative quantities delegate to the mechanism's composition hooks,
     which keep both tails finite in log space far past the underflow of
-    the plain formulas. ``cdf`` is taken from the smaller tail:
-    1 - exp(log_sf) at y > 0 where 1 - S(y) <= 1/2, exp(log_cdf)
-    everywhere else, so that no cancellation sits in it. Above 0 but below
-    the median, 1 - exp(log_sf) would lose digits: 1.5e-13 for Azzalini
-    alpha = 1e3 at y = 3e-4.
+    the plain formulas. ``cdf`` is exp(``log_cdf``), for every family: each
+    ``composed_log_cdf`` already takes ln S from the smaller tail, so S
+    keeps its relative digits on both sides of the median.
 
     ``quantile``/``quantile_array`` and ``cdf_array`` are the mechanism's
     ``composed_quantile`` and ``composed_cdf``. ``TwoPiece`` has
@@ -982,7 +955,7 @@ class SkewedDistribution(ContinuousDistribution):
         return self.mechanism.composed_log_pdf(_finite(y))
 
     def cdf(self, y: float) -> float:
-        return self.mechanism._cdf_at(_finite(y))
+        return math.exp(self.log_cdf(y))
 
     def cdf_array(self, y: np.ndarray) -> np.ndarray:
         return self.mechanism.composed_cdf(np.asarray(y, dtype=float))

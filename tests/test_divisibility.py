@@ -127,10 +127,6 @@ class TestBoundednessClassifier:
             sizes = [n for n, _ in trace]
             assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
-    def test_depth_validation(self):
-        with pytest.raises(DomainError):
-            estimate_sup_p(MarshallOlkin(2.0), depth=2)
-
     def test_certified_bound_property(self):
         bounded = estimate_sup_p(MarshallOlkin(4.0))
         assert bounded.certified_bound == 4.0
@@ -138,20 +134,20 @@ class TestBoundednessClassifier:
         assert unbounded.certified_bound is None
 
 
-def _refinement_grids(depth):
-    """The base grid and the depth endpoint clusters, one array each."""
+def _refinement_grids():
+    """The base grid and the ten endpoint clusters, one array each."""
     grids = [np.concatenate([np.linspace(1e-3, 1.0 - 1e-3, 1999), [0.5]])]
-    for k in range(1, depth + 1):
+    for k in range(1, 11):
         eps = 10.0 ** (-(2 + k))
         cluster = np.geomspace(eps, eps * 100.0, 13)
         grids.append(np.concatenate([cluster, 1.0 - cluster]))
     return grids
 
 
-def _per_grid_sup_p(mech, depth):
+def _per_grid_sup_p(mech):
     """estimate_sup_p's (trace, sup, classification) with p called on each
     refinement grid in turn."""
-    grids = _refinement_grids(depth)
+    grids = _refinement_grids()
     sup, count, trace = 0.0, 0, []
     for grid in grids:
         vals = np.asarray(mech.p(grid), dtype=float)
@@ -205,10 +201,9 @@ class TestSupProbeInOneCall:
         NumericMechanism(compose(StandardNormal(), MarshallOlkin(2.0))),
         _Spiky(),
     ], ids=repr)
-    @pytest.mark.parametrize("depth", [3, 10])
-    def test_report_equals_per_grid_loop(self, mech, depth):
-        trace, sup, cls = _per_grid_sup_p(mech, depth)
-        report = estimate_sup_p(mech, depth)
+    def test_report_equals_per_grid_loop(self, mech):
+        trace, sup, cls = _per_grid_sup_p(mech)
+        report = estimate_sup_p(mech)
         assert report.refinement_trace == trace
         assert [math.copysign(1.0, v) for _, v in report.refinement_trace] == \
             [math.copysign(1.0, v) for _, v in trace]
@@ -220,9 +215,9 @@ class TestSupProbeInOneCall:
         assert sups[8:] == [math.inf] * 3
 
     def test_grid_is_a_fixed_read_only_input(self):
-        grid, starts, ends = _probe_grid(10)
-        assert _probe_grid(10)[0] is grid
-        grids = _refinement_grids(10)
+        grid, starts, ends = _probe_grid()
+        assert _probe_grid()[0] is grid
+        grids = _refinement_grids()
         assert np.array_equal(grid, np.concatenate(grids)) and ends[-1] == 2260
         assert [grid[a:b].size for a, b in zip(starts, ends)] == [g.size for g in grids]
         with pytest.raises(ValueError):

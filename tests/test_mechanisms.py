@@ -595,6 +595,32 @@ class TestOneEvaluationPath:
             extract_mechanism(other, other)
 
 
+# The half-step grid out to |y| = 40, plus ordinates near 0 and at either
+# side of Phi^-1(3/4), where the custom-pi rule turns to the mirror.
+CDF_RULE_YS = tuple(k / 2.0 for k in range(-80, 81)) + (
+    1e-12, -1e-12, 1e-3, 3e-4, 0.6744897501960817 - 1e-9, 0.6744897501960817 + 1e-9)
+CDF_RULE_LAWS = shipped_instances() + [
+    (f"pi-{kind}", cli.build_mechanism("skewsym-custom", {"pi": kind, "alpha": 2.0}))
+    for kind in ("half", "sign", "logistic", "cauchy-cdf")] + [("twopiece-5-0.1", TwoPiece(5.0, 0.1))]
+
+
+class TestCdfIsExpOfLogCdf:
+    """S(y) at a float is exp(ln S) for every family: each composed_log_cdf
+    takes ln S from the smaller tail, so there is no second choice of tail.
+    Taking 1 - exp(ln(1 - S)) above the median as well gave TwoPiece(5, 0.1)
+    another value at six of these ordinates."""
+
+    @pytest.mark.parametrize("name,mech", CDF_RULE_LAWS)
+    def test_cdf_is_exp_of_log_cdf(self, std, name, mech):
+        dist = compose(std, mech)
+        skew = isinstance(mech, SkewSymmetric)
+        for y in CDF_RULE_YS:
+            want = math.exp(dist.log_cdf(y))
+            assert dist.cdf(y) == want, y
+            if skew:  # and what its quantile roots
+                assert mech.composed_cdf(y) == want, y
+
+
 class TestArrayPathInY:
     """``cdf_array`` and ``quantile_array`` are each family's own formulas
     in y. Through x = Phi(y), x rounded to 1 from y = 8.2: 9.98% of
@@ -667,9 +693,9 @@ def _assert_log_tails(alpha, y):
     want_cdf, want_sf = mp_skew_normal_log_tails(y, alpha)
     for got, want in ((dist.log_cdf(y), want_cdf), (dist.log_sf(y), want_sf)):
         assert abs(got - want) <= AZZ_LOG_REL * max(1.0, abs(want)), (got, want)
-    # cdf = 1 - exp(log_sf) where 1 - S(y) <= 1/2 at y > 0, exp(log_cdf)
-    # elsewhere: the error of the log carries over, times the mass it is
-    # the log of
+    # cdf = exp(log_cdf), where log_cdf is ln(1 - e^v) of the upper tail's
+    # v when 1 - S(y) <= 1/2 at y > 0: the error of the smaller tail's log
+    # carries over, times the mass it is the log of
     upper = y > 0.0 and want_sf <= -math.log(2.0)
     log_mass = want_sf if upper else want_cdf
     want = -math.expm1(want_sf) if upper else math.exp(want_cdf)
@@ -865,6 +891,7 @@ class TestCustomPiPanelRule:
     @given(st.sampled_from(sorted(CUSTOM_PIS)), st.floats(min_value=-40.0, max_value=40.0))
     @settings(max_examples=60, deadline=None)
     @example(name="jump", y=-0.999)  # the jump 1e-3 below y; quadpack gave -inf
+    @example(name="jump", y=-0.99999)  # seen by a Lobatto end node only; it gave -inf
     @example(name="jump", y=0.6744897501960817)  # Phi^-1(3/4), the rule's top
     @example(name="sign", y=1e-9)
     @example(name="logistic-10", y=-40.0)  # pi(y) = e^-400 needs a second stretch
@@ -1061,6 +1088,8 @@ _MECH_GUARDS = [
     ("orderstats-log_p", OrderStatistics(2.0, 3.0).log_p, "x must lie in [0, 1], got {s}"),
     ("orderstats-cdf_P", OrderStatistics(2.0, 3.0).cdf_P, "x must lie in [0, 1], got {r}"),
     ("orderstats-quantile_P", OrderStatistics(2.0, 3.0).quantile_P, "q must lie in (0, 1), got {r}"),
+    ("numeric-cdf_P", extract_mechanism(compose(StandardNormal(), MarshallOlkin(2.0)),
+                                        StandardNormal()).cdf_P, "x must lie in [0, 1], got {s}"),
 ]
 
 
@@ -1082,13 +1111,12 @@ class TestScalarGuards:
             want = message.format(s=np.asarray(x, dtype=float), r=repr(x))
             assert str(info.value) == want
 
-    @pytest.mark.parametrize("fn", ["log_p", "cdf_P"])
     @pytest.mark.parametrize("v", [float("nan"), float("inf"), float("-inf"), -0.5, 1.5])
-    def test_extracted_mechanism_rejects_each_form(self, std, fn, v):
+    def test_extracted_mechanism_rejects_each_form(self, std, v):
         mech = extract_mechanism(compose(std, MarshallOlkin(2.0)), std)
         for x in _forms(v):
             with pytest.raises(DomainError) as info:
-                getattr(mech, fn)(x)
+                mech.log_p(x)
             assert str(info.value) == f"extracted mechanism is defined on (0, 1), got {float(v)!r}"
 
     @pytest.mark.parametrize("name,mech", shipped_instances())
@@ -1212,6 +1240,19 @@ class TestOrderStatisticsQuantileNearOne:
         y = compose(std, OrderStatistics(5.0, 1e-3)).quantile(q)
         got = 1 - _mp_sf_order_statistics(5.0, 1e-3, y)
         assert abs(got / q - 1) <= 1e-14
+
+    @pytest.mark.parametrize("psi1,psi2", [(5.0, 1e-3), (0.01, 1.0), (0.01, 3.0), (1.0, 0.01),
+                                           (2.0, 0.05), (1e-3, 5.0), (0.5, 0.5)])
+    def test_array_equals_floats(self, std, psi1, psi2):
+        # the array path clipped x into the open unit interval: (2, 0.05)
+        # gave Phi^-1(1 - 2^-53) = 8.2095 at q = 0.99, where the float is 13.38
+        dist = compose(std, OrderStatistics(psi1, psi2))
+        qs = np.array([[1e-12, 1e-4, 0.0125, 0.03, 0.05, 0.1],
+                       [0.3, 0.5, 0.99, 1 - 1e-4, 1 - 1e-9, 1 - 1e-12]])
+        got = dist.quantile_array(qs)
+        assert got.shape == qs.shape
+        assert np.array_equal(got, [[dist.quantile(float(q)) for q in row] for row in qs])
+        assert not np.any(np.abs(got) == _CLIP)
 
     def test_cli_grid_exits_0(self, capsys):
         code = cli.main(["eval", "--family", "orderstats", "--param", "psi1=5",
