@@ -14,20 +14,21 @@ S(y) = P(Phi(y)). Four families are implemented:
   side of 0, with the epsilon-skew and inverse-scale-factor
   parameterizations as named constructors.
 
-Each family writes its CDF and quantile once, in its own coordinate,
-for a float or an ndarray of any shape (a 0-d input returns a float):
-Marshall-Olkin and order statistics in x (``cdf_P``, ``quantile_P``),
-the two-piece and skew-symmetric laws in y (``composed_cdf``,
-``composed_quantile``). Each pair defaults to the other through Phi.
-Order statistics also write ``composed_cdf``, from Phi(-|y|), which
+Each family writes its CDF once, in its own coordinate, for a float or
+an ndarray of any shape (a 0-d input returns a float): Marshall-Olkin
+and order statistics in x (``cdf_P``), the two-piece and skew-symmetric
+laws in y (``composed_cdf``); the pair defaults to the other through
+Phi. Order statistics also write ``composed_cdf``, from Phi(-|y|), which
 never rounds toward 1.
 Log tails stay finite out to |y| ~ 40, where S is numerically 0 or 1. A
 family writes the lower one, ``composed_log_cdf``: closed or series
 forms, or for ``SkewSymmetric`` pi's own (``AzzaliniPi``, through Owen's
 T), else a composite Gauss-Legendre rule. Its ``mirror``, the mechanism
 x -> 1 - P(1 - x) of -Y, is in the same family and gives the upper tail
-at -y and the quantiles above 1/2 at 1 - q. ``SkewSymmetric`` roots a
-float's quantile.
+at -y.
+A quantile has one rule: the family's ``_lower_quantile`` below S(0),
+where no argument of Phi^-1 exceeds 1/2, and from S(0) on minus the
+mirror's at 1 - q, exact there. ``SkewSymmetric`` roots a float's in y instead.
 ``composed_sample`` inverts ``composed_quantile``, except for the exact
 constructions: a normal's sign flip and a ratio of gamma variates.
 """
@@ -70,8 +71,6 @@ _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 _NORMAL_Q3 = 0.6744897501960817  # Phi^-1(3/4)
 _NEAR_ONE = -1.0 / 32.0  # ln S above it loses relative digits taken from S
-# the open unit interval's ends in doubles, where Phi^-1 stays finite
-_TINY, _TOP = 5e-324, 1.0 - 2**-53
 
 
 def _out(v):
@@ -86,6 +85,25 @@ def _within(x, open_: bool, what: str = "x"):
     if not numcore._in_unit(x, open_):
         raise DomainError(f"{what} must lie in {'(0, 1)' if open_ else '[0, 1]'}, got {x}")
     return x
+
+
+def _phi_inv(x, q, log_x):
+    """Phi^-1(x) for the x <= 1/2 of a lower quantile q, a float or a 1-d
+    array. Below the smallest normal double, where x has lost digits, is 0
+    or is NaN (unsolved), ndtri_exp of ln x = log_x(q), which drifts below
+    ln x = -4000 (1e-12 relative at -8e4): there with a Newton step."""
+    if isinstance(q, float):  # the array path takes the rare tiny x
+        return float(_sp.ndtri(x) if x >= numcore._SMALLEST_NORMAL
+                     else _phi_inv(np.array([x]), np.array([q]), log_x)[0])
+    y = _sp.ndtri(x)
+    sub = np.flatnonzero(~(x >= numcore._SMALLEST_NORMAL))
+    if sub.size:
+        ln_x = log_x(q[sub])
+        z = _sp.ndtri_exp(ln_x)
+        ln_cdf = _sp.log_ndtr(z)
+        step = (ln_cdf - ln_x) * np.exp(ln_cdf + 0.5 * z * z + 0.5 * math.log(2.0 * math.pi))
+        y[sub] = np.where(ln_x < -4000.0, z - step, z)
+    return y
 
 
 def _log1mexp(v: float) -> float:
@@ -104,16 +122,18 @@ def _log_share(u: float, v: float) -> float:
 class SkewingMechanism(ABC):
     """A distribution P on (0, 1) used to skew the standard normal.
 
-    A family defines one of each pair ``p``/``log_p``, ``cdf_P``/``composed_cdf``
-    and ``quantile_P``/``composed_quantile``; the other follows from it here.
-    Each keeps an array's shape, a constant density too, and returns a
-    float for a float or a 0-d array: ``estimate_sup_p`` calls ``p`` once
-    on all its probe points and reads the result grid by grid.
-    It writes ``composed_log_cdf`` and ``mirror``, the mechanism of -Y, whose
-    lower tail and quantiles are this one's upper ones, and may write
-    ``composed_sample`` in place of inversion. ``composed_log_cdf`` works
-    from the smaller tail, ln(1 - e^v) of the mirror's v where S is near 1,
-    so exp of it is S(y) at a float (``SkewedDistribution.cdf``).
+    A family defines one of each pair ``p``/``log_p`` and
+    ``cdf_P``/``composed_cdf``; the other follows from it here. Each keeps
+    an array's shape, a constant density too, and returns a float for a
+    float or a 0-d array: ``estimate_sup_p`` calls ``p`` once on all its
+    probe points and reads the result grid by grid.
+    It writes ``composed_log_cdf``, ``mirror``, the mechanism of -Y, whose
+    lower tail is this one's upper one, and ``_lower_quantile``, the y with
+    S(y) = q below S(0); from S(0) on ``composed_quantile`` is minus the
+    mirror's at 1 - q. Or it writes ``composed_quantile`` itself, and it
+    may write ``composed_sample`` in place of inversion. ``composed_log_cdf``
+    works from the smaller tail, ln(1 - e^v) of the mirror's v where S is
+    near 1, so exp of it is S(y) at a float (``SkewedDistribution.cdf``).
     Instances are immutable and validated at construction; all evaluation
     methods are pure. ``analytic_sup`` is an upper bound for p known in
     closed form, or None; ``is_identity`` reports whether the composition
@@ -164,15 +184,25 @@ class SkewingMechanism(ABC):
         return self.cdf_P(numcore.normal_cdf(y))
 
     def composed_quantile(self, q, tol: Tolerance = DEFAULT_TOL):
-        """The y with S(y) = q, for q in (0, 1): minus the mirror's at 1 - q,
-        exact, for a float q > 1/2; else Phi^-1(quantile_P(q)), with an
-        array's x clipped into the doubles' open unit interval."""
-        if isinstance(q, float) and 0.5 < q < 1.0:
-            return 0.0 - self.mirror.composed_quantile(1.0 - q, tol)  # 0.0, not -0.0
-        x = self.quantile_P(q, tol)
-        if isinstance(x, float):
-            return _STD.quantile(x)
-        return numcore.normal_quantile(np.clip(x, _TINY, _TOP))
+        """The y with S(y) = q, for q in (0, 1): ``_lower_quantile(q)`` below
+        S(0), else minus the mirror's at 1 - q, which is exact there; a
+        float and an array take the same rule."""
+        q = _within(q, open_=True, what="q")
+        if isinstance(q, float):
+            if q < self._cdf_at_0:
+                return self._lower_quantile(q)
+            return 0.0 - self.mirror._lower_quantile(1.0 - q)  # 0.0, not -0.0
+        flat, y = q.reshape(-1), np.empty(q.size)
+        up = flat >= self._cdf_at_0
+        below, above = np.flatnonzero(~up), np.flatnonzero(up)
+        y[below] = self._lower_quantile(flat[below])
+        y[above] = 0.0 - self.mirror._lower_quantile(1.0 - flat[above])
+        return y.reshape(q.shape)
+
+    @cached_property
+    def _cdf_at_0(self) -> float:
+        """S(0), where ``composed_quantile`` turns to the mirror."""
+        return float(self.composed_cdf(0.0))
 
     def composed_log_pdf(self, y: float) -> float:
         return _STD.log_pdf(y) + self.log_p(_STD.cdf(y))
@@ -569,8 +599,7 @@ class OrderStatistics(SkewingMechanism):
     def __init__(self, psi1: float, psi2: float):
         if not (psi1 > 0 and psi2 > 0 and math.isfinite(psi1) and math.isfinite(psi2)):
             raise ParameterError(f"shape parameters must be positive, got ({psi1!r}, {psi2!r})")
-        self.psi1 = float(psi1)
-        self.psi2 = float(psi2)
+        self.psi1, self.psi2 = float(psi1), float(psi2)
         self._log_b = numcore.log_beta(self.psi1, self.psi2)
         if min(self.psi1, self.psi2) == 1.0:
             self.bound_note = ("boundary shape parameter equal to 1: density bound "
@@ -602,22 +631,10 @@ class OrderStatistics(SkewingMechanism):
     def mirror(self) -> "OrderStatistics":
         return OrderStatistics(self.psi2, self.psi1)  # 1 - I_x(a, b) = I_{1-x}(b, a)
 
-    def composed_quantile(self, q, tol: Tolerance = DEFAULT_TOL):
-        # Phi^-1(x), x = I^-1_q(psi1, psi2), or minus the mirror's at 1 - q:
-        # above 1/2, where 1 - q is exact, unless the mirror's x lies above
-        # 1/2, and below 1/2 where x does, as 1 - x rounds there, or to 1
-        q = _within(q, open_=True, what="q")
-        x = _sp.betaincinv(self.psi1, self.psi2, q)
-        u = _sp.betaincinv(self.psi2, self.psi1, 1.0 - q)
-        own = np.where(q > 0.5, u > 0.5, ~(x > 0.5))  # a NaN x, unsolved, is tiny
-        return _out(np.where(own, self._normal_quantile_of(q, x),
-                             0.0 - self.mirror._normal_quantile_of(1.0 - q, u)))
-
-    def _normal_quantile_of(self, q, x):
-        """Phi^-1(x) for x = I^-1_q(psi1, psi2), from logs where x underflows."""
-        # I_x = x^psi1 / (psi1 B) to the series' first term, in logs
-        log_x = (np.log(q) + math.log(self.psi1) + self._log_b) / self.psi1
-        return np.where(x >= numcore._SMALLEST_NORMAL, _sp.ndtri(x), _sp.ndtri_exp(log_x))
+    def _lower_quantile(self, q):
+        # x = I^-1_q(psi1, psi2); ln x from I_x = x^psi1 / (psi1 B), the series' first term
+        return _phi_inv(_sp.betaincinv(self.psi1, self.psi2, q), q,
+                        lambda q: (np.log(q) + math.log(self.psi1) + self._log_b) / self.psi1)
 
     def composed_cdf(self, y):
         # above 0, one minus the mirror's at -y: x = Phi(-|y|) never rounds to 1
@@ -707,11 +724,18 @@ class MarshallOlkin(SkewingMechanism):
         return _out(self.gamma / (den * den))
 
     def cdf_P(self, x):
-        return mo_cdf_P(self.gamma, x)
+        x = _within(x, open_=False)
+        return _out(x / (self.gamma + (1.0 - self.gamma) * x))
 
     def quantile_P(self, q, tol: Tolerance = DEFAULT_TOL):
         q = _within(q, open_=True, what="q")
-        return _out(self.gamma * q / (1.0 - (1.0 - self.gamma) * q))
+        g = self.gamma * q
+        return _out(g / ((1.0 - q) + g))  # no cancellation near q = 1
+
+    def _lower_quantile(self, q):
+        g = self.gamma * q  # x as in quantile_P; ln x drops g from the denominator
+        return _phi_inv(g / ((1.0 - q) + g), q,
+                        lambda q: math.log(self.gamma) + np.log(q) - np.log1p(-q))
 
     @cached_property
     def mirror(self) -> "MarshallOlkin":
@@ -754,8 +778,7 @@ class TwoPiece(SkewingMechanism):
     def __init__(self, a: float, b: float):
         if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
             raise ParameterError(f"scale factors must be positive, got ({a!r}, {b!r})")
-        self.a = float(a)
-        self.b = float(b)
+        self.a, self.b = float(a), float(b)
         # the scales of Y/s are {1-g, 1+g}; |g| reaches 1 only by rounding
         g = (self.b - self.a) / (self.a + self.b)
         if 0.0 < abs(g) < 1.0:
@@ -787,18 +810,13 @@ class TwoPiece(SkewingMechanism):
         y_arr = np.asarray(y, dtype=float)
         lower = (2.0 * b / ab) * numcore.normal_cdf(np.minimum(y_arr, 0.0) / b)
         upper = (b - a) / ab + (2.0 * a / ab) * numcore.normal_cdf(np.maximum(y_arr, 0.0) / a)
-        out = np.where(y_arr < 0.0, lower, upper)
-        return out if y_arr.ndim else float(out)
+        return _out(np.where(y_arr < 0.0, lower, upper))
 
-    def composed_quantile(self, q, tol: Tolerance = DEFAULT_TOL):
-        # S(y) = (2b/(a+b)) Phi(y/b) below the knee b/(a+b), and above it
-        # 1 - S(y) = (2a/(a+b)) Phi(-y/a); both Phi arguments lie in (0, 1/2]
-        q = _within(q, open_=True, what="q")
+    def _lower_quantile(self, q):
+        # S(y) = (2b/(a+b)) Phi(y/b) below S(0) = b/(a+b)
         ab = self.a + self.b
-        knee = self.b / ab
-        lower = self.b * numcore.normal_quantile(np.minimum(q, knee) * ab / (2.0 * self.b))
-        eps = (1.0 - np.maximum(q, knee)) * ab / (2.0 * self.a)
-        return _out(np.where(q < knee, lower, self.a * (0.0 - numcore.normal_quantile(eps))))
+        return self.b * _phi_inv(q * ab / (2.0 * self.b), q,
+                                 lambda q: np.log(q) + math.log(ab / (2.0 * self.b)))
 
     def composed_log_pdf(self, y: float) -> float:
         c = self.b if y < 0.0 else self.a
@@ -861,14 +879,11 @@ class NumericMechanism(SkewingMechanism):
     def __init__(self, source: ContinuousDistribution):
         self.source = source
 
-    def _z(self, x: float) -> float:
-        if not (0.0 < x < 1.0):
-            raise DomainError(f"extracted mechanism is defined on (0, 1), got {x!r}")
-        return _STD.quantile(x)
-
     @_elementwise
     def log_p(self, x: float) -> float:
-        z = self._z(x)
+        if not (0.0 < x < 1.0):
+            raise DomainError(f"extracted mechanism is defined on (0, 1), got {x!r}")
+        z = _STD.quantile(x)
         return self.source.log_pdf(z) - _STD.log_pdf(z)
 
     @_elementwise
@@ -898,20 +913,15 @@ class NumericMechanism(SkewingMechanism):
 
 
 def mo_cdf_P(gamma: float, x):
-    """Marshall-Olkin mechanism CDF x / (gamma + (1-gamma) x) on [0, 1]."""
-    if not (gamma > 0 and math.isfinite(gamma)):
-        raise ParameterError(f"gamma must be positive and finite, got {gamma!r}")
-    x = _within(x, open_=False)
-    return _out(x / (gamma + (1.0 - gamma) * x))
+    """Marshall-Olkin mechanism CDF x / (gamma + (1-gamma) x) on [0, 1]:
+    ``MarshallOlkin(gamma).cdf_P(x)``, with its check of gamma."""
+    return MarshallOlkin(gamma).cdf_P(x)
 
 
 def twopiece_cdf(a: float, b: float, y):
     """CDF of the two-piece composition with scales (a right, b left):
-    (2b/(a+b)) Phi(y/b) below 0, (b-a)/(a+b) + (2a/(a+b)) Phi(y/a) above.
-
-    Continuous at 0 with value b/(a+b); the additive constant on the
-    upper branch is forced by integrating the density to total mass 1.
-    """
+    (2b/(a+b)) Phi(y/b) below 0, (b-a)/(a+b) + (2a/(a+b)) Phi(y/a) above,
+    continuous at 0, where it is b/(a+b); total mass 1 forces the constant."""
     return TwoPiece(a, b).composed_cdf(y)
 
 
@@ -919,30 +929,19 @@ def twopiece_cdf(a: float, b: float, y):
 # composition
 
 
-def _finite(y: float) -> float:
-    if not math.isfinite(y):
-        raise DomainError(f"y must be finite, got {y!r}")
-    return y
-
-
 class SkewedDistribution(ContinuousDistribution):
     """Composition S = P o Phi with density s(y) = phi(y) * p(Phi(y)).
 
     Cumulative quantities delegate to the mechanism's composition hooks,
-    which keep both tails finite in log space far past the underflow of
-    the plain formulas. ``cdf`` is exp(``log_cdf``), for every family: each
-    ``composed_log_cdf`` already takes ln S from the smaller tail, so S
-    keeps its relative digits on both sides of the median.
+    which keep both tails finite in log space. ``cdf`` is exp(``log_cdf``):
+    each ``composed_log_cdf`` takes ln S from the smaller tail.
 
     ``quantile``/``quantile_array`` and ``cdf_array`` are the mechanism's
-    ``composed_quantile`` and ``composed_cdf``. ``TwoPiece`` has
-    y = b Phi^-1(q(a+b)/(2b)) below its knee b/(a+b); above it, and above
-    q = 1/2 for the other closed families, y is minus the mirror's quantile
-    at 1 - q, exact there. The tail mass at these quantiles is within
-    6e-15 in ln of 1 - q out to q = 1 - 1e-12; through x = Pinv(q) it is
-    lost as x rounds to 1, 1e-4 in ln for Marshall-Olkin(2) at
-    q = 1 - 1e-12. A non-finite y raises DomainError. ``sample`` is the
-    mechanism's ``composed_sample``.
+    ``composed_quantile`` and ``composed_cdf``. A closed family's quantile,
+    float or array, is its lower side's below S(0) and minus the mirror's
+    at 1 - q from S(0) on; the tail mass at it is within 2e-13 in ln of
+    mpmath, plus what 2 ulps of y move it. A non-finite y raises
+    DomainError. ``sample`` is ``composed_sample``.
     """
 
     def __init__(self, mechanism: SkewingMechanism):
@@ -952,7 +951,7 @@ class SkewedDistribution(ContinuousDistribution):
         return math.exp(self.log_pdf(y))
 
     def log_pdf(self, y: float) -> float:
-        return self.mechanism.composed_log_pdf(_finite(y))
+        return self.mechanism.composed_log_pdf(numcore._require_finite(y))
 
     def cdf(self, y: float) -> float:
         return math.exp(self.log_cdf(y))
@@ -961,10 +960,10 @@ class SkewedDistribution(ContinuousDistribution):
         return self.mechanism.composed_cdf(np.asarray(y, dtype=float))
 
     def log_cdf(self, y: float) -> LogProb:
-        return min(0.0, self.mechanism.composed_log_cdf(_finite(y)))
+        return min(0.0, self.mechanism.composed_log_cdf(numcore._require_finite(y)))
 
     def log_sf(self, y: float) -> LogProb:
-        return min(0.0, self.mechanism.composed_log_sf(_finite(y)))
+        return min(0.0, self.mechanism.composed_log_sf(numcore._require_finite(y)))
 
     def quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
         return self.mechanism.composed_quantile(q, tol)

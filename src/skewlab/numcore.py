@@ -85,9 +85,11 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _require_finite(y, name: str = "y") -> None:
+def _require_finite(y, name: str = "y"):
+    """y, checked to be finite."""
     if not (math.isfinite(y) if isinstance(y, float) else np.all(np.isfinite(y))):
         raise DomainError(f"{name} must be finite, got {y!r}")
+    return y
 
 
 def _in_unit(x, open_: bool) -> bool:
@@ -112,9 +114,16 @@ def log_normal_pdf(y):
 
 
 def normal_cdf(y):
-    """Standard normal CDF Phi(y)."""
+    """Standard normal CDF Phi(y). ndtr is 0 from y ~ -37.68, where Phi(y)
+    is still subnormal down to y ~ -38.48: there it is exp(ln Phi(y))."""
     _require_finite(y)
-    return _sp.ndtr(y)
+    p = _sp.ndtr(y)
+    if isinstance(p, float):
+        return p if p else np.exp(_sp.log_ndtr(y))
+    if p.size and p.min() == 0.0:
+        zero = np.flatnonzero(p == 0.0)
+        np.put(p, zero, np.exp(_sp.log_ndtr(np.ravel(y)[zero])))
+    return p
 
 
 def log_normal_cdf(y) -> LogProb:

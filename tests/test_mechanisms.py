@@ -143,6 +143,13 @@ class TestMarshallOlkinForms:
         for x in np.linspace(0, 1, 11):
             assert mo_cdf_P(1.0, float(x)) == x
 
+    @pytest.mark.parametrize("gamma", [1e-320, 0.0, -1.0, float("inf"), float("nan")])
+    def test_mo_cdf_P_checks_gamma_as_the_class_does(self, gamma):
+        # mo_cdf_P(1e-320, 0.5) returned 1.0, where MarshallOlkin(1e-320) raises
+        for call in (lambda: mo_cdf_P(gamma, 0.5), lambda: MarshallOlkin(gamma)):
+            with pytest.raises(ParameterError, match="gamma and 1/gamma"):
+                call()
+
     @pytest.mark.parametrize("gamma", MO_GAMMAS)
     def test_cdf_matches_quadrature_of_density(self, gamma):
         mech = MarshallOlkin(gamma)
@@ -1033,7 +1040,7 @@ UPPER_QUANTILE_LAWS = [
 
 
 class TestUpperTailQuantiles:
-    """Above 1/2 the closed families invert their upper tail from 1 - q,
+    """Above S(0) the closed families invert their upper tail from 1 - q,
     exact in doubles there. Through x = Pinv(q) the tail is lost as x
     rounds to 1: MarshallOlkin(2) was 1.1e-4 off in ln at q = 1 - 1e-12,
     and TwoPiece(5, 0.1) raised DomainError from q = 0.999."""
@@ -1041,15 +1048,19 @@ class TestUpperTailQuantiles:
     @pytest.mark.parametrize("mech,sf", UPPER_QUANTILE_LAWS)
     @pytest.mark.parametrize("q", [1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
     def test_tail_mass_at_the_quantile(self, std, mech, sf, q):
-        y = compose(std, mech).quantile(q)
-        # measured within 6e-15; 1 - q is exact in doubles
-        assert abs(mp.log(sf(y)) - mp.log(1 - mp.mpf(q))) <= 2e-14
+        dist = compose(std, mech)
+        # a float and a one-element array take one rule
+        for y in (dist.quantile(q), float(dist.quantile_array(np.array([q]))[0])):
+            # measured within 6e-15; 1 - q is exact in doubles
+            assert abs(mp.log(sf(y)) - mp.log(1 - mp.mpf(q))) <= 2e-14
 
     @pytest.mark.parametrize("mech,sf", [law for law in UPPER_QUANTILE_LAWS
                                          if not isinstance(law.values[0], TwoPiece)])
     def test_lower_half_keeps_the_mechanism_quantile(self, std, mech, sf):
+        # below S(0) = P(1/2), where x = Pinv(q) < 1/2 keeps its digits
         dist = compose(std, mech)
-        for q in (1e-9, 0.1, 0.5):
+        s0 = mech.cdf_P(0.5)
+        for q in (1e-9, 0.1, 0.5 * s0, math.nextafter(s0, 0.0)):
             assert dist.quantile(q) == float(normal_quantile(mech.quantile_P(q)))
 
     @pytest.mark.parametrize("a,b", [(5.0, 0.1), (0.5, 2.0), (0.7, 1.3)],
@@ -1072,6 +1083,79 @@ class TestUpperTailQuantiles:
     def test_out_of_range_q_raises(self, std, mech, q):
         with pytest.raises(DomainError, match=r"must lie in \(0, 1\)"):
             compose(std, mech).quantile(q)
+
+
+def _mp_sf(mech, y):
+    """1 - S(y) of a closed family in mpmath; S(y) is its mirror's at -y."""
+    if isinstance(mech, MarshallOlkin):
+        return _mp_sf_marshall_olkin(mech.gamma, y)
+    if isinstance(mech, TwoPiece):
+        return _mp_sf_two_piece(mech.a, mech.b, y)
+    return _mp_sf_order_statistics(mech.psi1, mech.psi2, y)
+
+
+QUANTILE_RULE_LAWS = [
+    pytest.param(MarshallOlkin(0.25), id="mo-0.25"),
+    pytest.param(MarshallOlkin(2.0), id="mo-2"),
+    pytest.param(TwoPiece(5.0, 0.1), id="twopiece-5-0.1"),
+    pytest.param(TwoPiece(0.5, 2.0), id="twopiece-0.5-2"),
+    pytest.param(TwoPiece.epsilon_skew(-0.5), id="twopiece-eps--0.5"),
+    pytest.param(OrderStatistics(2.0, 3.0), id="orderstats-2-3"),
+    pytest.param(OrderStatistics(0.01, 1.0), id="orderstats-0.01-1"),
+]
+
+
+class TestOneQuantileRule:
+    """A closed family writes its quantile below S(0), where no argument of
+    Phi^-1 exceeds 1/2, and takes minus its mirror's at 1 - q above, for a
+    float and an array alike, with Phi^-1 from ln x where x underflows.
+    Marshall-Olkin arrays went through x = Pinv(q) and a clip: MarshallOlkin(2)
+    gave 8.2095 at q = 1 - 2^-53, where the float gave 8.2924, and
+    MarshallOlkin(0.25) was 1.39 off in ln at q = 5e-324, where
+    TwoPiece(0.5, 2) raised DomainError, for a float and an array."""
+
+    @staticmethod
+    def _levels(std, mech):
+        s0 = compose(std, mech).cdf(0.0)
+        return np.array([[5e-324, 1e-300, 1e-12],
+                         [s0 * (1 - 1e-12), s0 * (1 + 1e-12), 0.5],
+                         [1 - 1e-9, 1 - 1e-12, 1 - 2**-53]])
+
+    @pytest.mark.parametrize("mech", QUANTILE_RULE_LAWS)
+    def test_array_equals_floats(self, std, mech):
+        dist, qs = compose(std, mech), self._levels(std, mech)
+        got = dist.quantile_array(qs)
+        assert got.shape == qs.shape
+        assert np.array_equal(got, [[dist.quantile(float(q)) for q in row] for row in qs])
+
+    @pytest.mark.parametrize("mech", QUANTILE_RULE_LAWS)
+    def test_tail_mass_at_the_quantile(self, std, mech):
+        # within 2e-13 in ln, plus what moving y by 2 ulps moves it: y is a
+        # double, and ln S of TwoPiece(5, 0.1) has slope 370 at q = 1e-300
+        qs = self._levels(std, mech)
+        for q, y in zip(qs.ravel(), compose(std, mech).quantile_array(qs).ravel()):
+            if q <= 0.5:
+                log_tail, want = lambda t: mp.log(_mp_sf(mech.mirror, -t)), mp.log(q)
+            else:
+                log_tail, want = lambda t: mp.log(_mp_sf(mech, t)), mp.log(1 - mp.mpf(q))
+            tol = 2e-13 + 2 * np.spacing(abs(y)) * abs(mp.diff(log_tail, y))
+            assert abs(log_tail(y) - want) <= tol, (q, y)
+
+    @pytest.mark.parametrize("mech,ys", [
+        (MarshallOlkin(2.0), (-38.5, -38.0, -37.6)),
+        (MarshallOlkin(0.25), (-38.5, -38.0, -37.6)),
+        (TwoPiece(5.0, 0.1), (-3.85, -3.8, -3.76)),
+    ], ids=["mo-2", "mo-0.25", "twopiece-5-0.1"])
+    def test_cdf_array_keeps_a_subnormal_cdf(self, std, mech, ys):
+        # ndtr is 0 from y ~ -37.68, where Phi(y) is still subnormal:
+        # MarshallOlkin(2).cdf_array([-38]) was 0, where cdf gives 1.44e-316
+        dist = compose(std, mech)
+        # within 2e-13 relative plus 4 subnormal steps: scipy's ndtr and
+        # log_ndtr are each up to 1.8e-13 off mpmath here
+        got = dist.cdf_array(np.array(ys))
+        want = np.array([dist.cdf(y) for y in ys])
+        assert np.all(np.abs(got - want) <= 2e-13 * want + 4 * 5e-324)
+        assert got[1] > 0.0
 
 
 # (name, call, message): {s} is str() of the argument as a float array,
@@ -1362,7 +1446,7 @@ class TestExactSamplers:
 
     @pytest.mark.parametrize("mech,pinned", [
         (MarshallOlkin(2.0), (-1.1491945838215754, -1.0517628532258358, -1.513009440534413,
-                              1.3622618121200585, -4.228611236551916, 4.897144084749851)),
+                              1.362261812120059, -4.228611236551916, 4.897144084741115)),
         (TwoPiece.epsilon_skew(-0.5), (-0.5547575461578517, -0.5013020369468605,
                                        -0.747981787757566, 1.8703560233439847,
                                        -2.114304956880972, 7.260428420174584)),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bisect, mp_log_normal_sf, mp_normal_pdf, mp_reg_inc_beta
+from oracles import bisect, mp_log_normal_sf, mp_normal_cdf, mp_normal_pdf, mp_reg_inc_beta
 from skewlab import BracketingError, DomainError, Tolerance
 from skewlab.numcore import (
     DEFAULT_TOL,
@@ -72,6 +72,18 @@ class TestNormalCdf:
         for y in np.linspace(-8, 8, 33):
             total = math.exp(log_normal_sf(y)) + math.exp(log_normal_sf(-y))
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_subnormal_tail(self):
+        # ndtr is 0 from y ~ -37.68; Phi(-38) = 2.885e-316 is subnormal.
+        # ndtr and log_ndtr are each up to 1.8e-13 relative off mpmath here
+        ys = np.array([-38.5, -38.0, -37.6, -37.5, -30.0])
+        want = [mp_normal_cdf(y) for y in ys]
+        got = normal_cdf(ys)
+        assert np.all(np.abs(got - want) <= 2e-13 * np.abs(want) + 2 * 5e-324)
+        assert [normal_cdf(float(y)) for y in ys] == list(got)
+        assert normal_cdf(np.array(-38.0)) == got[1]
+        grid = np.array([[-38.0, -37.5], [-38.2, -30.0]]).T  # Fortran order
+        assert np.array_equal(normal_cdf(grid), [[normal_cdf(float(y)) for y in row] for row in grid])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
