@@ -14,21 +14,20 @@ S(y) = P(Phi(y)). Four families are implemented:
   side of 0, with the epsilon-skew and inverse-scale-factor
   parameterizations as named constructors.
 
-Each family writes its CDF once, in its own coordinate, for a float or
-an ndarray of any shape (a 0-d input returns a float): Marshall-Olkin
-and order statistics in x (``cdf_P``), the two-piece and skew-symmetric
-laws in y (``composed_cdf``); the pair defaults to the other through
-Phi. Order statistics also write ``composed_cdf``, from Phi(-|y|), which
-never rounds toward 1.
 Log tails stay finite out to |y| ~ 40, where S is numerically 0 or 1. A
 family writes the lower one, ``composed_log_cdf``: closed or series
 forms, or for ``SkewSymmetric`` pi's own (``AzzaliniPi``, through Owen's
 T), else a composite Gauss-Legendre rule. Its ``mirror``, the mechanism
 x -> 1 - P(1 - x) of -Y, is in the same family and gives the upper tail
 at -y.
-A quantile has one rule: the family's ``_lower_quantile`` below S(0),
-where no argument of Phi^-1 exceeds 1/2, and from S(0) on minus the
-mirror's at 1 - q, exact there. ``SkewSymmetric`` roots a float's in y instead.
+The CDF and the quantile take a float or an ndarray of any shape (a 0-d
+input returns a float), each by one rule from the family's lower side
+and its mirror's. The CDF is ``_lower_cdf(y)`` up to 0, P(Phi(y)) unless
+the family writes it in y, and above 0 one minus the mirror's at -y,
+where Phi(-y) never rounds toward 1. The quantile is ``_lower_quantile``
+below S(0), where no argument of Phi^-1 exceeds 1/2, and from S(0) on
+minus the mirror's at 1 - q, exact there. ``SkewSymmetric`` roots a
+float's quantile in y and reads arrays from a table on [-13, 0].
 ``composed_sample`` inverts ``composed_quantile``, except for the exact
 constructions: a normal's sign flip and a ratio of gamma variates.
 """
@@ -122,15 +121,17 @@ def _log_share(u: float, v: float) -> float:
 class SkewingMechanism(ABC):
     """A distribution P on (0, 1) used to skew the standard normal.
 
-    A family defines one of each pair ``p``/``log_p`` and
-    ``cdf_P``/``composed_cdf``; the other follows from it here. Each keeps
-    an array's shape, a constant density too, and returns a float for a
-    float or a 0-d array: ``estimate_sup_p`` calls ``p`` once on all its
-    probe points and reads the result grid by grid.
+    A family defines one of the pair ``p``/``log_p``, and ``cdf_P`` or
+    ``_lower_cdf``, S(y) at y <= 0; the other follows from it here. Each
+    keeps an array's shape, a constant density too, and returns a float
+    for a float or a 0-d array: ``estimate_sup_p`` calls ``p`` once on all
+    its probe points and reads the result grid by grid.
     It writes ``composed_log_cdf``, ``mirror``, the mechanism of -Y, whose
     lower tail is this one's upper one, and ``_lower_quantile``, the y with
-    S(y) = q below S(0); from S(0) on ``composed_quantile`` is minus the
-    mirror's at 1 - q. Or it writes ``composed_quantile`` itself, and it
+    S(y) = q below S(0). ``composed_cdf`` is ``_lower_cdf`` up to 0 and one
+    minus the mirror's at -y above; ``composed_quantile`` is
+    ``_lower_quantile`` below S(0) and minus the mirror's at 1 - q from
+    S(0) on. A family without a mirror writes both itself, and any family
     may write ``composed_sample`` in place of inversion. ``composed_log_cdf``
     works from the smaller tail, ln(1 - e^v) of the mirror's v where S is
     near 1, so exp of it is S(y) at a float (``SkewedDistribution.cdf``).
@@ -180,7 +181,19 @@ class SkewingMechanism(ABC):
     # -- composition hooks; the CDF and quantile also take arrays ----------
 
     def composed_cdf(self, y):
-        """S(y) = cdf_P(Phi(y)) at finite y."""
+        """S(y) at finite y: ``_lower_cdf(y)`` up to 0, and above one minus
+        the mirror's at -y, where Phi(-y) never rounds toward 1; a float and
+        an array take the same rule."""
+        y = np.asarray(y, dtype=float)
+        # boolean masks, not the quantile's flat indices: they are faster on
+        # sorted input, which is what ks_test passes
+        s, up = np.empty_like(y), y > 0.0
+        s[~up] = self._lower_cdf(y[~up])
+        s[up] = 1.0 - self.mirror._lower_cdf(-y[up])
+        return _out(s)
+
+    def _lower_cdf(self, y: np.ndarray) -> np.ndarray:
+        """S(y) = P(Phi(y)) for y <= 0, a 1-d array."""
         return self.cdf_P(numcore.normal_cdf(y))
 
     def composed_quantile(self, q, tol: Tolerance = DEFAULT_TOL):
@@ -404,21 +417,23 @@ class SkewSymmetric(SkewingMechanism):
     is 0. Where S is 3/4 or more, or above e^(-1/32), ln S is ln(1 - e^v),
     v the mirror's ln S at -y. A pi smooth off 0 (the CLI's named pis)
     gives ln S and ln(1 - S) within 1e-14 * max(1, |ln|) of mpmath for
-    |y| <= 40 (``TestCustomPiPanelRule``); one that jumps elsewhere, S and
-    1 - S within rel_tol, unless a jump lies within 2^-30 of a panel's
-    width from its edge, where no node sees it.
+    |y| <= 40 (``TestCustomPiPanelRule``). One that jumps elsewhere can
+    miss rel_tol next to the jump, where bisection has brought it near a
+    panel's edge and the error estimate under-reads it: for a pi that
+    jumps at -1, ln S is 5.5e-9 off at y = -1 + 1e-8 and 5.6e-6 off at
+    -1 + 1e-11, against rel_tol 1e-10. A jump within 2^-30 of a panel's
+    width from its edge is not seen at all.
 
     At a float the CDF is exp of ln S, and a quantile is its root in y at
     q <= 1/2, bracketed by ``ContinuousDistribution.quantile``, and minus
-    the mirror's at 1 - q above. Arrays (not draws, the sign flip)
-    interpolate a cached CDF table, read in y on [-13, 13] with step
-    h = 26/16384. Its error in probability is at most h^2/8 * max|s'|,
-    s the composed density: 1.2e-7 for Azzalini |alpha| = 1, 3.0e-7 for
-    alpha = 3, 5.0e-6 for alpha = 50.
+    the mirror's at 1 - q above. Arrays (not draws, the sign flip) take
+    the base class's rules on a cached table of S on [-13, 0], step
+    h = 13/8192, summed by 5-point Gauss panels from the exact S(-13), and
+    on the mirror's above; the CDF is 0 below -13, and a q below S(-13)
+    takes the float quantile. Its error in probability is at most
+    h^2/8 * max|s'|, s the composed density: 1.2e-7 for Azzalini
+    |alpha| = 1, 3.0e-7 for alpha = 3, 5.0e-6 for alpha = 50.
     """
-
-    _TABLE_SPAN = 13.0
-    _TABLE_N = 16385
 
     def __init__(self, pi: Callable):
         self.pi = pi
@@ -534,28 +549,38 @@ class SkewSymmetric(SkewingMechanism):
         half = 0.5 * (hi - lo)
         s = (lo + half)[:, None] + half[:, None] * x
         peak = np.minimum(np.maximum(lo, y), hi)
-        shift = peak * (y - 0.5 * peak)  # the exponent's largest value on the panel
-        f = np.exp(s * (y - 0.5 * s) - shift[:, None])
+        top = peak * (y - 0.5 * peak)  # the exponent's largest value on the panel
+        f = np.exp(s * (y - 0.5 * s) - top[:, None])
         f *= np.asarray(self.pi((y - s).ravel()), dtype=float).reshape(s.shape)
-        gauss, lobatto = (f @ w_gauss) * half, (f @ w_lobatto) * half
+        gauss, lobatto = f @ w_gauss, f @ w_lobatto
         with np.errstate(divide="ignore"):
+            # the half-width in logs: on [0, 5e-324] it rounds to 0
+            shift = top + np.log(hi - lo) - _LOG2
             return shift + np.log(gauss), shift + np.log(np.abs(gauss - lobatto))
 
     def composed_cdf(self, y):
         if isinstance(y, float):
             return math.exp(self.composed_log_cdf(y))
-        numcore._require_finite(y)
-        y_grid, cdf = self._cdf_table
-        return np.interp(y, y_grid, cdf, left=0.0, right=1.0)
+        return super().composed_cdf(y)
+
+    def _lower_cdf(self, y: np.ndarray) -> np.ndarray:
+        return np.interp(numcore._require_finite(y), *self._cdf_table, left=0.0)
 
     def composed_quantile(self, q, tol: Tolerance = DEFAULT_TOL):
         q = _within(q, open_=True, what="q")
         if not isinstance(q, float):
-            y_grid, cdf = self._cdf_table
-            return np.interp(q, cdf, y_grid)
+            return super().composed_quantile(q)
         if q > 0.5:  # 1 - q is exact, where the CDF would have rounded to 1
             return 0.0 - self.mirror.composed_quantile(1.0 - q, tol)
         return ContinuousDistribution.quantile(SkewedDistribution(self), q, tol)
+
+    def _lower_quantile(self, q: np.ndarray) -> np.ndarray:
+        # below the table's first value, S(-13), the rooted float quantile
+        y_grid, cdf = self._cdf_table
+        y = np.interp(q, cdf, y_grid)
+        for i in np.flatnonzero(q < cdf[0]):
+            y[i] = self.composed_quantile(float(q[i]))
+        return y
 
     def composed_sample(self, rng: RngState, n: int) -> np.ndarray:
         # the sign flip (Wang, Boyer & Genton 2004): X ~ N(0, 1) kept where
@@ -566,19 +591,18 @@ class SkewSymmetric(SkewingMechanism):
 
     @cached_property
     def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(y grid, CDF values): panel-by-panel Gauss quadrature of the
-        composed density, anchored by the exact log tail at the left end."""
-        y = np.linspace(-self._TABLE_SPAN, self._TABLE_SPAN, self._TABLE_N)
+        """(y grid on [-13, 0], CDF values): panel-by-panel Gauss quadrature
+        of the composed density, anchored by the exact log tail at -13."""
+        y = np.linspace(-13.0, 0.0, 8193)
         nodes, weights = np.polynomial.legendre.leggauss(5)
         mid = 0.5 * (y[:-1] + y[1:])
         half = 0.5 * (y[1] - y[0])
         t = mid[:, None] + half * nodes[None, :]
         w = 2.0 * np.asarray(self.pi(t.ravel()), dtype=float).reshape(t.shape)
-        w *= np.asarray(numcore.normal_pdf(t.ravel())).reshape(t.shape)
+        w *= numcore.normal_pdf(t)
         panels = half * (w @ weights)
         left = math.exp(self.composed_log_cdf(float(y[0])))
-        cdf = np.concatenate([[left], left + np.cumsum(panels)])
-        return y, cdf
+        return y, np.concatenate([[left], left + np.cumsum(panels)])
 
     @property
     def analytic_sup(self) -> float:
@@ -635,15 +659,6 @@ class OrderStatistics(SkewingMechanism):
         # x = I^-1_q(psi1, psi2); ln x from I_x = x^psi1 / (psi1 B), the series' first term
         return _phi_inv(_sp.betaincinv(self.psi1, self.psi2, q), q,
                         lambda q: (np.log(q) + math.log(self.psi1) + self._log_b) / self.psi1)
-
-    def composed_cdf(self, y):
-        # above 0, one minus the mirror's at -y: x = Phi(-|y|) never rounds to 1
-        y = np.asarray(y, dtype=float)
-        up = y > 0.0
-        s = np.empty_like(y)
-        s[~up] = self._lower_cdf(y[~up])
-        s[up] = 1.0 - self.mirror._lower_cdf(-y[up])
-        return _out(s)
 
     def _lower_cdf(self, y: np.ndarray) -> np.ndarray:
         """I_x(psi1, psi2) at x = Phi(y) for y <= 0; where x is subnormal,
@@ -805,12 +820,8 @@ class TwoPiece(SkewingMechanism):
         with np.errstate(over="ignore"):
             return _out((2.0 / (self.a + self.b)) * np.exp(0.5 * z * z * (1.0 - 1.0 / (c * c))))
 
-    def composed_cdf(self, y):
-        a, b, ab = self.a, self.b, self.a + self.b
-        y_arr = np.asarray(y, dtype=float)
-        lower = (2.0 * b / ab) * numcore.normal_cdf(np.minimum(y_arr, 0.0) / b)
-        upper = (b - a) / ab + (2.0 * a / ab) * numcore.normal_cdf(np.maximum(y_arr, 0.0) / a)
-        return _out(np.where(y_arr < 0.0, lower, upper))
+    def _lower_cdf(self, y: np.ndarray) -> np.ndarray:
+        return (2.0 * self.b / (self.a + self.b)) * numcore.normal_cdf(y / self.b)
 
     def _lower_quantile(self, q):
         # S(y) = (2b/(a+b)) Phi(y/b) below S(0) = b/(a+b)
@@ -937,11 +948,12 @@ class SkewedDistribution(ContinuousDistribution):
     each ``composed_log_cdf`` takes ln S from the smaller tail.
 
     ``quantile``/``quantile_array`` and ``cdf_array`` are the mechanism's
-    ``composed_quantile`` and ``composed_cdf``. A closed family's quantile,
-    float or array, is its lower side's below S(0) and minus the mirror's
-    at 1 - q from S(0) on; the tail mass at it is within 2e-13 in ln of
-    mpmath, plus what 2 ulps of y move it. A non-finite y raises
-    DomainError. ``sample`` is ``composed_sample``.
+    ``composed_quantile`` and ``composed_cdf``. ``cdf_array`` is a family's
+    lower side up to 0 and one minus the mirror's at -y above. A closed
+    family's quantile, float or array, is its lower side's below S(0) and
+    minus the mirror's at 1 - q from S(0) on; the tail mass at it is
+    within 2e-13 in ln of mpmath, plus what 2 ulps of y move it. A
+    non-finite y raises DomainError. ``sample`` is ``composed_sample``.
     """
 
     def __init__(self, mechanism: SkewingMechanism):

@@ -470,8 +470,9 @@ class TestSamplers:
         res = ks_test(draws, normal_cdf)
         assert res.passed, res
 
-    def test_flip_azzalini_matches_composed_cdf(self, std):
-        mech = SkewSymmetric.azzalini(1.0)
+    @pytest.mark.parametrize("alpha", [1.0, -3.0, 50.0])
+    def test_flip_azzalini_matches_composed_cdf(self, std, alpha):
+        mech = SkewSymmetric.azzalini(alpha)
         dist = compose(std, mech)
         draws = sample_flip(mech, RngState(5), 10**5)
         res = ks_test(draws, dist.cdf_array)
@@ -548,8 +549,9 @@ class TestSideOfZeroTails:
 
 
 def _table_accuracy(mech):
-    """h^2/8 * max|s'|, the stated bound on the skew-symmetric table."""
-    h = 2.0 * SkewSymmetric._TABLE_SPAN / (SkewSymmetric._TABLE_N - 1)
+    """h^2/8 * max|s'|, the stated bound on the skew-symmetric table of step
+    h = 13/8192."""
+    h = 13.0 / 8192.0
     z = np.linspace(-8.0, 8.0, 160001)
     alpha = mech.pi.alpha
     slope = 2.0 * normal_pdf(z) * (alpha * normal_pdf(alpha * z) - z * normal_cdf(alpha * z))
@@ -667,6 +669,14 @@ class TestArrayPathInY:
         ys = [-40.0, -38.5, -8.0, -1.0, 0.0, 0.5, 2.0, 8.2, 9.0, 12.0, 30.0, 40.0]
         dev = np.abs(dist.cdf_array(np.array(ys)) - [dist.cdf(y) for y in ys])
         assert np.max(dev) <= 1e-15
+
+    @pytest.mark.parametrize("y", [0.5, 3.0, 9.0, 20.0, 30.0, 40.0])
+    @pytest.mark.parametrize("mech", [MarshallOlkin(0.01), TwoPiece(0.1, 5.0)],
+                             ids=["mo-0.01", "twopiece-0.1-5"])
+    def test_cdf_array_on_the_mirror_side(self, std, mech, y):
+        # above 0, one minus the mirror's lower side at -y
+        dist = compose(std, mech)
+        assert abs(dist.cdf_array(np.array([y]))[0] - dist.cdf(y)) <= 1e-15
 
     def test_azzalini_table_is_read_in_y(self, std):
         mech = SkewSymmetric.azzalini(3.0)
@@ -796,6 +806,45 @@ class TestSkewSymmetricQuantileInY:
         assert mech.quantile_P(q) == float(normal_cdf(y))
 
 
+# Skew-symmetric laws whose array quantile reads the table
+TABLE_LAWS = [
+    pytest.param(SkewSymmetric.azzalini(3.0), id="azzalini-3"),
+    pytest.param(SkewSymmetric.azzalini(-3.0), id="azzalini--3"),
+    pytest.param(SkewSymmetric.azzalini(50.0), id="azzalini-50"),
+    pytest.param(cli.build_mechanism("skewsym-custom", {"pi": "sign"}), id="sign"),
+    pytest.param(cli.build_mechanism("skewsym-custom", {"pi": "logistic", "alpha": 2.0}),
+                 id="logistic-2"),
+]
+
+
+class TestSkewSymmetricArrayQuantile:
+    """An array quantile reads the table on [-13, 0] below S(0), and minus
+    the mirror's at 1 - q from S(0) on. A table summed on to +13 gave 13.0
+    for Azzalini 3 at q = 1 - 1e-15, where the float quantile is 8.0270;
+    below the table's first value, S(-13), it gave -13."""
+
+    @pytest.mark.parametrize("mech", TABLE_LAWS)
+    def test_upper_tail_matches_the_float_quantile(self, std, mech):
+        dist = compose(std, mech)
+        qs = 1.0 - 10.0 ** -np.arange(6.0, 16.0)
+        want = [dist.quantile(float(q)) for q in qs]
+        assert np.max(np.abs(dist.quantile_array(qs) - want)) <= 1e-5
+
+    @pytest.mark.parametrize("mech,tiny", [
+        (SkewSymmetric.azzalini(-3.0), (1e-300, 1e-40)),
+        (cli.build_mechanism("skewsym-custom", {"pi": "logistic", "alpha": 2.0}), (1e-300,)),
+    ], ids=["azzalini--3", "logistic-2"])
+    def test_below_the_table_takes_the_float_quantile(self, std, mech, tiny):
+        # both ends in one array; at the upper end 1 - q >= 2^-53 stays above
+        # the mirror's S(-13) <= 2 Phi(-13), so it always reads the table
+        dist = compose(std, mech)
+        qs = np.array([*tiny, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53])
+        got, k = dist.quantile_array(qs), len(tiny)
+        assert np.all(got[:k] < -13.0)
+        assert np.array_equal(got[:k], [dist.quantile(q) for q in tiny])
+        assert np.max(np.abs(got[k:] - [dist.quantile(float(q)) for q in qs[k:]])) <= 1e-5
+
+
 def _mp_log_erf(y):
     """ln S(y) of the half-normal, S(y) = erf(y / sqrt 2)."""
     return float(mp.log(mp.erf(mp.mpf(y) / mp.sqrt(2))))
@@ -903,6 +952,7 @@ class TestCustomPiPanelRule:
     @example(name="sign", y=1e-9)
     @example(name="logistic-10", y=-40.0)  # pi(y) = e^-400 needs a second stretch
     @example(name="cauchy-cdf", y=40.0)
+    @example(name="sign", y=5e-324)  # the panel [0, y]: its half-width rounded to 0
     def test_log_tails_and_cdf(self, name, y):
         _assert_custom_log_tails(name, y)
 
