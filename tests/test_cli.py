@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from oracles import mp_skew_normal_log_tails
 from skewlab import mechanisms
 from skewlab.cli import FAMILIES, UsageError, build_mechanism, main
 
@@ -284,8 +285,11 @@ class TestEnvTolerance:
         monkeypatch.setenv("SKEWLAB_TOL", "1e-3")
         code, loose, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert parse_csv(loose)[1][0][1] == "0.3637386750936479"
-        assert parse_csv(default)[1][0][1] == "0.3634905791997558"
+        loose, default = parse_csv(loose)[1][0][1], parse_csv(default)[1][0][1]
+        assert loose == "0.36349057919368666"
+        assert default == "0.36349057919482386"
+        assert loose != default and abs(float(loose) - float(default)) <= 1e-3
+        assert abs(mp_skew_normal_log_tails(float(default), 3.0)[0] - math.log(0.3)) <= 1e-12
 
     def test_bad_value_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("SKEWLAB_TOL", "not-a-number")

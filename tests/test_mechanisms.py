@@ -2,12 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 
 from conftest import MO_GAMMAS, OS_SHAPES, shipped_instances
 from oracles import (
@@ -311,12 +313,17 @@ class TestSkewSymmetric:
             assert mech.cdf_P(mech.quantile_P(q)) == pytest.approx(q, abs=1e-10)
 
     def test_quantile_honours_tolerance(self, std):
+        # the Newton root stops one step earlier under the loose tolerance:
+        # a different root, within that tolerance of the default one, which
+        # hits its tail mass to rounding
         dist = compose(std, SkewSymmetric.azzalini(3.0))
-        assert dist.quantile(0.3) == 0.3634905791997558
-        assert dist.quantile(0.3, Tolerance(abs_tol=1e-3)) == 0.3637386750936479
+        default, loose = dist.quantile(0.3), dist.quantile(0.3, Tolerance(abs_tol=1e-3))
+        assert default == 0.36349057919482386
+        assert loose == 0.36349057919368666
+        assert loose != default and abs(loose - default) <= 1e-3
+        assert abs(mp_skew_normal_log_tails(default, 3.0)[0] - math.log(0.3)) <= 1e-12
         extracted = extract_mechanism(dist, std)
-        assert extracted.quantile_P(0.3, Tolerance(abs_tol=1e-3)) == float(
-            normal_cdf(0.3637386750936479))
+        assert extracted.quantile_P(0.3, Tolerance(abs_tol=1e-3)) == float(normal_cdf(loose))
 
     def test_azzalini_pi_object(self):
         pi = AzzaliniPi(2.5)
@@ -1032,6 +1039,90 @@ class TestCustomPiPanelRule:
         for w in (w_gauss, w_lobatto):  # exact up to degree 27 on [-1, 1]
             for k in range(28):
                 assert w @ x**k == pytest.approx((1 + (-1) ** k) / (k + 1), abs=2e-15)
+
+
+# The laws the float quantile's root is checked on: Azzalini shapes from
+# light to heavy lower tails, and custom pis with their mpmath twins.
+ROOT_LAWS = {f"azzalini-{a:g}": (SkewSymmetric.azzalini(a), a)
+             for a in (-50.0, -2.0, 0.5, 3.0, 50.0)}
+ROOT_LAWS["logistic-2"] = (_named_pi("logistic", 2.0), (_mp_logistic(2), ()))
+ROOT_LAWS.update({name: (CUSTOM_PIS[name][0], CUSTOM_PIS[name][1:])
+                  for name in ("logistic-10", "cauchy-cdf", "sign")})
+ROOT_QS = (1e-300, 1e-100, 1e-12, 1e-6, 0.01, 0.25, 0.5, 1 - 1e-6, 1 - 1e-12)
+
+
+def _mp_log_tails(name, y):
+    spec = ROOT_LAWS[name][1]
+    if isinstance(spec, float):
+        return mp_skew_normal_log_tails(y, spec)
+    return mp_skew_symmetric_log_tails(spec[0], y, spec[1])
+
+
+class TestSkewSymmetricQuantileRoot:
+    """The float quantile at q <= 1/2 is Newton on ln S - ln q inside
+    [Phi^-1(q/2), sqrt 2 erfinv(q)], and minus the mirror's at 1 - q above.
+    It replaced brentq on S - q from a doubling bracket, which took 11 to
+    50 log-CDF calls a quantile and stopped within its tolerance in y: at
+    q = 1e-300 the tail mass was off by 1.4e-8 in ln (logistic 10)."""
+
+    @pytest.mark.parametrize("q", ROOT_QS)
+    @pytest.mark.parametrize("name", sorted(ROOT_LAWS))
+    def test_tail_mass_against_mpmath(self, std, name, q):
+        y = compose(std, ROOT_LAWS[name][0]).quantile(q)
+        log_cdf, log_sf = _mp_log_tails(name, y)
+        got, want = (log_cdf, math.log(q)) if q <= 0.5 else (log_sf, math.log1p(-q))
+        assert abs(got - want) <= 1e-12, (y, got, want)
+
+    @pytest.mark.parametrize("name", sorted(ROOT_LAWS))
+    def test_smallest_subnormal_q(self, std, name):
+        q = 5e-324
+        lo = float(sp.ndtri_exp(math.log(q) - math.log(2.0)))
+        hi = math.sqrt(2.0) * float(sp.erfinv(q))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = compose(std, ROOT_LAWS[name][0]).quantile(q)
+        assert math.isfinite(y) and lo <= y <= hi, (lo, y, hi)
+
+    @pytest.mark.parametrize("q", [1e-14, 1e-16, 1e-100, 1e-300])
+    def test_sign_pi_at_tiny_q(self, std, q):
+        # S(y) = erf(y / sqrt 2) above 0: the bracket's upper end is the root.
+        # brentq returned -2.8157e-13, where S = 0, for q from 1e-16 down
+        y = compose(std, CUSTOM_PIS["sign"][0]).quantile(q)
+        want = float(mp.sqrt(2) * mp.erfinv(q))
+        assert abs(y - want) <= 4 * math.ulp(want), (y, want)
+
+    @pytest.mark.parametrize("q", [1e-300, 1e-14, 1e-6, 0.01])
+    def test_jump_pi_bisects_to_its_root(self, std, q):
+        # S = 0 below -1 and Phi(y) - Phi(-1) above it: Newton from the upper
+        # end leaves the bracket, so the root is bisected toward the jump
+        y = compose(std, CUSTOM_PIS["jump"][0]).quantile(q)
+        want = float(mp.sqrt(2) * mp.erfinv(2 * (mp.mpf(q) + mp.ncdf(-1)) - 1))
+        tol = Tolerance()
+        assert abs(y - want) <= tol.abs_tol + tol.rel_tol * abs(y), (y, want)
+
+    def test_max_iter_raises_with_the_partial(self, std):
+        dist = compose(std, SkewSymmetric.azzalini(3.0))
+        with pytest.raises(ConvergenceError, match="did not converge") as info:
+            dist.quantile(0.3, Tolerance(max_iter=1))
+        assert math.isfinite(info.value.partial)
+
+    @pytest.mark.parametrize("family,params", [
+        pytest.param("azzalini", {"alpha": a}, id=f"azzalini-{a:g}") for a in (-2.0, 0.5, 3.0)
+    ] + [
+        pytest.param("skewsym-custom", {"pi": pi, "alpha": a}, id=f"{pi}-{a:g}")
+        for pi, a in (("logistic", 2.0), ("cauchy-cdf", 1.0), ("sign", 1.0))
+    ])
+    def test_log_cdf_calls_per_quantile(self, std, monkeypatch, family, params):
+        # the benchmark's skew-symmetric laws and levels; brentq took 11 to 50
+        calls = []
+        original = SkewSymmetric.composed_log_cdf
+        monkeypatch.setattr(SkewSymmetric, "composed_log_cdf",
+                            lambda self, y: calls.append(y) or original(self, y))
+        dist = compose(std, cli.build_mechanism(family, dict(params)))
+        for q in (1e-12, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-12):
+            calls.clear()
+            dist.quantile(q)
+            assert 1 <= len(calls) <= 10, (q, len(calls))
 
 
 class TestAzzaliniRunsNoQuadrature:
