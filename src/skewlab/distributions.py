@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from functools import wraps
 
 import numpy as np
 
@@ -22,6 +23,25 @@ __all__ = [
     "RngState",
     "log_tail_mass",
 ]
+
+
+def _out(v):
+    """A Python float for a 0-d result, the array otherwise."""
+    return v if isinstance(v, np.ndarray) and v.ndim else float(v)
+
+
+def _elementwise(method):
+    """Lift a method of one float to floats and arrays, element by element;
+    a float goes to the method as it is."""
+
+    @wraps(method)
+    def lifted(self, x, *args):
+        if isinstance(x, float):
+            return float(method(self, float(x), *args))
+        x = np.asarray(x, dtype=float)
+        return _out(np.array([method(self, float(v), *args) for v in x.ravel()]).reshape(x.shape))
+
+    return lifted
 
 
 class RngState:
@@ -75,9 +95,11 @@ class RngState:
 class ContinuousDistribution(ABC):
     """Absolutely continuous distribution on the real line.
 
-    Subclasses must provide pdf/cdf and both log tails; generic quantile
-    and sampling fall back to bracketed inversion of the cdf. All
-    evaluation methods are pure; instances are immutable after
+    Subclasses must provide pdf/cdf and both log tails, each of a float;
+    generic quantile and sampling fall back to bracketed inversion of the
+    cdf. ``log_pdf`` also takes an array, which it evaluates here one
+    element at a time; a subclass that overrides it keeps that contract.
+    All evaluation methods are pure; instances are immutable after
     construction.
     """
 
@@ -95,6 +117,7 @@ class ContinuousDistribution(ABC):
         """ln P(Y > y); must stay finite wherever the true mass is
         representable in log space, far past the underflow of 1 - cdf."""
 
+    @_elementwise
     def log_pdf(self, y: float) -> float:
         v = self.pdf(y)
         return math.log(v) if v > 0.0 else float("-inf")
@@ -133,13 +156,16 @@ class ContinuousDistribution(ABC):
 
 class StandardNormal(ContinuousDistribution):
     """The standard normal: symmetric base distribution of every
-    composition in this package."""
+    composition in this package. ``pdf`` and ``log_pdf`` take a float or
+    an array."""
 
-    def pdf(self, y: float) -> float:
-        return float(numcore.normal_pdf(y))
+    def pdf(self, y):
+        v = numcore.normal_pdf(y)
+        return float(v) if isinstance(y, float) else _out(v)
 
-    def log_pdf(self, y: float) -> float:
-        return float(numcore.log_normal_pdf(y))
+    def log_pdf(self, y):
+        v = numcore.log_normal_pdf(y)
+        return float(v) if isinstance(y, float) else _out(v)
 
     def cdf(self, y: float) -> float:
         return float(numcore.normal_cdf(y))

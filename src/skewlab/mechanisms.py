@@ -22,11 +22,12 @@ x -> 1 - P(1 - x) of -Y, is in the same family and gives the upper tail
 at -y.
 The CDF and the quantile take a float or an ndarray of any shape (a 0-d
 input returns a float), each by one rule from the family's lower side
-and its mirror's. The CDF is ``_lower_cdf(y)`` up to 0, P(Phi(y)) unless
-the family writes it in y, and above 0 one minus the mirror's at -y,
-where Phi(-y) never rounds toward 1. The quantile is ``_lower_quantile``
-below S(0), where no argument of Phi^-1 exceeds 1/2, and from S(0) on
-minus the mirror's at 1 - q, exact there. ``SkewSymmetric`` takes a
+and its mirror's; the density ``composed_log_pdf`` takes either as well.
+The CDF is ``_lower_cdf(y)`` up to 0, P(Phi(y)) unless the family writes
+it in y, and above 0 one minus the mirror's at -y, where Phi(-y) never
+rounds toward 1. The quantile is ``_lower_quantile`` below S(0), where
+no argument of Phi^-1 exceeds 1/2, and from S(0) on minus the mirror's
+at 1 - q, exact there. ``SkewSymmetric`` takes a
 float's quantile at q <= 1/2 by Newton on ln S(y) - ln q inside
 [Phi^-1(q/2), sqrt 2 erfinv(q)], which holds the root because
 2 Phi - 1 <= S <= 2 Phi, bisecting where a step would leave it; the tail
@@ -40,14 +41,14 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from functools import cache, cached_property, wraps
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
 from scipy import special as _sp
 
 from . import numcore
-from .distributions import ContinuousDistribution, RngState, StandardNormal
+from .distributions import ContinuousDistribution, RngState, StandardNormal, _elementwise, _out
 from .errors import ConvergenceError, DomainError, ParameterError
 from .numcore import DEFAULT_TOL, LogProb, Tolerance
 
@@ -74,11 +75,6 @@ _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 _NORMAL_Q3 = 0.6744897501960817  # Phi^-1(3/4)
 _NEAR_ONE = -1.0 / 32.0  # ln S above it loses relative digits taken from S
-
-
-def _out(v):
-    """A Python float for a 0-d result, the array otherwise."""
-    return v if isinstance(v, np.ndarray) and v.ndim else float(v)
 
 
 def _within(x, open_: bool, what: str = "x"):
@@ -130,6 +126,8 @@ class SkewingMechanism(ABC):
     keeps an array's shape, a constant density too, and returns a float
     for a float or a 0-d array: ``estimate_sup_p`` calls ``p`` once on all
     its probe points and reads the result grid by grid.
+    ``composed_log_pdf`` takes a float or an array too; a family keeps a
+    float branch only where numpy would slow a float down.
     It writes ``composed_log_cdf``, ``mirror``, the mechanism of -Y, whose
     lower tail is this one's upper one, and ``_lower_quantile``, the y with
     S(y) = q below S(0). ``composed_cdf`` is ``_lower_cdf`` up to 0 and one
@@ -221,8 +219,9 @@ class SkewingMechanism(ABC):
         """S(0), where ``composed_quantile`` turns to the mirror."""
         return float(self.composed_cdf(0.0))
 
-    def composed_log_pdf(self, y: float) -> float:
-        return _STD.log_pdf(y) + self.log_p(_STD.cdf(y))
+    def composed_log_pdf(self, y):
+        """ln s(y) at finite y, a float or an array."""
+        return numcore.log_normal_pdf(y) + self.log_p(numcore.normal_cdf(y))
 
     def composed_sample(self, rng: RngState, n: int) -> np.ndarray:
         """n draws of S given rng; by default ``composed_quantile`` of uniforms."""
@@ -471,18 +470,19 @@ class SkewSymmetric(SkewingMechanism):
         mirror.mirror = self
         return mirror
 
-    def _log_pi_at(self, t: float) -> float:
-        if self._log_pi is not None:
-            return float(self._log_pi(t))
-        v = float(self.pi(t))
-        return math.log(v) if v > 0.0 else _NEG_INF
-
     def p(self, x):
         z = numcore.normal_quantile(_within(x, open_=True))
         return _out(2.0 * np.asarray(self.pi(z), dtype=float))
 
-    def composed_log_pdf(self, y: float) -> float:
-        return _LOG2 + self._log_pi_at(y) + _STD.log_pdf(y)
+    def composed_log_pdf(self, y):
+        if self._log_pi is not None:
+            return _LOG2 + self._log_pi(y) + numcore.log_normal_pdf(y)
+        if isinstance(y, float):  # a float skips np.errstate
+            v = float(self.pi(y))
+            return _LOG2 + (math.log(v) if v > 0.0 else _NEG_INF) + float(numcore.log_normal_pdf(y))
+        with np.errstate(divide="ignore"):
+            log_pi = np.log(np.asarray(self.pi(y), dtype=float))
+        return _LOG2 + log_pi + numcore.log_normal_pdf(y)
 
     def composed_log_cdf(self, y: float) -> LogProb:
         if self._pi_log_cdf is not None:
@@ -725,8 +725,9 @@ class OrderStatistics(SkewingMechanism):
             s[sub] = np.exp(self.psi1 * log_x - math.log(self.psi1) - self._log_b)
         return s
 
-    def composed_log_pdf(self, y: float) -> float:
-        return _STD.log_pdf(y) + self._log_p_from_logs(_STD.log_cdf(y), _STD.log_sf(y))
+    def composed_log_pdf(self, y):
+        return numcore.log_normal_pdf(y) + self._log_p_from_logs(
+            numcore.log_normal_cdf(y), numcore.log_normal_sf(y))
 
     def composed_log_cdf(self, y: float) -> LogProb:
         if y > 0.0:  # Phi(y) rounds toward 1: take S from 1 - S, exact in Phi(-y)
@@ -786,6 +787,7 @@ class MarshallOlkin(SkewingMechanism):
         if not (gamma > 0 and math.isfinite(gamma) and math.isfinite(1.0 / gamma)):
             raise ParameterError(f"gamma and 1/gamma must be positive and finite, got {gamma!r}")
         self.gamma = float(gamma)
+        self._log_gamma = math.log(self.gamma)
 
     def p(self, x):
         x = _within(x, open_=False)
@@ -812,9 +814,12 @@ class MarshallOlkin(SkewingMechanism):
         mirror.mirror = self  # 1/(1/gamma) need not round to gamma
         return mirror
 
-    def composed_log_pdf(self, y: float) -> float:
-        den = _STD.cdf(y) + self.gamma * math.exp(_STD.log_sf(y))
-        return math.log(self.gamma) + _STD.log_pdf(y) - 2.0 * math.log(den)
+    def composed_log_pdf(self, y):
+        if isinstance(y, float):  # math, not numpy, on a float
+            den = _STD.cdf(y) + self.gamma * math.exp(_STD.log_sf(y))
+            return self._log_gamma + float(numcore.log_normal_pdf(y)) - 2.0 * math.log(den)
+        den = numcore.normal_cdf(y) + self.gamma * np.exp(numcore.log_normal_sf(y))
+        return self._log_gamma + numcore.log_normal_pdf(y) - 2.0 * np.log(den)
 
     def composed_log_cdf(self, y: float) -> LogProb:
         lx = _STD.log_cdf(y)
@@ -848,6 +853,7 @@ class TwoPiece(SkewingMechanism):
         if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
             raise ParameterError(f"scale factors must be positive, got ({a!r}, {b!r})")
         self.a, self.b = float(a), float(b)
+        self._log_norm = math.log(2.0 / (self.a + self.b))
         # the scales of Y/s are {1-g, 1+g}; |g| reaches 1 only by rounding
         g = (self.b - self.a) / (self.a + self.b)
         if 0.0 < abs(g) < 1.0:
@@ -883,9 +889,11 @@ class TwoPiece(SkewingMechanism):
         return self.b * _phi_inv(q * ab / (2.0 * self.b), q,
                                  lambda q: np.log(q) + math.log(ab / (2.0 * self.b)))
 
-    def composed_log_pdf(self, y: float) -> float:
-        c = self.b if y < 0.0 else self.a
-        return math.log(2.0 / (self.a + self.b)) + float(numcore.log_normal_pdf(y / c))
+    def composed_log_pdf(self, y):
+        if isinstance(y, float):  # a float skips np.where
+            c = self.b if y < 0.0 else self.a
+            return self._log_norm + float(numcore.log_normal_pdf(y / c))
+        return self._log_norm + numcore.log_normal_pdf(y / np.where(y < 0.0, self.b, self.a))
 
     def composed_log_cdf(self, y: float) -> LogProb:
         ab = self.a + self.b
@@ -916,40 +924,29 @@ class TwoPiece(SkewingMechanism):
         return f"TwoPiece(a={self.a}, b={self.b})"
 
 
-def _elementwise(method):
-    """Lift a method of one float to floats and arrays, element by element;
-    a float goes to the method as it is."""
-
-    @wraps(method)
-    def lifted(self, x, *args):
-        if isinstance(x, float):
-            return float(method(self, float(x), *args))
-        x = np.asarray(x, dtype=float)
-        return _out(np.array([method(self, float(v), *args) for v in x.ravel()]).reshape(x.shape))
-
-    return lifted
-
-
 class NumericMechanism(SkewingMechanism):
     """Mechanism recovered from a source distribution:
     p(x) = source.pdf(Phi^-1(x)) / phi(Phi^-1(x)).
 
-    The source is a scalar ``ContinuousDistribution``, so arrays are
-    evaluated one element at a time. The composed CDF, quantile and both
-    log tails are the source's, since P(Phi(y)) = source.cdf(y); it has no
-    mirror. Evaluation of p is restricted to the open interval; endpoint
-    behavior is a question for the boundedness probe, not extrapolation.
+    ``log_p`` and ``p`` take an array with one ``source.log_pdf`` call,
+    which a ``SkewedDistribution`` evaluates in numpy and a source that
+    writes only a float pdf one element at a time (the base class's
+    ``log_pdf``). The composed CDF and quantile go through the source's
+    float methods one element at a time. They and both log tails are the
+    source's, since P(Phi(y)) = source.cdf(y); it has no mirror.
+    Evaluation of p is restricted to the open interval; endpoint behavior
+    is a question for the boundedness probe, not extrapolation.
     """
 
     def __init__(self, source: ContinuousDistribution):
         self.source = source
 
-    @_elementwise
-    def log_p(self, x: float) -> float:
-        if not (0.0 < x < 1.0):
-            raise DomainError(f"extracted mechanism is defined on (0, 1), got {x!r}")
-        z = _STD.quantile(x)
-        return self.source.log_pdf(z) - _STD.log_pdf(z)
+    def log_p(self, x):
+        if not numcore._in_unit(x, open_=True):
+            bad = next(v for v in np.ravel(x) if not 0.0 < v < 1.0)  # the first
+            raise DomainError(f"extracted mechanism is defined on (0, 1), got {float(bad)!r}")
+        z = numcore.normal_quantile(x)
+        return _out(self.source.log_pdf(z) - numcore.log_normal_pdf(z))
 
     @_elementwise
     def composed_cdf(self, y: float) -> float:
@@ -997,9 +994,12 @@ def twopiece_cdf(a: float, b: float, y):
 class SkewedDistribution(ContinuousDistribution):
     """Composition S = P o Phi with density s(y) = phi(y) * p(Phi(y)).
 
-    Cumulative quantities delegate to the mechanism's composition hooks,
-    which keep both tails finite in log space. ``cdf`` is exp(``log_cdf``):
-    each ``composed_log_cdf`` takes ln S from the smaller tail.
+    ``pdf`` and ``log_pdf`` take a float or an array in one
+    ``composed_log_pdf`` call; a float gets a float (``log_pdf`` an
+    ``np.float64`` where the hook is one numpy expression). Cumulative
+    quantities delegate to the mechanism's composition hooks, which keep
+    both tails finite in log space. ``cdf`` is exp(``log_cdf``) of a
+    float: each ``composed_log_cdf`` takes ln S from the smaller tail.
 
     ``quantile``/``quantile_array`` and ``cdf_array`` are the mechanism's
     ``composed_quantile`` and ``composed_cdf``. ``cdf_array`` is a family's
@@ -1013,11 +1013,16 @@ class SkewedDistribution(ContinuousDistribution):
     def __init__(self, mechanism: SkewingMechanism):
         self.mechanism = mechanism
 
-    def pdf(self, y: float) -> float:
-        return math.exp(self.log_pdf(y))
+    def pdf(self, y):
+        if isinstance(y, float):
+            return math.exp(self.mechanism.composed_log_pdf(numcore._require_finite(y)))
+        return _out(np.exp(self.log_pdf(y)))
 
-    def log_pdf(self, y: float) -> float:
-        return self.mechanism.composed_log_pdf(numcore._require_finite(y))
+    def log_pdf(self, y):
+        if isinstance(y, float):
+            return self.mechanism.composed_log_pdf(numcore._require_finite(y))
+        y = np.asarray(numcore._require_finite(y), dtype=float)
+        return _out(self.mechanism.composed_log_pdf(y))
 
     def cdf(self, y: float) -> float:
         return math.exp(self.log_cdf(y))

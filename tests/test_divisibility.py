@@ -224,6 +224,33 @@ class TestSupProbeInOneCall:
             grid[0] = 0.5
 
 
+class _ScalarLoopMechanism(NumericMechanism):
+    """The extracted mechanism with p taken one float at a time."""
+
+    def p(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.array([NumericMechanism.p(self, float(v)) for v in x.ravel()]).reshape(x.shape)
+
+
+class TestNumericSupProbe:
+    """An extracted mechanism's p takes the 2,260 probe points in one
+    source.log_pdf call; the verdict is the one a call per point gives."""
+
+    @pytest.mark.parametrize("mech", [MarshallOlkin(2.0), SkewSymmetric.azzalini(3.0),
+                                      TwoPiece.epsilon_skew(-0.5)], ids=repr)
+    def test_verdict_equals_scalar_loop(self, mech, std):
+        source = compose(std, mech)
+        got = divisibility_verdict(NumericMechanism(source))
+        want = divisibility_verdict(_ScalarLoopMechanism(source))
+        assert (got.verdict, got.rule, got.bound) == (want.verdict, want.rule, want.bound)
+        a, b = got.boundedness, want.boundedness
+        assert a.classification is b.classification
+        assert [n for n, _ in a.refinement_trace] == [n for n, _ in b.refinement_trace]
+        for (_, s), (_, t) in zip(a.refinement_trace, b.refinement_trace):
+            assert abs(s - t) <= 4.0 * math.ulp(t), (s, t)
+        assert abs(a.sup_estimate - b.sup_estimate) <= 4.0 * math.ulp(b.sup_estimate)
+
+
 class TestBoundVerifier:
     @pytest.mark.parametrize("name,mech", bounded_instances())
     def test_all_rows_pass_on_default_grid(self, name, mech):
