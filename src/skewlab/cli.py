@@ -145,12 +145,19 @@ def _parse_ys(raw: str | None) -> list[float]:
         raise UsageError(f"--ys expects a comma list of numbers, got {raw!r}") from exc
 
 
-def _fmt(v) -> str:
+_BOOL_CELLS = {True: "true", False: "false"}
+
+
+def _cell_format(v):
+    """The CSV writer of a column whose values have the type of v: true or
+    false, a float's repr, or str."""
     if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+        return _BOOL_CELLS.__getitem__
+    if isinstance(v, float):
+        return float.__repr__
+    if isinstance(v, np.floating):
+        return lambda f: repr(float(f))
+    return str
 
 
 def _emit_json(payload, out) -> None:
@@ -162,9 +169,9 @@ def _emit_table(header: list[str], rows: list[list], fmt: str, out) -> None:
     if fmt == "json":
         _emit_json([dict(zip(header, row)) for row in rows], out)
     else:
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+        # one writer per column, picked from its first value, mapped over it
+        columns = [list(map(_cell_format(col[0]), col)) for col in zip(*rows)]
+        out.write("\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
 
 
 def cmd_eval(args, out) -> int:

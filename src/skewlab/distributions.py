@@ -98,7 +98,9 @@ class ContinuousDistribution(ABC):
     Subclasses must provide pdf/cdf and both log tails, each of a float;
     generic quantile and sampling fall back to bracketed inversion of the
     cdf. ``log_pdf`` also takes an array, which it evaluates here one
-    element at a time; a subclass that overrides it keeps that contract.
+    element at a time, and so does ``_log_tail_mass``, the two-sided tail
+    mass of ``log_tail_mass``, from the float log tails; a subclass whose
+    methods take arrays overrides them with one call each.
     All evaluation methods are pure; instances are immutable after
     construction.
     """
@@ -121,6 +123,10 @@ class ContinuousDistribution(ABC):
     def log_pdf(self, y: float) -> float:
         v = self.pdf(y)
         return math.log(v) if v > 0.0 else float("-inf")
+
+    @_elementwise
+    def _log_tail_mass(self, y: float) -> LogProb:
+        return np.logaddexp(self.log_cdf(-y), self.log_sf(y))
 
     def sf(self, y: float) -> float:
         return math.exp(self.log_sf(y))
@@ -156,8 +162,8 @@ class ContinuousDistribution(ABC):
 
 class StandardNormal(ContinuousDistribution):
     """The standard normal: symmetric base distribution of every
-    composition in this package. ``pdf`` and ``log_pdf`` take a float or
-    an array."""
+    composition in this package. ``pdf``, ``log_pdf`` and both log tails
+    take a float or an array."""
 
     def pdf(self, y):
         v = numcore.normal_pdf(y)
@@ -170,11 +176,16 @@ class StandardNormal(ContinuousDistribution):
     def cdf(self, y: float) -> float:
         return float(numcore.normal_cdf(y))
 
-    def log_cdf(self, y: float) -> LogProb:
-        return float(numcore.log_normal_cdf(y))
+    def log_cdf(self, y):
+        v = numcore.log_normal_cdf(y)
+        return float(v) if isinstance(y, float) else _out(v)
 
-    def log_sf(self, y: float) -> LogProb:
-        return float(numcore.log_normal_sf(y))
+    def log_sf(self, y):
+        v = numcore.log_normal_sf(y)
+        return float(v) if isinstance(y, float) else _out(v)
+
+    def _log_tail_mass(self, y):
+        return _out(np.logaddexp(self.log_cdf(-y), self.log_sf(y)))
 
     def quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
         return float(numcore.normal_quantile(q))
@@ -186,13 +197,18 @@ class StandardNormal(ContinuousDistribution):
         return "StandardNormal()"
 
 
-def log_tail_mass(dist: ContinuousDistribution, y: float) -> LogProb:
-    """ln of the two-sided tail mass P(Y < -y) + P(Y > y), y > 0.
+def log_tail_mass(dist: ContinuousDistribution, y):
+    """ln of the two-sided tail mass P(Y < -y) + P(Y > y), y > 0; a float,
+    or an array of any shape (a 0-d one gives a float).
 
     Combined by log-sum-exp of the two log tails, so the result stays
     finite whenever either side is representable in log space (for the
-    standard normal that covers y up to 40 and beyond).
+    standard normal that covers y up to 40 and beyond). An array takes one
+    call of each log tail where they take arrays, as the standard normal's
+    and a composition's do, and one per element otherwise.
     """
-    if not (y > 0.0):
+    if not isinstance(y, float):
+        y = np.asarray(y, dtype=float)
+    if not (y > 0.0 if isinstance(y, float) else (y > 0.0).all()):
         raise DomainError(f"tail ordinate must be positive, got {y}")
-    return float(np.logaddexp(dist.log_cdf(-y), dist.log_sf(y)))
+    return dist._log_tail_mass(y)

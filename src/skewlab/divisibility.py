@@ -15,6 +15,10 @@ T(y) = -ln m(y) / (y ln y) diverges. Three numerical embodiments:
   divergence; both strict inequalities are checked in log space. It
   covers every two-piece law: rescaling preserves infinite divisibility.
 
+Each of the three makes one ``log_tail_mass`` call for its whole grid
+and takes its right-hand sides as arrays; the rows are those a call per
+ordinate gives, bit for bit.
+
 ``estimate_sup_p`` classifies boundedness of p by monotone grid
 refinement clustering at the endpoints; a stabilized numeric sup only
 bounds sup p from below, so it is evidence, never the M of a certificate.
@@ -200,14 +204,10 @@ def steutel_statistic(dist: ContinuousDistribution, ys) -> TailReport:
         raise DomainError(f"all ordinates must exceed 1, got {ys}")
     if any(b <= a for a, b in zip(ys, ys[1:])):
         raise DomainError("ordinates must be strictly increasing")
-    rows = []
-    for y in ys:
-        lt = log_tail_mass(dist, y)
-        if math.isfinite(lt):
-            rows.append(TailRow(y, lt, -lt / (y * math.log(y))))
-        else:
-            rows.append(TailRow(y, lt, float("inf"), flagged=True))
-    return TailReport(tuple(rows))
+    tails = log_tail_mass(dist, np.array(ys)).tolist()
+    return TailReport(tuple(
+        TailRow(y, lt, -lt / (y * math.log(y))) if math.isfinite(lt)
+        else TailRow(y, lt, float("inf"), flagged=True) for y, lt in zip(ys, tails)))
 
 
 @cache
@@ -271,22 +271,12 @@ def estimate_sup_p(mech: SkewingMechanism) -> BoundednessReport:
     )
 
 
-def _positive(ys):
-    for y in ys:
-        y = float(y)
-        if y <= 0.0:
-            raise DomainError(f"ordinates must be positive, got {y}")
-        yield y
-
-
-def _bound_rows(bound: float, tails) -> list[BoundCheckRow]:
-    """Theorem-1 rows ln m_S(y) <= ln M + ln(2 Phi(-y)) from (y, ln m_S(y))."""
-    log_2m = math.log(bound) + math.log(2.0)
-    rows = []
-    for y, lhs in tails:
-        rhs = log_2m + float(numcore.log_normal_sf(y))
-        rows.append(BoundCheckRow(y, lhs, rhs, passed=lhs <= rhs))
-    return rows
+def _bound_rows(bound: float, ys: np.ndarray, tails: np.ndarray) -> list[BoundCheckRow]:
+    """Theorem-1 rows ln m_S(y) <= ln M + ln(2 Phi(-y)) from the ordinates
+    and ln m_S at them."""
+    rhs = math.log(bound) + math.log(2.0) + numcore._log_normal_sf(ys)
+    return [BoundCheckRow(y, lhs, r, passed=lhs <= r)
+            for y, lhs, r in zip(ys.tolist(), tails.tolist(), rhs.tolist())]
 
 
 def verify_theorem1_bound(mech: SkewingMechanism, ys=DEFAULT_Y_GRID) -> list[BoundCheckRow]:
@@ -300,8 +290,8 @@ def verify_theorem1_bound(mech: SkewingMechanism, ys=DEFAULT_Y_GRID) -> list[Bou
     bound = mech.analytic_sup
     if bound is None:
         raise PreconditionError(f"{mech!r} has no analytic bound on p; theorem-1 does not apply")
-    dist = compose(_STD, mech)
-    return _bound_rows(bound, ((y, log_tail_mass(dist, y)) for y in _positive(ys)))
+    ys = np.fromiter(ys, float)
+    return _bound_rows(bound, ys, log_tail_mass(compose(_STD, mech), ys))
 
 
 def verify_theorem2_chain(gamma: float, ys=DEFAULT_Y_GRID) -> list[ChainRow]:
@@ -314,18 +304,13 @@ def verify_theorem2_chain(gamma: float, ys=DEFAULT_Y_GRID) -> list[ChainRow]:
     """
     if not (math.isfinite(gamma) and -1.0 < gamma < 1.0) or gamma == 0.0:
         raise DomainError(f"gamma must lie in (-1, 0) or (0, 1), got {gamma!r}")
+    ys = np.fromiter(ys, float)
     a = 1.0 + abs(gamma)
-    dist = compose(_STD, TwoPiece.epsilon_skew(-abs(gamma)))
-    rows = []
-    for y in _positive(ys):
-        log_tail = log_tail_mass(dist, y)
-        log_mid = math.log(2.0 * a) + float(numcore.log_normal_sf(y / a))
-        log_outer = math.log(4.0) + float(numcore.log_normal_sf(y / 2.0))
-        rows.append(ChainRow(
-            y, log_tail, log_mid, log_outer,
-            passed=(log_tail < log_mid) and (log_mid < log_outer),
-        ))
-    return rows
+    tail = log_tail_mass(compose(_STD, TwoPiece.epsilon_skew(-abs(gamma))), ys)
+    mid = math.log(2.0 * a) + numcore._log_normal_sf(ys / a)
+    outer = math.log(4.0) + numcore._log_normal_sf(ys / 2.0)
+    return [ChainRow(y, t, m, o, passed=(t < m) and (m < o))
+            for y, t, m, o in zip(ys.tolist(), tail.tolist(), mid.tolist(), outer.tolist())]
 
 
 def divisibility_verdict(
@@ -349,7 +334,8 @@ def divisibility_verdict(
     bound, gamma = report.certified_bound, mech.epsilon_skew_gamma
     if bound is not None:
         rule, note = "theorem-1", mech.bound_note
-        rows = _bound_rows(bound, ((r.y, r.log_tail) for r in tail.rows))
+        rows = _bound_rows(bound, np.array([r.y for r in tail.rows]),
+                           np.array([r.log_tail for r in tail.rows]))
     elif gamma is not None:
         rule, note = "theorem-2", "two-piece with unequal scales"
         rows = verify_theorem2_chain(gamma, [r.y for r in tail.rows])

@@ -19,7 +19,10 @@ family writes the lower one, ``composed_log_cdf``: closed or series
 forms, or for ``SkewSymmetric`` pi's own (``AzzaliniPi``, through Owen's
 T), else a composite Gauss-Legendre rule. Its ``mirror``, the mechanism
 x -> 1 - P(1 - x) of -Y, is in the same family and gives the upper tail
-at -y.
+at -y. Both log tails take a float or an array, whose elements get what
+their floats get, bit for bit: a closed form takes the side up to 0,
+where the diagnostics' tails lie, in one pass, and the other side, as the
+rule does everywhere, one point at a time.
 The CDF and the quantile take a float or an ndarray of any shape (a 0-d
 input returns a float), each by one rule from the family's lower side
 and its mirror's; the density ``composed_log_pdf`` takes either as well.
@@ -50,7 +53,7 @@ from scipy import special as _sp
 from . import numcore
 from .distributions import ContinuousDistribution, RngState, StandardNormal, _elementwise, _out
 from .errors import ConvergenceError, DomainError, ParameterError
-from .numcore import DEFAULT_TOL, LogProb, Tolerance
+from .numcore import DEFAULT_TOL, LogProb, Tolerance, _each
 
 __all__ = [
     "SkewingMechanism",
@@ -110,6 +113,28 @@ def _log1mexp(v: float) -> float:
     return math.log1p(-math.exp(v)) if v < 0.0 else _NEG_INF
 
 
+def _dot_rows(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each row of m dotted with w, by the dot product that ``w @ row`` of
+    one row makes: a matrix-vector product sums in another order."""
+    return np.matmul(m[:, None, :], w)[:, 0]
+
+
+def _at_once(y: np.ndarray, at_once: np.ndarray, vectorised, each) -> np.ndarray:
+    """An array hook in y's shape: vectorised, a function of a 1-d array, of
+    the elements where at_once holds, in one call, and each, the float
+    branch, of the others one at a time; a side without elements costs no
+    call."""
+    flat, mask = y.ravel(), at_once.ravel()
+    if mask.all():
+        out = vectorised(flat)
+    elif not mask.any():
+        out = _each(each, flat)
+    else:
+        out = np.empty(flat.size)
+        out[mask], out[~mask] = vectorised(flat[mask]), _each(each, flat[~mask])
+    return out.reshape(y.shape)
+
+
 def _log_share(u: float, v: float) -> float:
     """ln(u / (u + v)) for u, v >= 0, without rounding u / (u + v)."""
     if u == 0.0:
@@ -126,8 +151,11 @@ class SkewingMechanism(ABC):
     keeps an array's shape, a constant density too, and returns a float
     for a float or a 0-d array: ``estimate_sup_p`` calls ``p`` once on all
     its probe points and reads the result grid by grid.
-    ``composed_log_pdf`` takes a float or an array too; a family keeps a
-    float branch only where numpy would slow a float down.
+    ``composed_log_pdf``, ``composed_log_cdf`` and ``composed_log_sf`` take
+    a float or an array too, an array checked to be finite by its caller;
+    a family keeps a float branch only where numpy would slow a float down,
+    and the log tails' array branches give each element the float's value,
+    bit for bit.
     It writes ``composed_log_cdf``, ``mirror``, the mechanism of -Y, whose
     lower tail is this one's upper one, and ``_lower_quantile``, the y with
     S(y) = q below S(0). ``composed_cdf`` is ``_lower_cdf`` up to 0 and one
@@ -221,17 +249,18 @@ class SkewingMechanism(ABC):
 
     def composed_log_pdf(self, y):
         """ln s(y) at finite y, a float or an array."""
-        return numcore.log_normal_pdf(y) + self.log_p(numcore.normal_cdf(y))
+        return numcore._log_normal_pdf(y) + self.log_p(numcore._normal_cdf(y))
 
     def composed_sample(self, rng: RngState, n: int) -> np.ndarray:
         """n draws of S given rng; by default ``composed_quantile`` of uniforms."""
         return self.composed_quantile(rng.uniform(n))
 
     @abstractmethod
-    def composed_log_cdf(self, y: float) -> LogProb:
-        """ln S(y), finite far past the underflow of S(y)."""
+    def composed_log_cdf(self, y):
+        """ln S(y), finite far past the underflow of S(y); a float or an
+        array."""
 
-    def composed_log_sf(self, y: float) -> LogProb:
+    def composed_log_sf(self, y):
         """ln(1 - S(y)), finite far past the rounding of S(y) to 1."""
         return self.mirror.composed_log_cdf(-y)
 
@@ -256,19 +285,27 @@ class AzzaliniPi:
         self.alpha = float(alpha)
 
     def __call__(self, y):
-        return numcore.normal_cdf(self.alpha * y)
+        return numcore._normal_cdf(self.alpha * y)
 
     def log(self, y):
-        return numcore.log_normal_cdf(self.alpha * y)
+        return _sp.log_ndtr(self.alpha * y)
 
     @cached_property
     def mirror(self) -> "AzzaliniPi":
         """pi(-y) = Phi(-alpha y)."""
         return AzzaliniPi(-self.alpha)
 
-    def composed_log_cdf(self, y: float) -> LogProb:
-        """ln S(y) of the skew-normal law."""
-        return _sn_log_cdf(y, self.alpha)
+    def composed_log_cdf(self, y):
+        """ln S(y) of the skew-normal law, a float or an array. An array
+        takes its side up to 0, where the diagnostics' tails lie, in one
+        pass, and the side above it one point at a time."""
+        if isinstance(y, float):
+            return _sn_log_cdf(y, self.alpha)
+        alpha = self.alpha
+        # S_alpha(y) = 1 - S_-alpha(-y): below 0 the heavy tail of -alpha
+        lower = _sn_log_heavy_array if math.copysign(1.0, alpha) < 0.0 else _sn_log_light_array
+        return _at_once(y, y <= 0.0, lambda y: lower(-y, abs(alpha)),
+                        lambda y: _sn_log_cdf(y, alpha))
 
     def __repr__(self) -> str:
         return f"AzzaliniPi(alpha={self.alpha})"
@@ -399,6 +436,51 @@ def _sn_log_cdf(y: float, alpha: float) -> LogProb:
     return _log1mexp(log_sf) if log_sf < -_LOG2 else math.log(_sn_cdf_owen(y, alpha))
 
 
+# The array forms of ``_sn_log_light`` and ``_sn_log_heavy`` give each
+# element what the float forms give it: the same Gauss nodes, each row's
+# sum by the dot product a 1-d ``w @ row`` makes, and ``math`` per element
+# where the float form takes ``math``.
+
+
+def _sn_log_light_array(h: np.ndarray, alpha: float) -> np.ndarray:
+    """``_sn_log_light`` of a 1-d array: away from the mode one Laguerre
+    product from max(c, _LAGUERRE_FROM) for all, and one Legendre product
+    from c up to it where c is below; near the mode one point at a time."""
+    return _at_once(h, h * math.hypot(1.0, alpha) >= _NEAR_MODE,
+                    lambda h: _sn_log_far(h, alpha), lambda h: _sn_log_light(h, alpha))
+
+
+def _sn_log_far(h: np.ndarray, alpha: float) -> np.ndarray:
+    c = alpha * h
+    lag = c >= _LAGUERRE_FROM
+    x, w = _gauss_rules()[:2]
+    start = np.where(lag, c, _LAGUERRE_FROM)
+    t = np.sqrt((start * start)[:, None] + 2.0 * x)
+    tail = _dot_rows(1.0 / (t * (1.0 + (t / h[:, None]) ** 2)), w)
+    out = _each(lambda h, c, tail: _sn_log_front(h) - 0.5 * c * c + math.log(tail), h, c, tail)
+    if not lag.all():
+        h, c = h[~lag], c[~lag]
+        x, w = _gauss_rules()[2:]
+        half = 0.5 * (_LAGUERRE_FROM - c)
+        t = (c + half)[:, None] + half[:, None] * x
+        mass = half * _dot_rows(np.exp(-0.5 * t * t) / (1.0 + (t / h[:, None]) ** 2), w)
+        mass += math.exp(-0.5 * _LAGUERRE_FROM**2) * tail[~lag]
+        out[~lag] = _each(lambda h, mass: _sn_log_front(h) + math.log(mass), h, mass)
+    return out
+
+
+def _sn_log_front(h: float) -> float:
+    """-h^2/2 - ln(pi h), the factor in front of ``_sn_log_light``'s
+    integral, as its float form takes it."""
+    return -0.5 * h * h - math.log(math.pi * h)
+
+
+def _sn_log_heavy_array(h: np.ndarray, alpha: float) -> np.ndarray:
+    """``_sn_log_heavy`` of a 1-d array."""
+    return _each(lambda log_2sf, light: log_2sf + math.log1p(-math.exp(light - log_2sf)),
+                 _LOG2 + _sp.log_ndtr(-h), _sn_log_light_array(h, alpha))
+
+
 class SkewSymmetric(SkewingMechanism):
     """Mechanism with p(x) = 2 * pi(Phi^-1(x)), written in y.
 
@@ -425,7 +507,8 @@ class SkewSymmetric(SkewingMechanism):
     panel's edge and the error estimate under-reads it: for a pi that
     jumps at -1, ln S is 5.5e-9 off at y = -1 + 1e-8 and 5.6e-6 off at
     -1 + 1e-11, against rel_tol 1e-10. A jump within 2^-30 of a panel's
-    width from its edge is not seen at all.
+    width from its edge is not seen at all. An array of y takes the rule
+    once per element, as its panels adapt to each y.
 
     At a float the CDF is exp of ln S. A quantile at q <= 1/2 is the root
     of g(y) = ln S(y) - ln q by Newton, whose slope s/S comes from
@@ -471,28 +554,33 @@ class SkewSymmetric(SkewingMechanism):
         return mirror
 
     def p(self, x):
-        z = numcore.normal_quantile(_within(x, open_=True))
+        z = _sp.ndtri(_within(x, open_=True))
         return _out(2.0 * np.asarray(self.pi(z), dtype=float))
 
     def composed_log_pdf(self, y):
         if self._log_pi is not None:
-            return _LOG2 + self._log_pi(y) + numcore.log_normal_pdf(y)
+            return _LOG2 + self._log_pi(y) + numcore._log_normal_pdf(y)
         if isinstance(y, float):  # a float skips np.errstate
             v = float(self.pi(y))
-            return _LOG2 + (math.log(v) if v > 0.0 else _NEG_INF) + float(numcore.log_normal_pdf(y))
+            return _LOG2 + (math.log(v) if v > 0.0 else _NEG_INF) + float(numcore._log_normal_pdf(y))
         with np.errstate(divide="ignore"):
             log_pi = np.log(np.asarray(self.pi(y), dtype=float))
-        return _LOG2 + log_pi + numcore.log_normal_pdf(y)
+        return _LOG2 + log_pi + numcore._log_normal_pdf(y)
 
-    def composed_log_cdf(self, y: float) -> LogProb:
+    def composed_log_cdf(self, y):
         if self._pi_log_cdf is not None:
             return self._pi_log_cdf(y)
+        if not isinstance(y, float):
+            return self._rule_each(y)
         if y < _NORMAL_Q3:
             v = self._rule_log_cdf(y)
             if v <= _NEAR_ONE:
                 return v
         # from the mass above y, where S is 3/4 or more, or near 1 at all
         return _log1mexp(self.mirror._rule_log_cdf(-y))
+
+    # an array one point at a time: the rule adapts its panels to each y
+    _rule_each = _elementwise(composed_log_cdf)
 
     def _rule_log_cdf(self, y: float) -> LogProb:
         """ln S(y) for y < Phi^-1(3/4) by the panel rule."""
@@ -726,18 +814,21 @@ class OrderStatistics(SkewingMechanism):
         return s
 
     def composed_log_pdf(self, y):
-        return numcore.log_normal_pdf(y) + self._log_p_from_logs(
-            numcore.log_normal_cdf(y), numcore.log_normal_sf(y))
+        return numcore._log_normal_pdf(y) + self._log_p_from_logs(
+            _sp.log_ndtr(y), numcore._log_normal_sf(y))
 
-    def composed_log_cdf(self, y: float) -> LogProb:
-        if y > 0.0:  # Phi(y) rounds toward 1: take S from 1 - S, exact in Phi(-y)
-            log_sf = self.mirror.composed_log_cdf(-y)
-            if log_sf <= -_LOG2:
-                return _log1mexp(log_sf)
-            s = float(_sp.betaincc(self.psi2, self.psi1, _STD.cdf(-y)))
-            if s >= 1e-300:
-                return math.log(s)
-        return numcore.log_reg_inc_beta_exp(_STD.log_cdf(y), self.psi1, self.psi2)
+    def composed_log_cdf(self, y):
+        if isinstance(y, float):
+            if y > 0.0:  # Phi(y) rounds toward 1: take S from 1 - S, exact in Phi(-y)
+                log_sf = self.mirror.composed_log_cdf(-y)
+                if log_sf <= -_LOG2:
+                    return _log1mexp(log_sf)
+                s = float(_sp.betaincc(self.psi2, self.psi1, float(numcore._normal_cdf(-y))))
+                if s >= 1e-300:
+                    return math.log(s)
+            return numcore.log_reg_inc_beta_exp(float(_sp.log_ndtr(y)), self.psi1, self.psi2)
+        return _at_once(y, y <= 0.0, lambda y: numcore.log_reg_inc_beta_exp(
+            _sp.log_ndtr(y), self.psi1, self.psi2), self.composed_log_cdf)
 
     def composed_sample(self, rng: RngState, n: int) -> np.ndarray:
         # X = G1/(G1 + G2), G_i ~ Gamma(psi_i) (Jones 2004). With
@@ -816,16 +907,20 @@ class MarshallOlkin(SkewingMechanism):
 
     def composed_log_pdf(self, y):
         if isinstance(y, float):  # math, not numpy, on a float
-            den = _STD.cdf(y) + self.gamma * math.exp(_STD.log_sf(y))
-            return self._log_gamma + float(numcore.log_normal_pdf(y)) - 2.0 * math.log(den)
-        den = numcore.normal_cdf(y) + self.gamma * np.exp(numcore.log_normal_sf(y))
-        return self._log_gamma + numcore.log_normal_pdf(y) - 2.0 * np.log(den)
+            den = float(numcore._normal_cdf(y)) + self.gamma * math.exp(float(_sp.log_ndtr(-y)))
+            return self._log_gamma + float(numcore._log_normal_pdf(y)) - 2.0 * math.log(den)
+        den = numcore._normal_cdf(y) + self.gamma * np.exp(numcore._log_normal_sf(y))
+        return self._log_gamma + numcore._log_normal_pdf(y) - 2.0 * np.log(den)
 
-    def composed_log_cdf(self, y: float) -> LogProb:
-        lx = _STD.log_cdf(y)
-        if y <= 0.0:
-            return lx - math.log(self.gamma + (1.0 - self.gamma) * math.exp(lx))
-        return lx - math.log1p((self.gamma - 1.0) * _STD.cdf(-y))  # Phi(-y), not 1 - x
+    def composed_log_cdf(self, y):
+        g = self.gamma
+        if isinstance(y, float):
+            lx = float(_sp.log_ndtr(y))
+            if y <= 0.0:
+                return lx - math.log(g + (1.0 - g) * math.exp(lx))
+            return lx - math.log1p((g - 1.0) * float(numcore._normal_cdf(-y)))  # Phi(-y), not 1 - x
+        lower = lambda lx: lx - math.log(g + (1.0 - g) * math.exp(lx))
+        return _at_once(y, y <= 0.0, lambda y: _each(lower, _sp.log_ndtr(y)), self.composed_log_cdf)
 
     @property
     def analytic_sup(self) -> float:
@@ -875,7 +970,12 @@ class TwoPiece(SkewingMechanism):
 
     def p(self, x):
         x = _within(x, open_=True)
-        z = numcore.normal_quantile(x)
+        z = _sp.ndtri(x)
+        if isinstance(x, float):  # a float, or a 0-d array, skips np.where
+            c = self.b if x < 0.5 else self.a
+            e = 0.5 * z * z * (1.0 - 1.0 / (c * c))
+            if e < 700.0:  # numpy's exp, as an array's, where it cannot overflow
+                return float((2.0 / (self.a + self.b)) * np.exp(e))
         c = np.where(x < 0.5, self.b, self.a)
         with np.errstate(over="ignore"):
             return _out((2.0 / (self.a + self.b)) * np.exp(0.5 * z * z * (1.0 - 1.0 / (c * c))))
@@ -892,18 +992,22 @@ class TwoPiece(SkewingMechanism):
     def composed_log_pdf(self, y):
         if isinstance(y, float):  # a float skips np.where
             c = self.b if y < 0.0 else self.a
-            return self._log_norm + float(numcore.log_normal_pdf(y / c))
-        return self._log_norm + numcore.log_normal_pdf(y / np.where(y < 0.0, self.b, self.a))
+            return self._log_norm + float(numcore._log_normal_pdf(y / c))
+        return self._log_norm + numcore._log_normal_pdf(y / np.where(y < 0.0, self.b, self.a))
 
-    def composed_log_cdf(self, y: float) -> LogProb:
-        ab = self.a + self.b
-        if y < 0.0:
-            return math.log(2.0 * self.b / ab) + float(numcore.log_normal_cdf(y / self.b))
-        sf = 2.0 * self.a / ab * float(numcore.normal_cdf(-y / self.a))
-        if sf <= 0.5:  # S near 1: ln(1 - sf) keeps the mass beyond y
-            return math.log1p(-sf)
-        # (b-a)/(a+b) + (2a/(a+b)) Phi(y/a) without the cancellation when a > b
-        return math.log((self.b + self.a * math.erf(y / (self.a * _SQRT2))) / ab)
+    def composed_log_cdf(self, y):
+        a, b = self.a, self.b
+        ab = a + b
+        if isinstance(y, float):
+            if y < 0.0:
+                return math.log(2.0 * b / ab) + float(_sp.log_ndtr(y / b))
+            sf = 2.0 * a / ab * float(numcore._normal_cdf(-y / a))
+            if sf <= 0.5:  # S near 1: ln(1 - sf) keeps the mass beyond y
+                return math.log1p(-sf)
+            # (b-a)/(a+b) + (2a/(a+b)) Phi(y/a) without the cancellation when a > b
+            return math.log((b + a * math.erf(y / (a * _SQRT2))) / ab)
+        return _at_once(y, y < 0.0, lambda y: math.log(2.0 * b / ab) + _sp.log_ndtr(y / b),
+                        self.composed_log_cdf)
 
     @cached_property
     def mirror(self) -> "TwoPiece":
@@ -931,9 +1035,9 @@ class NumericMechanism(SkewingMechanism):
     ``log_p`` and ``p`` take an array with one ``source.log_pdf`` call,
     which a ``SkewedDistribution`` evaluates in numpy and a source that
     writes only a float pdf one element at a time (the base class's
-    ``log_pdf``). The composed CDF and quantile go through the source's
-    float methods one element at a time. They and both log tails are the
-    source's, since P(Phi(y)) = source.cdf(y); it has no mirror.
+    ``log_pdf``). The composed CDF, the quantile and both log tails are
+    the source's, since P(Phi(y)) = source.cdf(y), each taken from its
+    float method one element at a time; it has no mirror.
     Evaluation of p is restricted to the open interval; endpoint behavior
     is a question for the boundedness probe, not extrapolation.
     """
@@ -945,8 +1049,8 @@ class NumericMechanism(SkewingMechanism):
         if not numcore._in_unit(x, open_=True):
             bad = next(v for v in np.ravel(x) if not 0.0 < v < 1.0)  # the first
             raise DomainError(f"extracted mechanism is defined on (0, 1), got {float(bad)!r}")
-        z = numcore.normal_quantile(x)
-        return _out(self.source.log_pdf(z) - numcore.log_normal_pdf(z))
+        z = _sp.ndtri(x)
+        return _out(self.source.log_pdf(z) - numcore._log_normal_pdf(z))
 
     @_elementwise
     def composed_cdf(self, y: float) -> float:
@@ -956,9 +1060,11 @@ class NumericMechanism(SkewingMechanism):
     def composed_quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
         return self.source.quantile(q, tol)
 
+    @_elementwise
     def composed_log_cdf(self, y: float) -> LogProb:
         return self.source.log_cdf(y)
 
+    @_elementwise
     def composed_log_sf(self, y: float) -> LogProb:
         return self.source.log_sf(y)
 
@@ -994,12 +1100,15 @@ def twopiece_cdf(a: float, b: float, y):
 class SkewedDistribution(ContinuousDistribution):
     """Composition S = P o Phi with density s(y) = phi(y) * p(Phi(y)).
 
-    ``pdf`` and ``log_pdf`` take a float or an array in one
-    ``composed_log_pdf`` call; a float gets a float (``log_pdf`` an
-    ``np.float64`` where the hook is one numpy expression). Cumulative
-    quantities delegate to the mechanism's composition hooks, which keep
-    both tails finite in log space. ``cdf`` is exp(``log_cdf``) of a
-    float: each ``composed_log_cdf`` takes ln S from the smaller tail.
+    ``pdf``, ``log_pdf``, ``log_cdf`` and ``log_sf`` take a float or an
+    array in one call of the hook, ``composed_log_pdf``, ``composed_log_cdf``
+    or ``composed_log_sf``, after one check of the array; a float gets a
+    float (``log_pdf`` an ``np.float64`` where the hook is one numpy
+    expression), and each element of an array what its float gets from
+    ``log_cdf`` and ``log_sf``, bit for bit. The hooks keep both tails
+    finite in log space, so ``log_tail_mass`` of a grid is one call of each. ``cdf`` is
+    exp(``log_cdf``) of a float: each ``composed_log_cdf`` takes ln S from
+    the smaller tail.
 
     ``quantile``/``quantile_array`` and ``cdf_array`` are the mechanism's
     ``composed_quantile`` and ``composed_cdf``. ``cdf_array`` is a family's
@@ -1021,8 +1130,7 @@ class SkewedDistribution(ContinuousDistribution):
     def log_pdf(self, y):
         if isinstance(y, float):
             return self.mechanism.composed_log_pdf(numcore._require_finite(y))
-        y = np.asarray(numcore._require_finite(y), dtype=float)
-        return _out(self.mechanism.composed_log_pdf(y))
+        return _out(self.mechanism.composed_log_pdf(_finite(y)))
 
     def cdf(self, y: float) -> float:
         return math.exp(self.log_cdf(y))
@@ -1030,11 +1138,18 @@ class SkewedDistribution(ContinuousDistribution):
     def cdf_array(self, y: np.ndarray) -> np.ndarray:
         return self.mechanism.composed_cdf(np.asarray(y, dtype=float))
 
-    def log_cdf(self, y: float) -> LogProb:
-        return min(0.0, self.mechanism.composed_log_cdf(numcore._require_finite(y)))
+    def log_cdf(self, y):
+        if isinstance(y, float):
+            return min(0.0, self.mechanism.composed_log_cdf(numcore._require_finite(y)))
+        return _at_most_0(self.mechanism.composed_log_cdf(_finite(y)))
 
-    def log_sf(self, y: float) -> LogProb:
-        return min(0.0, self.mechanism.composed_log_sf(numcore._require_finite(y)))
+    def log_sf(self, y):
+        if isinstance(y, float):
+            return min(0.0, self.mechanism.composed_log_sf(numcore._require_finite(y)))
+        return _at_most_0(self.mechanism.composed_log_sf(_finite(y)))
+
+    def _log_tail_mass(self, y):
+        return _out(np.logaddexp(self.log_cdf(-y), self.log_sf(y)))
 
     def quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
         return self.mechanism.composed_quantile(q, tol)
@@ -1049,6 +1164,20 @@ class SkewedDistribution(ContinuousDistribution):
 
     def __repr__(self) -> str:
         return f"SkewedDistribution({_STD!r}, {self.mechanism!r})"
+
+
+def _finite(y) -> np.ndarray:
+    """y as a float array, checked to be finite by one reduction."""
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise DomainError(f"y must be finite, got {y!r}")
+    return y
+
+
+def _at_most_0(v: np.ndarray):
+    """min(0.0, v) of each element, as a float's min takes it (NaN to 0);
+    a float for a 0-d v."""
+    return _out(np.where(v < 0.0, v, 0.0))
 
 
 def _require_normal_base(base) -> None:

@@ -11,6 +11,9 @@ chained comparisons, which costs about 0.1 us; anything else goes
 through ``np.asarray`` and ``np.all``, about 5 us on a scalar, forty
 times the ufunc it guards. Both paths raise the same ``DomainError``
 with the same message, and hand the argument to the ufunc unchanged.
+An array that a public entry of the package has checked already goes on
+to the unchecked forms: scipy's ufuncs, ``_normal_cdf``,
+``_log_normal_sf`` and ``_log_normal_pdf``.
 
 The log-space survival functions are the load-bearing part: plain
 ``1 - Phi(y)`` is numerically 0 from y ~ 38 and loses digits from y ~ 8,
@@ -101,6 +104,14 @@ def _in_unit(x, open_: bool) -> bool:
     return bool(np.all((x > 0.0) & (x < 1.0) if open_ else (x >= 0.0) & (x <= 1.0)))
 
 
+def _each(fn, *args: np.ndarray) -> np.ndarray:
+    """fn, a function of floats such as ``math``'s, of the elements of the
+    1-d arrays args, one from each: what a float branch computes. numpy's
+    SIMD exp, log and log1p differ from ``math``'s in the last bit on a few
+    percent of arguments."""
+    return np.fromiter(map(fn, *[a.tolist() for a in args]), float, args[0].size)
+
+
 def normal_pdf(y):
     """Standard normal density exp(-y^2/2)/sqrt(2*pi)."""
     _require_finite(y)
@@ -110,6 +121,10 @@ def normal_pdf(y):
 def log_normal_pdf(y):
     """Natural log of the standard normal density."""
     _require_finite(y)
+    return _log_normal_pdf(y)
+
+
+def _log_normal_pdf(y):
     return -0.5 * np.square(y) - 0.5 * _LOG_2PI
 
 
@@ -117,6 +132,10 @@ def normal_cdf(y):
     """Standard normal CDF Phi(y). ndtr is 0 from y ~ -37.68, where Phi(y)
     is still subnormal down to y ~ -38.48: there it is exp(ln Phi(y))."""
     _require_finite(y)
+    return _normal_cdf(y)
+
+
+def _normal_cdf(y):
     p = _sp.ndtr(y)
     if isinstance(p, float):
         return p if p else np.exp(_sp.log_ndtr(y))
@@ -136,6 +155,10 @@ def log_normal_sf(y) -> LogProb:
     """ln(1 - Phi(y)), evaluated as ln Phi(-y) so the right tail never
     underflows (exact by symmetry of the normal)."""
     _require_finite(y)
+    return _log_normal_sf(y)
+
+
+def _log_normal_sf(y):
     return _sp.log_ndtr(np.negative(y))
 
 
@@ -191,13 +214,18 @@ def log_reg_inc_beta(x: float, a: float, b: float) -> LogProb:
     return log_reg_inc_beta_exp(math.log(x), a, b)
 
 
-def log_reg_inc_beta_exp(log_x: float, a: float, b: float) -> LogProb:
+def log_reg_inc_beta_exp(log_x, a: float, b: float):
     """ln I_x(a, b) given ln x, stable even when x itself underflows.
 
     With log_x = -800 the direct incomplete beta is identically 0 in
     doubles, while here the a*ln(x) prefactor keeps everything finite.
+    log_x may be a float or an ndarray: an array makes one ``betainc`` call,
+    and runs the series only on its elements where that is below 1e-300
+    or x is subnormal, each as a float would.
     """
     _require_beta_params(a, b)
+    if isinstance(log_x, np.ndarray):
+        return _log_reg_inc_beta_exp_array(log_x.astype(float).ravel(), a, b).reshape(log_x.shape)
     if math.isnan(log_x) or log_x > 0.0:
         raise DomainError(f"log_x must be <= 0, got {log_x!r}")
     if log_x == 0.0:
@@ -209,6 +237,21 @@ def log_reg_inc_beta_exp(log_x: float, a: float, b: float) -> LogProb:
         v = float(_sp.betainc(a, b, x))
         if v >= 1e-300:
             return math.log(v)
+    return _log_inc_beta_series(log_x, x, a, b)
+
+
+def _log_reg_inc_beta_exp_array(log_x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """``log_reg_inc_beta_exp`` of a 1-d array: each element as a float."""
+    if not (log_x <= 0.0).all():
+        raise DomainError(f"log_x must be <= 0, got {log_x!r}")
+    if a == 1.0 and b == 1.0:
+        return np.where(log_x == 0.0, 0.0, log_x)
+    x = _each(math.exp, log_x)
+    return _each(lambda log_x, x, v: math.log(v) if x >= _SMALLEST_NORMAL and v >= 1e-300
+                 else _log_inc_beta_series(log_x, x, a, b), log_x, x, _sp.betainc(a, b, x))
+
+
+def _log_inc_beta_series(log_x: float, x: float, a: float, b: float) -> LogProb:
     # Direct value underflowed or x is subnormal, so x sits far below the
     # beta mode and the series ratio x*(a+b+n)/(a+1+n) starts below 1: no
     # term overflow.

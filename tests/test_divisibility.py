@@ -28,8 +28,9 @@ from skewlab import (
 )
 from skewlab import cli
 from skewlab.distributions import ContinuousDistribution
-from skewlab.divisibility import DEFAULT_Y_GRID, _probe_grid
+from skewlab.divisibility import DEFAULT_Y_GRID, BoundCheckRow, ChainRow, TailRow, _probe_grid
 from skewlab.mechanisms import SkewingMechanism
+from skewlab.numcore import log_normal_sf
 
 
 class TestSteutelStatistic:
@@ -319,6 +320,71 @@ class TestChainVerifier:
         rows = verify_theorem2_chain(-0.9, ys=[30.0])
         assert rows[0].passed
         assert math.isfinite(rows[0].log_tail)
+
+
+def _counting_tail_mass(monkeypatch) -> list:
+    """Patch the tail mass the diagnostics call to record each argument."""
+    from skewlab import divisibility
+
+    calls = []
+
+    def counting(dist, y):
+        calls.append(y)
+        return log_tail_mass(dist, y)
+
+    monkeypatch.setattr(divisibility, "log_tail_mass", counting)
+    return calls
+
+
+class TestOneCallPerGrid:
+    """The diagnostics make one ``log_tail_mass`` call per grid, and their
+    rows equal a reference that calls it once per ordinate, ``passed`` a
+    Python bool: ``json.dumps(..., default=float)`` would print an
+    ``np.bool_`` as 1.0 in ``check``'s JSON."""
+
+    @pytest.mark.parametrize("name,mech", shipped_instances())
+    def test_steutel_statistic(self, name, mech, std, monkeypatch):
+        dist = compose(std, mech)
+        want = []
+        for y in DEFAULT_Y_GRID:
+            lt = log_tail_mass(dist, y)
+            want.append(TailRow(y, lt, -lt / (y * math.log(y))))
+        calls = _counting_tail_mass(monkeypatch)
+        assert steutel_statistic(dist, DEFAULT_Y_GRID).rows == tuple(want)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name,mech", bounded_instances())
+    def test_theorem1_rows(self, name, mech, std, monkeypatch):
+        dist, bound = compose(std, mech), mech.analytic_sup
+        want = []
+        for y in DEFAULT_Y_GRID:
+            lhs = log_tail_mass(dist, y)
+            rhs = math.log(bound) + math.log(2.0) + float(log_normal_sf(y))
+            want.append(BoundCheckRow(y, lhs, rhs, passed=lhs <= rhs))
+        calls = _counting_tail_mass(monkeypatch)
+        rows = verify_theorem1_bound(mech)
+        assert rows == want and len(calls) == 1
+        assert all(type(r.passed) is bool for r in rows)
+
+    @pytest.mark.parametrize("gamma", [-0.9, -0.5, -0.1, -1e-6, 0.3, 0.5])
+    def test_theorem2_rows(self, gamma, std, monkeypatch):
+        a = 1.0 + abs(gamma)
+        dist = compose(std, TwoPiece.epsilon_skew(-abs(gamma)))
+        want = []
+        for y in DEFAULT_Y_GRID:
+            tail = log_tail_mass(dist, y)
+            mid = math.log(2.0 * a) + float(log_normal_sf(y / a))
+            outer = math.log(4.0) + float(log_normal_sf(y / 2.0))
+            want.append(ChainRow(y, tail, mid, outer, passed=(tail < mid) and (mid < outer)))
+        calls = _counting_tail_mass(monkeypatch)
+        rows = verify_theorem2_chain(gamma)
+        assert rows == want and len(calls) == 1
+        assert all(type(r.passed) is bool for r in rows)
+
+    def test_verdict_json_prints_booleans(self):
+        evidence = divisibility_verdict(MarshallOlkin(2.0)).to_dict()["evidence"]
+        assert all(type(r["passed"]) is bool for r in evidence["rule_rows"])
+        assert all(type(r["flagged"]) is bool for r in evidence["tail_rows"])
 
 
 class TestVerdicts:

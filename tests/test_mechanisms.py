@@ -36,12 +36,15 @@ from skewlab import (
     divisibility_verdict,
     extract_mechanism,
     ks_test,
+    log_tail_mass,
     mo_cdf_P,
     sample_flip,
     sample_skewed,
     twopiece_cdf,
     verify_theorem1_bound,
 )
+from skewlab.distributions import ContinuousDistribution
+from skewlab.divisibility import DEFAULT_Y_GRID
 from skewlab.numcore import Tolerance, integrate, normal_cdf, normal_pdf, normal_quantile
 
 
@@ -1465,6 +1468,98 @@ class TestArrayDensities:
         for fn in (dist.pdf, dist.log_pdf):
             with pytest.raises(DomainError, match="y must be finite"):
                 fn(np.array([0.5, np.nan]))
+
+
+# the density ordinates and the diagnostics' grid on both sides; the tail
+# mass at their magnitudes
+_TAIL_YS = np.concatenate([_DENSITY_YS, DEFAULT_Y_GRID, np.negative(DEFAULT_Y_GRID)])
+_TAIL_MASS_YS = np.unique(np.abs(_TAIL_YS[_TAIL_YS != 0.0]))
+
+
+class _FloatOnlyNormal(ContinuousDistribution):
+    """A user's source whose methods take floats only."""
+
+    def pdf(self, y):
+        assert isinstance(y, float)
+        return float(normal_pdf(y))
+
+    def cdf(self, y):
+        assert isinstance(y, float)
+        return StandardNormal().cdf(y)
+
+    def log_cdf(self, y):
+        assert isinstance(y, float)
+        return StandardNormal().log_cdf(y)
+
+    def log_sf(self, y):
+        assert isinstance(y, float)
+        return StandardNormal().log_sf(y)
+
+
+def _log_tail_differences(dist) -> dict:
+    mech = getattr(dist, "mechanism", None)
+    diffs = {"log_cdf": _bit_differences(dist.log_cdf, _TAIL_YS),
+             "log_sf": _bit_differences(dist.log_sf, _TAIL_YS),
+             "log_tail_mass": _bit_differences(lambda y: log_tail_mass(dist, y), _TAIL_MASS_YS)}
+    if mech is not None:
+        diffs["composed_log_cdf"] = _bit_differences(mech.composed_log_cdf, _TAIL_YS)
+        diffs["composed_log_sf"] = _bit_differences(mech.composed_log_sf, _TAIL_YS)
+    return diffs
+
+
+class TestArrayLogTails:
+    """Both log tails and the two-sided tail mass take an array in one call
+    and give each element what its float gets, bit for bit:
+    ``composed_log_cdf``, ``composed_log_sf``, ``log_cdf``, ``log_sf`` and
+    ``log_tail_mass``. The closed forms take ``math``'s exp and log per
+    element, as their float branches do, and the Gauss sums each row's dot
+    product, so no element can differ; a failure lists each one in ulps."""
+
+    @pytest.mark.parametrize("name,mech", _DENSITY_LAWS)
+    def test_array_equals_float(self, name, mech, std):
+        dist = compose(std, mech)
+        diffs = _log_tail_differences(dist)
+        assert diffs == {k: [] for k in diffs}
+
+    @pytest.mark.parametrize("name,mech", shipped_instances())
+    def test_extracted_mechanism(self, name, mech, std):
+        rebuilt = compose(std, extract_mechanism(compose(std, mech), std))
+        diffs = _log_tail_differences(rebuilt)
+        assert diffs == {k: [] for k in diffs}
+
+    def test_normal_and_float_only_sources(self, std):
+        # the normal's kernels take arrays; a float-only source is lifted
+        # element by element, directly and through the extracted mechanism
+        source = _FloatOnlyNormal()
+        for dist in (std, compose(std, extract_mechanism(source, std))):
+            diffs = _log_tail_differences(dist)
+            assert diffs == {k: [] for k in diffs}
+        assert _bit_differences(lambda y: log_tail_mass(source, y), _TAIL_MASS_YS) == []
+        assert np.array_equal(log_tail_mass(source, _TAIL_MASS_YS), log_tail_mass(std, _TAIL_MASS_YS))
+
+    @pytest.mark.parametrize("name,mech", _DENSITY_LAWS)
+    def test_array_keeps_shape(self, name, mech, std):
+        dist = compose(std, mech)
+        ys, positive = _DENSITY_YS[:6].reshape(2, 3), np.array(DEFAULT_Y_GRID[:6]).reshape(2, 3)
+        for fn in (mech.composed_log_cdf, mech.composed_log_sf, dist.log_cdf, dist.log_sf):
+            out = fn(ys)
+            assert isinstance(out, np.ndarray) and out.shape == (2, 3)
+        out = log_tail_mass(dist, positive)
+        assert isinstance(out, np.ndarray) and out.shape == (2, 3)
+        for fn in (dist.log_cdf, dist.log_sf, lambda y: log_tail_mass(dist, y)):
+            assert type(fn(np.array(0.3))) is float
+
+    @pytest.mark.parametrize("name,mech", shipped_instances())
+    def test_non_finite_in_an_array_raises(self, name, mech, std):
+        dist = compose(std, mech)
+        for bad in (np.nan, np.inf):
+            for fn in (dist.log_cdf, dist.log_sf):
+                with pytest.raises(DomainError, match="y must be finite"):
+                    fn(np.array([0.5, bad]))
+        with pytest.raises(DomainError, match="tail ordinate must be positive"):
+            log_tail_mass(dist, np.array([2.0, np.nan]))
+        with pytest.raises(DomainError, match="y must be finite"):
+            log_tail_mass(dist, np.array([2.0, np.inf]))
 
 
 # x = k/1024, where 1 - x is exact; 1/2 is left out, where an indicator pi
