@@ -205,7 +205,8 @@ def log_tail_mass(dist: ContinuousDistribution, y):
     finite whenever either side is representable in log space (for the
     standard normal that covers y up to 40 and beyond). An array takes one
     call of each log tail where they take arrays, as the standard normal's
-    and a composition's do, and one per element otherwise.
+    do, and one per element otherwise; a composition makes one call of its
+    mechanism's ``composed_log_tail_mass``.
     """
     if not isinstance(y, float):
         y = np.asarray(y, dtype=float)

@@ -17,7 +17,11 @@ T(y) = -ln m(y) / (y ln y) diverges. Three numerical embodiments:
 
 Each of the three makes one ``log_tail_mass`` call for its whole grid
 and takes its right-hand sides as arrays; the rows are those a call per
-ordinate gives, bit for bit.
+ordinate gives, bit for bit. For a skew-symmetric law that call is the
+normal's ln 2 Phi(-y) in closed form, neither tail taken from S: with
+pi(-y) = 1 - pi(y), |Y| has the law of |Z| (Wang, Boyer & Genton 2004).
+It rests on the symmetry ``SkewSymmetric`` checks at construction, to
+1e-12 on a grid, so such a law's T(y) is the normal's.
 
 ``estimate_sup_p`` classifies boundedness of p by monotone grid
 refinement clustering at the endpoints; a stabilized numeric sup only

@@ -20,9 +20,15 @@ forms, or for ``SkewSymmetric`` pi's own (``AzzaliniPi``, through Owen's
 T), else a composite Gauss-Legendre rule. Its ``mirror``, the mechanism
 x -> 1 - P(1 - x) of -Y, is in the same family and gives the upper tail
 at -y. Both log tails take a float or an array, whose elements get what
-their floats get, bit for bit: a closed form takes the side up to 0,
-where the diagnostics' tails lie, in one pass, and the other side, as the
-rule does everywhere, one point at a time.
+their floats get, bit for bit: the other closed forms take the side up
+to 0 in one pass and the other side one point at a time; ``SkewSymmetric``
+takes every element one at a time, Azzalini's as well as the rule's.
+The diagnostics' two-sided tail mass m(y) = S(-y) + 1 - S(y) is
+``composed_log_tail_mass``, by default the log-sum-exp of the two log
+tails. ``SkewSymmetric`` needs neither tail for it: as pi(-y) = 1 - pi(y),
+|Y| has the law of |Z| (the invariance of even functions; Wang, Boyer &
+Genton 2004), so m(y) = 2 Phi(-y), the normal's, for every pi. That rests
+on the symmetry ``SkewSymmetric.__init__`` checks, to 1e-12 on a grid.
 The CDF and the quantile take a float or an ndarray of any shape (a 0-d
 input returns a float), each by one rule from the family's lower side
 and its mirror's; the density ``composed_log_pdf`` takes either as well.
@@ -113,12 +119,6 @@ def _log1mexp(v: float) -> float:
     return math.log1p(-math.exp(v)) if v < 0.0 else _NEG_INF
 
 
-def _dot_rows(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Each row of m dotted with w, by the dot product that ``w @ row`` of
-    one row makes: a matrix-vector product sums in another order."""
-    return np.matmul(m[:, None, :], w)[:, 0]
-
-
 def _at_once(y: np.ndarray, at_once: np.ndarray, vectorised, each) -> np.ndarray:
     """An array hook in y's shape: vectorised, a function of a 1-d array, of
     the elements where at_once holds, in one call, and each, the float
@@ -165,6 +165,8 @@ class SkewingMechanism(ABC):
     may write ``composed_sample`` in place of inversion. ``composed_log_cdf``
     works from the smaller tail, ln(1 - e^v) of the mirror's v where S is
     near 1, so exp of it is S(y) at a float (``SkewedDistribution.cdf``).
+    ``composed_log_tail_mass`` is ln(S(-y) + 1 - S(y)) from both log tails,
+    unless a family knows it without them, as ``SkewSymmetric`` does.
     Instances are immutable and validated at construction; all evaluation
     methods are pure. ``analytic_sup`` is an upper bound for p known in
     closed form, or None; ``is_identity`` reports whether the composition
@@ -264,6 +266,12 @@ class SkewingMechanism(ABC):
         """ln(1 - S(y)), finite far past the rounding of S(y) to 1."""
         return self.mirror.composed_log_cdf(-y)
 
+    def composed_log_tail_mass(self, y):
+        """ln(S(-y) + 1 - S(y)) at finite y > 0, a float or an array: the
+        log-sum-exp of the two log tails, each clamped to 0."""
+        lower, upper = self.composed_log_cdf(-y), self.composed_log_sf(y)
+        return np.logaddexp(_at_most_0(lower), _at_most_0(upper))
+
 
 # exact +-pairs; excludes 0, where indicator-style pi may break symmetry
 _HALF_GRID = np.linspace(0.016, 8.0, 500)
@@ -275,8 +283,11 @@ class AzzaliniPi:
     """Skewing function pi(y) = Phi(alpha * y).
 
     It also carries the log tails of the law it composes to, the
-    skew-normal with density 2 phi(y) Phi(alpha y), in closed form;
-    ``SkewSymmetric`` uses them in place of quadrature.
+    skew-normal with density 2 phi(y) Phi(alpha y), in closed form at a
+    float; ``SkewSymmetric`` uses them in place of quadrature, and takes
+    an array one element at a time, each at its float's cost. Its
+    two-sided tail mass is 2 Phi(-y), as for every pi, and needs neither
+    tail.
     """
 
     def __init__(self, alpha: float):
@@ -295,17 +306,10 @@ class AzzaliniPi:
         """pi(-y) = Phi(-alpha y)."""
         return AzzaliniPi(-self.alpha)
 
-    def composed_log_cdf(self, y):
-        """ln S(y) of the skew-normal law, a float or an array. An array
-        takes its side up to 0, where the diagnostics' tails lie, in one
-        pass, and the side above it one point at a time."""
-        if isinstance(y, float):
-            return _sn_log_cdf(y, self.alpha)
-        alpha = self.alpha
-        # S_alpha(y) = 1 - S_-alpha(-y): below 0 the heavy tail of -alpha
-        lower = _sn_log_heavy_array if math.copysign(1.0, alpha) < 0.0 else _sn_log_light_array
-        return _at_once(y, y <= 0.0, lambda y: lower(-y, abs(alpha)),
-                        lambda y: _sn_log_cdf(y, alpha))
+    def composed_log_cdf(self, y: float) -> LogProb:
+        """ln S(y) of the skew-normal law at a float y; ``SkewSymmetric``
+        takes an array one element at a time."""
+        return _sn_log_cdf(y, self.alpha)
 
     def __repr__(self) -> str:
         return f"AzzaliniPi(alpha={self.alpha})"
@@ -436,51 +440,6 @@ def _sn_log_cdf(y: float, alpha: float) -> LogProb:
     return _log1mexp(log_sf) if log_sf < -_LOG2 else math.log(_sn_cdf_owen(y, alpha))
 
 
-# The array forms of ``_sn_log_light`` and ``_sn_log_heavy`` give each
-# element what the float forms give it: the same Gauss nodes, each row's
-# sum by the dot product a 1-d ``w @ row`` makes, and ``math`` per element
-# where the float form takes ``math``.
-
-
-def _sn_log_light_array(h: np.ndarray, alpha: float) -> np.ndarray:
-    """``_sn_log_light`` of a 1-d array: away from the mode one Laguerre
-    product from max(c, _LAGUERRE_FROM) for all, and one Legendre product
-    from c up to it where c is below; near the mode one point at a time."""
-    return _at_once(h, h * math.hypot(1.0, alpha) >= _NEAR_MODE,
-                    lambda h: _sn_log_far(h, alpha), lambda h: _sn_log_light(h, alpha))
-
-
-def _sn_log_far(h: np.ndarray, alpha: float) -> np.ndarray:
-    c = alpha * h
-    lag = c >= _LAGUERRE_FROM
-    x, w = _gauss_rules()[:2]
-    start = np.where(lag, c, _LAGUERRE_FROM)
-    t = np.sqrt((start * start)[:, None] + 2.0 * x)
-    tail = _dot_rows(1.0 / (t * (1.0 + (t / h[:, None]) ** 2)), w)
-    out = _each(lambda h, c, tail: _sn_log_front(h) - 0.5 * c * c + math.log(tail), h, c, tail)
-    if not lag.all():
-        h, c = h[~lag], c[~lag]
-        x, w = _gauss_rules()[2:]
-        half = 0.5 * (_LAGUERRE_FROM - c)
-        t = (c + half)[:, None] + half[:, None] * x
-        mass = half * _dot_rows(np.exp(-0.5 * t * t) / (1.0 + (t / h[:, None]) ** 2), w)
-        mass += math.exp(-0.5 * _LAGUERRE_FROM**2) * tail[~lag]
-        out[~lag] = _each(lambda h, mass: _sn_log_front(h) + math.log(mass), h, mass)
-    return out
-
-
-def _sn_log_front(h: float) -> float:
-    """-h^2/2 - ln(pi h), the factor in front of ``_sn_log_light``'s
-    integral, as its float form takes it."""
-    return -0.5 * h * h - math.log(math.pi * h)
-
-
-def _sn_log_heavy_array(h: np.ndarray, alpha: float) -> np.ndarray:
-    """``_sn_log_heavy`` of a 1-d array."""
-    return _each(lambda log_2sf, light: log_2sf + math.log1p(-math.exp(light - log_2sf)),
-                 _LOG2 + _sp.log_ndtr(-h), _sn_log_light_array(h, alpha))
-
-
 class SkewSymmetric(SkewingMechanism):
     """Mechanism with p(x) = 2 * pi(Phi^-1(x)), written in y.
 
@@ -488,10 +447,15 @@ class SkewSymmetric(SkewingMechanism):
     everywhere, and maps an array to an array of its shape; both are
     checked at construction. Composed densities are 2 * phi(y) * pi(y).
 
-    pi may carry ``log``, ``composed_log_cdf`` (ln S) and ``mirror`` (pi(-y)
-    as such an object), as ``AzzaliniPi`` does; the mirror mechanism is
-    ``SkewSymmetric(pi.mirror)``, else that of pi(-y). ln S is pi's, else
-    a fixed rule (see the comment above ``_PANEL_EDGES``). Azzalini's
+    pi may carry ``log``, ``composed_log_cdf`` (ln S at a float) and
+    ``mirror`` (pi(-y) as such an object), as ``AzzaliniPi`` does; the
+    mirror mechanism is ``SkewSymmetric(pi.mirror)``, else that of pi(-y).
+    ln S is pi's, else a fixed rule (see the comment above
+    ``_PANEL_EDGES``); an array of y takes either once per element.
+    The two-sided tail mass, ``composed_log_tail_mass``, is ln 2 Phi(-y)
+    for every pi: with pi(-y) = 1 - pi(y), |Y| has the law of |Z| (Wang,
+    Boyer & Genton 2004), so S(-y) + 1 - S(y) is the normal's. That
+    rests on the symmetry checked here, to 1e-12 on a grid. Azzalini's
     closed form, through Owen's T, is within 1e-14 * max(1, |ln S|) of
     mpmath for |alpha| <= 1e3 and |y| <= 40 (tests/test_mechanisms.py,
     ``TestAzzaliniClosedForm``).
@@ -507,8 +471,7 @@ class SkewSymmetric(SkewingMechanism):
     panel's edge and the error estimate under-reads it: for a pi that
     jumps at -1, ln S is 5.5e-9 off at y = -1 + 1e-8 and 5.6e-6 off at
     -1 + 1e-11, against rel_tol 1e-10. A jump within 2^-30 of a panel's
-    width from its edge is not seen at all. An array of y takes the rule
-    once per element, as its panels adapt to each y.
+    width from its edge is not seen at all.
 
     At a float the CDF is exp of ln S. A quantile at q <= 1/2 is the root
     of g(y) = ln S(y) - ln q by Newton, whose slope s/S comes from
@@ -568,10 +531,10 @@ class SkewSymmetric(SkewingMechanism):
         return _LOG2 + log_pi + numcore._log_normal_pdf(y)
 
     def composed_log_cdf(self, y):
+        if not isinstance(y, float):
+            return self._log_cdf_each(y)
         if self._pi_log_cdf is not None:
             return self._pi_log_cdf(y)
-        if not isinstance(y, float):
-            return self._rule_each(y)
         if y < _NORMAL_Q3:
             v = self._rule_log_cdf(y)
             if v <= _NEAR_ONE:
@@ -579,8 +542,14 @@ class SkewSymmetric(SkewingMechanism):
         # from the mass above y, where S is 3/4 or more, or near 1 at all
         return _log1mexp(self.mirror._rule_log_cdf(-y))
 
-    # an array one point at a time: the rule adapts its panels to each y
-    _rule_each = _elementwise(composed_log_cdf)
+    # an array one point at a time: the rule adapts its panels to each y,
+    # and pi's own ln S takes floats
+    _log_cdf_each = _elementwise(composed_log_cdf)
+
+    def composed_log_tail_mass(self, y):
+        # |Y| has the law of |Z| (Wang, Boyer & Genton 2004), so the mass
+        # is the normal's, 2 Phi(-y), for every pi and without S
+        return _LOG2 + numcore._log_normal_sf(y)
 
     def _rule_log_cdf(self, y: float) -> LogProb:
         """ln S(y) for y < Phi^-1(3/4) by the panel rule."""
@@ -1106,9 +1075,12 @@ class SkewedDistribution(ContinuousDistribution):
     float (``log_pdf`` an ``np.float64`` where the hook is one numpy
     expression), and each element of an array what its float gets from
     ``log_cdf`` and ``log_sf``, bit for bit. The hooks keep both tails
-    finite in log space, so ``log_tail_mass`` of a grid is one call of each. ``cdf`` is
-    exp(``log_cdf``) of a float: each ``composed_log_cdf`` takes ln S from
-    the smaller tail.
+    finite in log space. ``log_tail_mass`` of a float or a grid is one call
+    of ``composed_log_tail_mass`` after the same check: the log-sum-exp of
+    both tails, or for ``SkewSymmetric`` the normal's ln 2 Phi(-y), exact
+    for every pi by the symmetry its constructor checks (Wang, Boyer &
+    Genton 2004). ``cdf`` is exp(``log_cdf``) of a float: each
+    ``composed_log_cdf`` takes ln S from the smaller tail.
 
     ``quantile``/``quantile_array`` and ``cdf_array`` are the mechanism's
     ``composed_quantile`` and ``composed_cdf``. ``cdf_array`` is a family's
@@ -1149,7 +1121,8 @@ class SkewedDistribution(ContinuousDistribution):
         return _at_most_0(self.mechanism.composed_log_sf(_finite(y)))
 
     def _log_tail_mass(self, y):
-        return _out(np.logaddexp(self.log_cdf(-y), self.log_sf(y)))
+        y = numcore._require_finite(y) if isinstance(y, float) else _finite(y)
+        return _out(self.mechanism.composed_log_tail_mass(y))
 
     def quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
         return self.mechanism.composed_quantile(q, tol)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -40,6 +41,7 @@ from skewlab import (
     mo_cdf_P,
     sample_flip,
     sample_skewed,
+    steutel_statistic,
     twopiece_cdf,
     verify_theorem1_bound,
 )
@@ -1152,6 +1154,36 @@ class TestAzzaliniRunsNoQuadrature:
         with pytest.raises(AssertionError, match="panel rule"):
             custom.log_sf(2.0)
 
+    @pytest.mark.parametrize("family,params", [
+        ("azzalini", {"alpha": 3.0}),
+        ("skewsym-custom", {"pi": "logistic", "alpha": 2.0}),
+        ("skewsym-custom", {"pi": "sign"}),
+    ], ids=["azzalini-3", "pi-logistic-2", "pi-sign"])
+    def test_tail_diagnostics_take_no_log_tail(self, family, params, std, monkeypatch, capsys):
+        # a skew-symmetric tail mass is 2 Phi(-y) for every pi: the
+        # diagnostics reach neither Owen's T nor the panel rule, and print
+        # what they print with both in place
+        argv = ["--family", family, *[f"--param={k}={v}" for k, v in params.items()]]
+
+        def run(command):
+            assert cli.main([command, *argv]) == 0
+            return capsys.readouterr().out
+
+        expected = {command: run(command) for command in ("tail", "check")}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a log tail was taken")
+
+        monkeypatch.setattr(SkewSymmetric, "_rule_log_cdf", forbidden)
+        monkeypatch.setattr(AzzaliniPi, "composed_log_cdf", forbidden)
+        mech = cli.build_mechanism(family, dict(params))
+        report = steutel_statistic(compose(std, mech), DEFAULT_Y_GRID)
+        assert not any(row.flagged for row in report.rows)
+        assert all(row.passed for row in verify_theorem1_bound(mech))
+        assert divisibility_verdict(mech).verdict is Verdict.NOT_ID
+        assert {command: run(command) for command in ("tail", "check")} == expected
+        assert json.loads(expected["check"])["verdict"] == "NOT_ID"
+
 
 # Upper-tail quantiles of the closed families, from 1 - q, against the
 # mpmath survival function at the returned ordinate.
@@ -1512,8 +1544,9 @@ class TestArrayLogTails:
     and give each element what its float gets, bit for bit:
     ``composed_log_cdf``, ``composed_log_sf``, ``log_cdf``, ``log_sf`` and
     ``log_tail_mass``. The closed forms take ``math``'s exp and log per
-    element, as their float branches do, and the Gauss sums each row's dot
-    product, so no element can differ; a failure lists each one in ulps."""
+    element, as their float branches do, and a skew-symmetric law takes
+    each element as a float, so no element can differ; a failure lists
+    each one in ulps."""
 
     @pytest.mark.parametrize("name,mech", _DENSITY_LAWS)
     def test_array_equals_float(self, name, mech, std):
@@ -1560,6 +1593,39 @@ class TestArrayLogTails:
             log_tail_mass(dist, np.array([2.0, np.nan]))
         with pytest.raises(DomainError, match="y must be finite"):
             log_tail_mass(dist, np.array([2.0, np.inf]))
+
+
+_SKEW_SYMMETRIC_LAWS = [(name, mech) for name, mech in _DENSITY_LAWS
+                        if isinstance(mech, SkewSymmetric)] + [
+    (f"azzalini-{alpha}", SkewSymmetric.azzalini(alpha)) for alpha in (1e3, -1e3, 50.0, -50.0, -0.0)]
+_SKEW_SYMMETRIC_TAIL_YS = np.array([*DEFAULT_Y_GRID, 25.0, 38.0, 40.0])
+
+
+class TestSkewSymmetricTailMass:
+    """A skew-symmetric law's two-sided tail mass is the normal's,
+    ln 2 Phi(-y) (Wang, Boyer & Genton 2004), and the diagnostics take it
+    so, without either log tail. These tests keep each law's own log tails
+    checked against it: Azzalini's closed form gives it to the bit at
+    these ordinates, and the named pis' panel rule within its documented
+    1e-14 * max(1, |ln|)."""
+
+    @pytest.mark.parametrize("name,mech", _SKEW_SYMMETRIC_LAWS)
+    def test_log_tails_add_up_to_the_tail_mass(self, name, mech, std):
+        dist, ys = compose(std, mech), _SKEW_SYMMETRIC_TAIL_YS
+        from_tails = np.logaddexp(dist.log_cdf(-ys), dist.log_sf(ys))
+        closed = log_tail_mass(dist, ys)
+        if isinstance(mech.pi, AzzaliniPi):
+            assert from_tails.tolist() == closed.tolist()
+        else:
+            assert np.all(np.abs(from_tails - closed) <= 1e-14 * np.maximum(1.0, np.abs(closed)))
+
+    @pytest.mark.parametrize("name,mech", _SKEW_SYMMETRIC_LAWS)
+    def test_tail_mass_is_the_normals(self, name, mech, std):
+        ys = _SKEW_SYMMETRIC_TAIL_YS
+        closed = log_tail_mass(compose(std, mech), ys)
+        assert closed.tobytes() == log_tail_mass(std, ys).tobytes()
+        want = np.array([float(mp.log(2 * mp.ncdf(-mp.mpf(float(y))))) for y in ys])
+        assert np.all(np.abs(closed - want) <= 1e-15 * np.abs(want))
 
 
 # x = k/1024, where 1 - x is exact; 1/2 is left out, where an indicator pi
