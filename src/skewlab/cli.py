@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 from scipy import special
@@ -160,9 +160,41 @@ def _cell_format(v):
     return str
 
 
+def _json(o, pad: str = "") -> str:
+    """``json.dumps(o, indent=2, default=float)``, byte for byte, for str
+    keys. With ``indent`` set the json module runs its pure-Python encoder,
+    which took 36 to 44% of a closed-form ``check``; this is the same
+    encoding without its generators. pad is the indent of o's line."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):  # np.float64 is one
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else ("Infinity" if o > 0.0 else "-Infinity")
+    inner = pad + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        body = (",\n" + inner).join([f"{_encode_str(k)}: {_json(v, inner)}" for k, v in o.items()])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[\n" + inner + (",\n" + inner).join([_json(v, inner) for v in o]) + "\n" + pad + "]"
+    return _json(float(o), pad)  # np.bool_, np.int64: what default=float writes
+
+
 def _emit_json(payload, out) -> None:
     # one write: json.dump would hand the stream thousands of small chunks
-    out.write(json.dumps(payload, indent=2, default=float) + "\n")
+    out.write(_json(payload) + "\n")
 
 
 def _emit_table(header: list[str], rows: list[list], fmt: str, out) -> None:

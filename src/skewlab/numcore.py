@@ -20,6 +20,11 @@ The log-space survival functions are the load-bearing part: plain
 while ``log_normal_sf`` stays accurate out to |y| = 40 and beyond. Tail
 comparisons elsewhere in the package are done entirely on logarithms for
 that reason.
+
+``scipy.integrate`` and ``scipy.optimize`` are imported inside
+``integrate`` and ``find_root``, on their first call: loading them after
+skewlab costs a process about 0.2 s and 20 to 23 MB, once, and no CLI
+command calls either function.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sciint
-from scipy import optimize as _sciopt
 from scipy import special as _sp
 
 from .errors import BracketingError, ConvergenceError, DomainError
@@ -281,6 +284,9 @@ def find_root(
     so the result is deterministic and convergence is guaranteed for
     continuous fn. Converged when the bracket width falls below abs_tol
     (plus rel_tol scaling) or fn hits exactly 0.
+
+    The first call that gets past the bracket checks imports
+    ``scipy.optimize`` (about 0.2 s and 20 MB, once per process).
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"bracket must be finite, got [{lo}, {hi}]")
@@ -296,9 +302,11 @@ def find_root(
         raise BracketingError(
             f"no sign change on [{lo}, {hi}]: fn(lo)={f_lo:.6g}, fn(hi)={f_hi:.6g}"
         )
+    from scipy.optimize import brentq
+
     rtol = max(tol.rel_tol, 4.0 * np.finfo(float).eps)
     try:
-        root, info = _sciopt.brentq(
+        root, info = brentq(
             fn, lo, hi, xtol=tol.abs_tol, rtol=rtol, maxiter=tol.max_iter,
             full_output=True, disp=False,
         )
@@ -323,13 +331,19 @@ def integrate(
     of variables inside the adaptive scheme. The estimate satisfies
     err <= max(abs_tol, rel_tol * |result|) or a ConvergenceError carrying
     the partial estimate is raised.
+
+    The first call over a non-empty interval imports ``scipy.integrate``,
+    which imports ``scipy.optimize`` (about 0.2 s and 23 MB, once per
+    process).
     """
     if math.isnan(lo) or math.isnan(hi):
         raise DomainError("integration limits must not be NaN")
     if lo == hi:
         return 0.0
+    from scipy.integrate import quad
+
     with np.errstate(over="ignore", under="ignore"):
-        value, err, *rest = _sciint.quad(
+        value, err, *rest = quad(
             fn, lo, hi, epsabs=tol.abs_tol, epsrel=tol.rel_tol,
             limit=tol.max_iter, full_output=True,
         )

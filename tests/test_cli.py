@@ -1,13 +1,18 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import mp_skew_normal_log_tails
-from skewlab import mechanisms
-from skewlab.cli import FAMILIES, UsageError, build_mechanism, main
+from skewlab import divisibility, mechanisms
+from skewlab.cli import FAMILIES, UsageError, _json, build_mechanism, main
 
 
 def run_cli(capsys, *argv):
@@ -360,6 +365,50 @@ def test_unknown_family_usage_error():
     assert proc.returncode == 2
 
 
+_LAZY_SCIPY_SCRIPT = """
+import contextlib, io, json, math, sys
+import skewlab.cli
+from skewlab import numcore
+
+LAZY = ("scipy.integrate", "scipy.optimize")
+codes = []
+for argv in (
+    ["eval", "--family", "azzalini", "--param", "alpha=3", "--what", "quantile",
+     "--grid=0.01:0.99:5"],
+    ["sample", "--family", "marshall-olkin", "--param", "gamma=2", "--n", "100",
+     "--seed", "1", "--out", sys.argv[1]],
+    ["tail", "--family", "skewsym-custom", "--param", "pi=logistic", "--ys", "5,20"],
+    ["check", "--family", "orderstats", "--param", "psi1=2", "--param", "psi2=3"],
+    ["verify", "--suite", "all"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(skewlab.cli.main(argv))
+after_cli = [m for m in LAZY if m in sys.modules]
+root = numcore.find_root(lambda y: y * y - 2, 0, 2)
+mass = numcore.integrate(numcore.normal_pdf, -math.inf, math.inf)
+print(json.dumps({"codes": codes, "after_cli": after_cli, "root": root, "mass": mass,
+                  "after_calls": [m for m in LAZY if m in sys.modules]}))
+"""
+
+
+def test_cli_never_loads_quadrature_or_root_finding(tmp_path):
+    # scipy.integrate and scipy.optimize cost a process about 0.3 s and 26 MB
+    # to import, and only find_root and integrate use them: one fresh
+    # interpreter runs every command, then those two functions
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY_SCRIPT, str(tmp_path / "draws.txt")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0] * 5
+    assert got["after_cli"] == []
+    assert got["root"] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert got["mass"] == pytest.approx(1.0, abs=1e-10)
+    assert got["after_calls"] == ["scipy.integrate", "scipy.optimize"]
+
+
 # one README-style instance per family name, and the mechanism it builds
 FAMILY_INSTANCES = {
     "azzalini": ({"alpha": 3.0}, "SkewSymmetric(pi=AzzaliniPi(alpha=3.0))"),
@@ -432,3 +481,37 @@ class TestFormatOption:
                                "--ys", "5,10", "--format", "json")
         assert code == 0
         assert [row["y"] for row in json.loads(out)] == [5.0, 10.0]
+
+
+_JSON_LEAVES = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.text(),  # non-ASCII and control characters included
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestJsonEmitter:
+    """check's JSON is json.dumps(indent=2, default=float) byte for byte."""
+
+    @given(_JSON_TREES)
+    def test_same_bytes_as_json_dumps(self, payload):
+        assert _json(payload) == json.dumps(payload, indent=2, default=float)
+
+    def test_check_payload(self, capsys):
+        mech = build_mechanism("orderstats", {"psi1": 2.0, "psi2": 3.0})
+        verdict = divisibility.divisibility_verdict(mech, ys=list(divisibility.DEFAULT_Y_GRID))
+        _, out, _ = run_cli(capsys, "check", "--family", "orderstats", "--param", "psi1=2",
+                            "--param", "psi2=3")
+        assert out == json.dumps(verdict.to_dict(), indent=2, default=float) + "\n"

@@ -180,6 +180,12 @@ class TestBeta:
 
 
 class TestFindRoot:
+    @pytest.fixture(autouse=True, scope="class")
+    def _root_finder_loaded(self):
+        # the first find_root call in a process imports scipy.optimize, about
+        # 0.2 s: pay it here, not in a hypothesis example under its deadline
+        find_root(lambda y: y, -1.0, 1.0)
+
     def test_identity(self):
         assert find_root(lambda y: y, -1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
