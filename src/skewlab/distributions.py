@@ -39,7 +39,7 @@ def _elementwise(method):
         if isinstance(x, float):
             return float(method(self, float(x), *args))
         x = np.asarray(x, dtype=float)
-        return _out(np.array([method(self, float(v), *args) for v in x.ravel()]).reshape(x.shape))
+        return _out(np.array([method(self, v, *args) for v in x.ravel().tolist()]).reshape(x.shape))
 
     return lifted
 
@@ -98,9 +98,10 @@ class ContinuousDistribution(ABC):
     Subclasses must provide pdf/cdf and both log tails, each of a float;
     generic quantile and sampling fall back to bracketed inversion of the
     cdf. ``log_pdf`` also takes an array, which it evaluates here one
-    element at a time, and so does ``_log_tail_mass``, the two-sided tail
-    mass of ``log_tail_mass``, from the float log tails; a subclass whose
-    methods take arrays overrides them with one call each.
+    element at a time, and so do ``_log_tail_mass``, the two-sided tail
+    mass of ``log_tail_mass``, from the float log tails, and
+    ``quantile_array``, from ``quantile``; each keeps the array's shape. A
+    subclass whose methods take arrays overrides them with one call each.
     All evaluation methods are pure; instances are immutable after
     construction.
     """
@@ -150,8 +151,10 @@ class ContinuousDistribution(ABC):
             raise BracketingError("could not bracket quantile from above")
         return numcore.find_root(lambda y: self.cdf(y) - q, lo, hi, tol)
 
-    def quantile_array(self, q: np.ndarray) -> np.ndarray:
-        return np.array([self.quantile(float(v)) for v in q])
+    @_elementwise
+    def quantile_array(self, q: float) -> float:
+        """``quantile`` of an array of any shape, one float call per element."""
+        return self.quantile(q)
 
     def sample(self, rng: RngState, n: int) -> np.ndarray:
         """n inversion-sampled draws, deterministic given the rng state."""
@@ -166,23 +169,19 @@ class StandardNormal(ContinuousDistribution):
     take a float or an array."""
 
     def pdf(self, y):
-        v = numcore.normal_pdf(y)
-        return float(v) if isinstance(y, float) else _out(v)
+        return _out(numcore.normal_pdf(y))
 
     def log_pdf(self, y):
-        v = numcore.log_normal_pdf(y)
-        return float(v) if isinstance(y, float) else _out(v)
+        return _out(numcore.log_normal_pdf(y))
 
     def cdf(self, y: float) -> float:
         return float(numcore.normal_cdf(y))
 
     def log_cdf(self, y):
-        v = numcore.log_normal_cdf(y)
-        return float(v) if isinstance(y, float) else _out(v)
+        return _out(numcore.log_normal_cdf(y))
 
     def log_sf(self, y):
-        v = numcore.log_normal_sf(y)
-        return float(v) if isinstance(y, float) else _out(v)
+        return _out(numcore.log_normal_sf(y))
 
     def _log_tail_mass(self, y):
         return _out(np.logaddexp(self.log_cdf(-y), self.log_sf(y)))
@@ -191,7 +190,7 @@ class StandardNormal(ContinuousDistribution):
         return float(numcore.normal_quantile(q))
 
     def quantile_array(self, q: np.ndarray) -> np.ndarray:
-        return numcore.normal_quantile(q)
+        return _out(numcore.normal_quantile(q))
 
     def __repr__(self) -> str:
         return "StandardNormal()"

@@ -277,9 +277,11 @@ def estimate_sup_p(mech: SkewingMechanism) -> BoundednessReport:
 
 def _bound_rows(bound: float, ys: np.ndarray, tails: np.ndarray) -> list[BoundCheckRow]:
     """Theorem-1 rows ln m_S(y) <= ln M + ln(2 Phi(-y)) from the ordinates
-    and ln m_S at them."""
+    and ln m_S at them. A row passes only where its bound is finite: from
+    y ~ 1.9e154, where y^2/2 overflows, both sides are -inf and compare
+    nothing."""
     rhs = math.log(bound) + math.log(2.0) + numcore._log_normal_sf(ys)
-    return [BoundCheckRow(y, lhs, r, passed=lhs <= r)
+    return [BoundCheckRow(y, lhs, r, passed=lhs <= r and math.isfinite(r))
             for y, lhs, r in zip(ys.tolist(), tails.tolist(), rhs.tolist())]
 
 
@@ -289,7 +291,8 @@ def verify_theorem1_bound(mech: SkewingMechanism, ys=DEFAULT_Y_GRID) -> list[Bou
     M is the mechanism's ``analytic_sup``; a mechanism without one raises
     PreconditionError, since a numeric sup only bounds sup p from below.
     Everything is evaluated in log space so the check is meaningful out
-    to y = 30 and beyond, where the raw masses are near e^-450.
+    to y = 30 and beyond, where the raw masses are near e^-450. A row
+    whose bound is -inf, from y ~ 1.9e154, fails.
     """
     bound = mech.analytic_sup
     if bound is None:

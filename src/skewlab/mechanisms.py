@@ -19,10 +19,9 @@ family writes the lower one, ``composed_log_cdf``: closed or series
 forms, or for ``SkewSymmetric`` pi's own (``AzzaliniPi``, through Owen's
 T), else a composite Gauss-Legendre rule. Its ``mirror``, the mechanism
 x -> 1 - P(1 - x) of -Y, is in the same family and gives the upper tail
-at -y. Both log tails take a float or an array, whose elements get what
-their floats get, bit for bit: the other closed forms take the side up
-to 0 in one pass and the other side one point at a time; ``SkewSymmetric``
-takes every element one at a time, Azzalini's as well as the rule's.
+at -y. Both log tails take a float or an array; every family takes an
+array one float call per element, through ``SkewingMechanism``'s one lift,
+so each element is what its float gets, bit for bit.
 The diagnostics' two-sided tail mass m(y) = S(-y) + 1 - S(y) is
 ``composed_log_tail_mass``, by default the log-sum-exp of the two log
 tails. ``SkewSymmetric`` needs neither tail for it: as pi(-y) = 1 - pi(y),
@@ -59,7 +58,7 @@ from scipy import special as _sp
 from . import numcore
 from .distributions import ContinuousDistribution, RngState, StandardNormal, _elementwise, _out
 from .errors import ConvergenceError, DomainError, ParameterError
-from .numcore import DEFAULT_TOL, LogProb, Tolerance, _each
+from .numcore import DEFAULT_TOL, LogProb, Tolerance
 
 __all__ = [
     "SkewingMechanism",
@@ -119,22 +118,6 @@ def _log1mexp(v: float) -> float:
     return math.log1p(-math.exp(v)) if v < 0.0 else _NEG_INF
 
 
-def _at_once(y: np.ndarray, at_once: np.ndarray, vectorised, each) -> np.ndarray:
-    """An array hook in y's shape: vectorised, a function of a 1-d array, of
-    the elements where at_once holds, in one call, and each, the float
-    branch, of the others one at a time; a side without elements costs no
-    call."""
-    flat, mask = y.ravel(), at_once.ravel()
-    if mask.all():
-        out = vectorised(flat)
-    elif not mask.any():
-        out = _each(each, flat)
-    else:
-        out = np.empty(flat.size)
-        out[mask], out[~mask] = vectorised(flat[mask]), _each(each, flat[~mask])
-    return out.reshape(y.shape)
-
-
 def _log_share(u: float, v: float) -> float:
     """ln(u / (u + v)) for u, v >= 0, without rounding u / (u + v)."""
     if u == 0.0:
@@ -153,9 +136,10 @@ class SkewingMechanism(ABC):
     its probe points and reads the result grid by grid.
     ``composed_log_pdf``, ``composed_log_cdf`` and ``composed_log_sf`` take
     a float or an array too, an array checked to be finite by its caller;
-    a family keeps a float branch only where numpy would slow a float down,
-    and the log tails' array branches give each element the float's value,
-    bit for bit.
+    a family keeps a float branch only where numpy would slow a float down.
+    Every family's ``composed_log_cdf`` hands an array to ``_log_cdf_each``,
+    one float call per element, so each element is its float's value, bit
+    for bit.
     It writes ``composed_log_cdf``, ``mirror``, the mechanism of -Y, whose
     lower tail is this one's upper one, and ``_lower_quantile``, the y with
     S(y) = q below S(0). ``composed_cdf`` is ``_lower_cdf`` up to 0 and one
@@ -259,8 +243,13 @@ class SkewingMechanism(ABC):
 
     @abstractmethod
     def composed_log_cdf(self, y):
-        """ln S(y), finite far past the underflow of S(y); a float or an
-        array."""
+        """ln S(y), finite far past the underflow of S(y); a float, or an
+        array, which a family hands to ``_log_cdf_each``."""
+
+    @_elementwise
+    def _log_cdf_each(self, y: float) -> LogProb:
+        """``composed_log_cdf`` of an array, one float call per element."""
+        return self.composed_log_cdf(y)
 
     def composed_log_sf(self, y):
         """ln(1 - S(y)), finite far past the rounding of S(y) to 1."""
@@ -284,8 +273,8 @@ class AzzaliniPi:
 
     It also carries the log tails of the law it composes to, the
     skew-normal with density 2 phi(y) Phi(alpha y), in closed form at a
-    float; ``SkewSymmetric`` uses them in place of quadrature, and takes
-    an array one element at a time, each at its float's cost. Its
+    float; ``SkewSymmetric`` uses them in place of quadrature, and, as
+    every family does, takes an array one float call per element. Its
     two-sided tail mass is 2 Phi(-y), as for every pi, and needs neither
     tail.
     """
@@ -308,7 +297,7 @@ class AzzaliniPi:
 
     def composed_log_cdf(self, y: float) -> LogProb:
         """ln S(y) of the skew-normal law at a float y; ``SkewSymmetric``
-        takes an array one element at a time."""
+        takes an array one float call per element."""
         return _sn_log_cdf(y, self.alpha)
 
     def __repr__(self) -> str:
@@ -451,7 +440,8 @@ class SkewSymmetric(SkewingMechanism):
     ``mirror`` (pi(-y) as such an object), as ``AzzaliniPi`` does; the
     mirror mechanism is ``SkewSymmetric(pi.mirror)``, else that of pi(-y).
     ln S is pi's, else a fixed rule (see the comment above
-    ``_PANEL_EDGES``); an array of y takes either once per element.
+    ``_PANEL_EDGES``); an array of y takes one float call per element, as
+    in every family.
     The two-sided tail mass, ``composed_log_tail_mass``, is ln 2 Phi(-y)
     for every pi: with pi(-y) = 1 - pi(y), |Y| has the law of |Z| (Wang,
     Boyer & Genton 2004), so S(-y) + 1 - S(y) is the normal's. That
@@ -541,10 +531,6 @@ class SkewSymmetric(SkewingMechanism):
                 return v
         # from the mass above y, where S is 3/4 or more, or near 1 at all
         return _log1mexp(self.mirror._rule_log_cdf(-y))
-
-    # an array one point at a time: the rule adapts its panels to each y,
-    # and pi's own ln S takes floats
-    _log_cdf_each = _elementwise(composed_log_cdf)
 
     def composed_log_tail_mass(self, y):
         # |Y| has the law of |Z| (Wang, Boyer & Genton 2004), so the mass
@@ -796,8 +782,7 @@ class OrderStatistics(SkewingMechanism):
                 if s >= 1e-300:
                     return math.log(s)
             return numcore.log_reg_inc_beta_exp(float(_sp.log_ndtr(y)), self.psi1, self.psi2)
-        return _at_once(y, y <= 0.0, lambda y: numcore.log_reg_inc_beta_exp(
-            _sp.log_ndtr(y), self.psi1, self.psi2), self.composed_log_cdf)
+        return self._log_cdf_each(y)
 
     def composed_sample(self, rng: RngState, n: int) -> np.ndarray:
         # X = G1/(G1 + G2), G_i ~ Gamma(psi_i) (Jones 2004). With
@@ -888,8 +873,7 @@ class MarshallOlkin(SkewingMechanism):
             if y <= 0.0:
                 return lx - math.log(g + (1.0 - g) * math.exp(lx))
             return lx - math.log1p((g - 1.0) * float(numcore._normal_cdf(-y)))  # Phi(-y), not 1 - x
-        lower = lambda lx: lx - math.log(g + (1.0 - g) * math.exp(lx))
-        return _at_once(y, y <= 0.0, lambda y: _each(lower, _sp.log_ndtr(y)), self.composed_log_cdf)
+        return self._log_cdf_each(y)
 
     @property
     def analytic_sup(self) -> float:
@@ -975,8 +959,7 @@ class TwoPiece(SkewingMechanism):
                 return math.log1p(-sf)
             # (b-a)/(a+b) + (2a/(a+b)) Phi(y/a) without the cancellation when a > b
             return math.log((b + a * math.erf(y / (a * _SQRT2))) / ab)
-        return _at_once(y, y < 0.0, lambda y: math.log(2.0 * b / ab) + _sp.log_ndtr(y / b),
-                        self.composed_log_cdf)
+        return self._log_cdf_each(y)
 
     @cached_property
     def mirror(self) -> "TwoPiece":

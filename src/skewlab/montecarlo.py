@@ -60,11 +60,13 @@ def oracle_cdf(dist: SkewedDistribution, y: float) -> float:
 def ks_test(samples, cdf) -> KsResult:
     """One-sample two-sided Kolmogorov-Smirnov statistic sup|F_n - F|.
 
-    ``cdf`` may be vectorized (called with the sorted sample array) or a
-    scalar callable. The 1% critical value uses the asymptotic constant
-    1.6276/sqrt(n); callers should keep n >= 1e4 for that to be fair.
+    The draws may come in an array of any shape; the test runs over all
+    of them. ``cdf`` may be vectorized (called with the sorted, flattened
+    sample) or a scalar callable. The 1% critical value uses the asymptotic
+    constant 1.6276/sqrt(n); callers should keep n >= 1e4 for that to be
+    fair.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = x.size
     if n == 0:
         raise DomainError("need at least one sample")

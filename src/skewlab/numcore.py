@@ -2,8 +2,10 @@
 functions, bracketed root finding and adaptive quadrature.
 
 Everything here is a pure function of its arguments, safe for concurrent
-use. Scalar floats in, scalar floats out; the normal/beta functions also
-broadcast over numpy arrays because they delegate to scipy ufuncs.
+use. Scalar floats in, scalar floats out; the normal kernels,
+``reg_inc_beta`` and ``inv_reg_inc_beta`` also broadcast over numpy arrays
+because they delegate to scipy ufuncs. ``log_beta``, ``log_reg_inc_beta``
+and ``log_reg_inc_beta_exp`` take floats only.
 
 Every kernel checks its argument first: finite, or inside the unit
 interval. A float (``np.float64`` is one) is checked with ``math`` and
@@ -105,14 +107,6 @@ def _in_unit(x, open_: bool) -> bool:
         return 0.0 < x < 1.0 if open_ else 0.0 <= x <= 1.0
     x = np.asarray(x, dtype=float)
     return bool(np.all((x > 0.0) & (x < 1.0) if open_ else (x >= 0.0) & (x <= 1.0)))
-
-
-def _each(fn, *args: np.ndarray) -> np.ndarray:
-    """fn, a function of floats such as ``math``'s, of the elements of the
-    1-d arrays args, one from each: what a float branch computes. numpy's
-    SIMD exp, log and log1p differ from ``math``'s in the last bit on a few
-    percent of arguments."""
-    return np.fromiter(map(fn, *[a.tolist() for a in args]), float, args[0].size)
 
 
 def normal_pdf(y):
@@ -217,18 +211,15 @@ def log_reg_inc_beta(x: float, a: float, b: float) -> LogProb:
     return log_reg_inc_beta_exp(math.log(x), a, b)
 
 
-def log_reg_inc_beta_exp(log_x, a: float, b: float):
+def log_reg_inc_beta_exp(log_x: float, a: float, b: float) -> LogProb:
     """ln I_x(a, b) given ln x, stable even when x itself underflows.
 
     With log_x = -800 the direct incomplete beta is identically 0 in
     doubles, while here the a*ln(x) prefactor keeps everything finite.
-    log_x may be a float or an ndarray: an array makes one ``betainc`` call,
-    and runs the series only on its elements where that is below 1e-300
-    or x is subnormal, each as a float would.
+    log_x is a float: an array of ordinates reaches it one element at a
+    time, through ``OrderStatistics.composed_log_cdf``.
     """
     _require_beta_params(a, b)
-    if isinstance(log_x, np.ndarray):
-        return _log_reg_inc_beta_exp_array(log_x.astype(float).ravel(), a, b).reshape(log_x.shape)
     if math.isnan(log_x) or log_x > 0.0:
         raise DomainError(f"log_x must be <= 0, got {log_x!r}")
     if log_x == 0.0:
@@ -240,21 +231,6 @@ def log_reg_inc_beta_exp(log_x, a: float, b: float):
         v = float(_sp.betainc(a, b, x))
         if v >= 1e-300:
             return math.log(v)
-    return _log_inc_beta_series(log_x, x, a, b)
-
-
-def _log_reg_inc_beta_exp_array(log_x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """``log_reg_inc_beta_exp`` of a 1-d array: each element as a float."""
-    if not (log_x <= 0.0).all():
-        raise DomainError(f"log_x must be <= 0, got {log_x!r}")
-    if a == 1.0 and b == 1.0:
-        return np.where(log_x == 0.0, 0.0, log_x)
-    x = _each(math.exp, log_x)
-    return _each(lambda log_x, x, v: math.log(v) if x >= _SMALLEST_NORMAL and v >= 1e-300
-                 else _log_inc_beta_series(log_x, x, a, b), log_x, x, _sp.betainc(a, b, x))
-
-
-def _log_inc_beta_series(log_x: float, x: float, a: float, b: float) -> LogProb:
     # Direct value underflowed or x is subnormal, so x sits far below the
     # beta mode and the series ratio x*(a+b+n)/(a+1+n) starts below 1: no
     # term overflow.

@@ -60,6 +60,37 @@ class TestGenericQuantile:
         with pytest.raises(DomainError):
             d.quantile(1.0)
 
+    def test_array_of_any_shape(self, std):
+        # a source whose methods take floats only: quantile_array keeps an
+        # array's shape, a 0-d one gives a float, each element the float's
+        from skewlab.distributions import ContinuousDistribution
+
+        class FloatOnly(ContinuousDistribution):
+            def pdf(self, y):
+                raise AssertionError("not used")
+
+            def cdf(self, y):
+                assert isinstance(y, float)
+                return std.cdf(y - 3.0)
+
+            log_cdf = log_sf = pdf
+
+        d = FloatOnly()
+        qs = np.array([[0.01, 0.2, 0.5], [0.7, 0.9, 0.999]])
+        out = d.quantile_array(qs)
+        assert isinstance(out, np.ndarray) and out.shape == (2, 3)
+        assert out.tolist() == [[d.quantile(float(q)) for q in row] for row in qs]
+        assert d.quantile_array(qs[0]).tolist() == out[0].tolist()
+        assert type(d.quantile_array(np.array(0.3))) is float
+        assert d.quantile_array(np.array(0.3)) == d.quantile(0.3)
+
+    def test_normal_quantile_array_keeps_shape(self, std):
+        qs = np.array([[0.01, 0.2], [0.7, 0.999]])
+        assert std.quantile_array(qs).shape == (2, 2)
+        assert std.quantile_array(qs).tolist() == [[std.quantile(float(q)) for q in r] for r in qs]
+        assert type(std.quantile_array(np.array(0.3))) is float
+        assert std.quantile_array(np.array(0.3)) == std.quantile(0.3)
+
 
 class TestLogTailMass:
     def test_is_log2_plus_log_sf_exactly(self, std):

@@ -275,6 +275,17 @@ class TestBoundVerifier:
         rows = verify_theorem1_bound(MarshallOlkin(4.0), ys=[2.0, 5.0, 10.0, 20.0])
         assert all(r.passed for r in rows)
 
+    @pytest.mark.parametrize("mech", [MarshallOlkin(2.0), OrderStatistics(2.0, 3.0),
+                                      SkewSymmetric.azzalini(3.0)])
+    def test_row_without_a_finite_bound_fails(self, mech):
+        # from y ~ 1.9e154 y^2/2 overflows: both sides are -inf and compare nothing
+        rows = verify_theorem1_bound(mech, [30.0, 1e200])
+        assert [r.passed for r in rows] == [True, False]
+        assert rows[1].log_bound == rows[1].log_tail == float("-inf")
+        v = divisibility_verdict(mech, ys=[30.0, 1e200])
+        assert (v.verdict, v.rule, v.bound) == (Verdict.INCONCLUSIVE, "none", None)
+        assert v.note == "theorem-1 rows fail at y=[1e+200]"
+
     def test_unbounded_mechanism_is_rejected(self, std):
         with pytest.raises(PreconditionError):
             verify_theorem1_bound(TwoPiece(0.5, 1.5))

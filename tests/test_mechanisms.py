@@ -1508,6 +1508,16 @@ _TAIL_YS = np.concatenate([_DENSITY_YS, DEFAULT_Y_GRID, np.negative(DEFAULT_Y_GR
 _TAIL_MASS_YS = np.unique(np.abs(_TAIL_YS[_TAIL_YS != 0.0]))
 
 
+# float arms the shipped laws seldom reach: the order-statistics series at a
+# normal x, betaincc above 0, the two-piece erf form
+_EXTREME_LAWS = [
+    *[(f"orderstats-{a}-{b}", OrderStatistics(a, b))
+      for a, b in ((5.0, 1e-3), (1e-3, 5.0), (0.5, 0.5), (200.0, 0.3))],
+    *[(f"mo-{g}", MarshallOlkin(g)) for g in (1e-8, 1e8, 1.0 + 1e-15)],
+    *[(f"twopiece-{a}-{b}", TwoPiece(a, b)) for a, b in ((5.0, 0.1), (0.1, 5.0), (1e-3, 1e3))],
+]
+
+
 class _FloatOnlyNormal(ContinuousDistribution):
     """A user's source whose methods take floats only."""
 
@@ -1543,12 +1553,12 @@ class TestArrayLogTails:
     """Both log tails and the two-sided tail mass take an array in one call
     and give each element what its float gets, bit for bit:
     ``composed_log_cdf``, ``composed_log_sf``, ``log_cdf``, ``log_sf`` and
-    ``log_tail_mass``. The closed forms take ``math``'s exp and log per
-    element, as their float branches do, and a skew-symmetric law takes
-    each element as a float, so no element can differ; a failure lists
-    each one in ulps."""
+    ``log_tail_mass``. Every family takes each element by its float call,
+    so no element can differ; a failure lists each one in ulps. Besides
+    the shipped laws, extreme shapes run the float arms those seldom
+    reach."""
 
-    @pytest.mark.parametrize("name,mech", _DENSITY_LAWS)
+    @pytest.mark.parametrize("name,mech", _DENSITY_LAWS + _EXTREME_LAWS)
     def test_array_equals_float(self, name, mech, std):
         dist = compose(std, mech)
         diffs = _log_tail_differences(dist)

@@ -79,6 +79,13 @@ class TestKsTest:
         with pytest.raises(DomainError):
             ks_test([], normal_cdf)
 
+    def test_any_shape_of_draws(self, std):
+        # one test over all the draws, whatever their shape
+        draws = std.sample(RngState(3), 1000)
+        for cdf in (normal_cdf, lambda y: std.cdf(float(y))):
+            assert ks_test(draws.reshape(2, -1), cdf) == ks_test(draws, cdf)
+            assert ks_test(draws.reshape(10, 10, 10), cdf) == ks_test(draws, cdf)
+
 
 class TestMoments:
     def test_identity_first_two(self, std):
