@@ -4,7 +4,8 @@ Subcommands: eval, sample, tail, check, verify. ``--format`` chooses CSV
 (header row, '.' decimal, full double precision) or JSON with round-trip
 exact numbers for the tables of eval, tail and verify; check always
 prints JSON and sample one draw per line. Exit codes are 0 for success,
-1 for a verification failure and 2 for usage or domain errors. Every
+1 for a verification failure and 2 for usage or domain errors, an
+``--out`` path that cannot be opened among them. Every
 command is pure given its flags and seed. The SKEWLAB_TOL environment
 variable overrides the default absolute tolerance of the underlying
 numerics.
@@ -155,8 +156,6 @@ def _cell_format(v):
         return _BOOL_CELLS.__getitem__
     if isinstance(v, float):
         return float.__repr__
-    if isinstance(v, np.floating):
-        return lambda f: repr(float(f))
     return str
 
 
@@ -377,7 +376,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.out is None:
             return args.fn(args, sys.stdout)
-        with open(args.out, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot open --out {args.out!r}: {exc.strerror}") from exc
+        with handle:
             return args.fn(args, handle)
     except (UsageError, SkewlabError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -100,8 +100,9 @@ class ContinuousDistribution(ABC):
     cdf. ``log_pdf`` also takes an array, which it evaluates here one
     element at a time, and so do ``_log_tail_mass``, the two-sided tail
     mass of ``log_tail_mass``, from the float log tails, and
-    ``quantile_array``, from ``quantile``; each keeps the array's shape. A
-    subclass whose methods take arrays overrides them with one call each.
+    ``quantile_array``, from ``quantile``; each keeps the array's shape,
+    and gives a Python float for a float. A subclass whose methods take
+    arrays overrides them with one call each.
     All evaluation methods are pure; instances are immutable after
     construction.
     """
@@ -183,9 +184,6 @@ class StandardNormal(ContinuousDistribution):
     def log_sf(self, y):
         return _out(numcore.log_normal_sf(y))
 
-    def _log_tail_mass(self, y):
-        return _out(np.logaddexp(self.log_cdf(-y), self.log_sf(y)))
-
     def quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
         return float(numcore.normal_quantile(q))
 
@@ -203,9 +201,9 @@ def log_tail_mass(dist: ContinuousDistribution, y):
     Combined by log-sum-exp of the two log tails, so the result stays
     finite whenever either side is representable in log space (for the
     standard normal that covers y up to 40 and beyond). An array takes one
-    call of each log tail where they take arrays, as the standard normal's
-    do, and one per element otherwise; a composition makes one call of its
-    mechanism's ``composed_log_tail_mass``.
+    call of each log tail per element, the standard normal's too, whose
+    ln 2 + ln Phi(-y) that gives bit for bit; a composition makes one call
+    of its mechanism's ``composed_log_tail_mass``.
     """
     if not isinstance(y, float):
         y = np.asarray(y, dtype=float)

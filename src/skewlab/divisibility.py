@@ -110,10 +110,7 @@ class TailReport:
         return [r.statistic for r in self.rows]
 
     def to_dicts(self) -> list[dict]:
-        return [
-            {"y": r.y, "log_tail": r.log_tail, "statistic": r.statistic, "flagged": r.flagged}
-            for r in self.rows
-        ]
+        return [dict(vars(r)) for r in self.rows]
 
 
 @dataclass(frozen=True)
@@ -130,11 +127,6 @@ class BoundednessReport:
     refinement_trace: tuple[tuple[int, float], ...]
     classification: Classification
     analytic_bound: float | None = None
-
-    @property
-    def certified_bound(self) -> float | None:
-        """The bound usable as M: the analytic one, or None."""
-        return self.analytic_bound
 
     def to_dict(self) -> dict:
         return {
@@ -338,7 +330,7 @@ def divisibility_verdict(
 
     if mech.is_identity:
         return DivisibilityVerdict(Verdict.NORMAL_ESCAPE, "none", None, report, tail)
-    bound, gamma = report.certified_bound, mech.epsilon_skew_gamma
+    bound, gamma = report.analytic_bound, mech.epsilon_skew_gamma
     if bound is not None:
         rule, note = "theorem-1", mech.bound_note
         rows = _bound_rows(bound, np.array([r.y for r in tail.rows]),

@@ -317,7 +317,9 @@ class AzzaliniPi:
 # to it, which is clear of the poles t = +-ih while h sqrt(1 + alpha^2)
 # stays above _NEAR_MODE. Nearer the mode Owen's T itself is used. The
 # switch points were chosen by the error against mpmath, which
-# ``SkewSymmetric`` states.
+# ``SkewSymmetric`` states. Where c sqrt(1 + alpha^2) passes 1e150, from
+# alpha ~ 1e103 at h = 1, t/h or the sums would leave the doubles:
+# ``_sn_log_light_far`` takes the integral with h^2 factored out.
 _LAGUERRE_FROM = 3.0
 _NEAR_MODE = 0.5
 
@@ -399,6 +401,8 @@ def _sn_log_light(h: float, alpha: float) -> LogProb:
     if h * math.hypot(1.0, alpha) < _NEAR_MODE:
         return math.log(_sn_cdf_owen(-h, alpha))
     c = alpha * h
+    if c > 1e150 / math.hypot(1.0, alpha):  # where t/h would overflow, or the sums underflow
+        return _sn_log_light_far(float(h), float(c))
     log_front = -0.5 * h * h - math.log(math.pi * h)
     if c >= _LAGUERRE_FROM:
         return log_front - 0.5 * c * c + math.log(_laguerre_tail(c, h))
@@ -408,6 +412,22 @@ def _sn_log_light(h: float, alpha: float) -> LogProb:
     mass = half * float(w @ (np.exp(-0.5 * t * t) / (1.0 + (t / h) ** 2)))
     mass += math.exp(-0.5 * _LAGUERRE_FROM**2) * _laguerre_tail(_LAGUERRE_FROM, h)
     return log_front + math.log(mass)
+
+
+def _sn_log_light_far(h: float, c: float) -> LogProb:
+    """ln S(-h) from S(-h) = h e^(-h^2/2) / pi * int_c^inf exp(-t^2/2) / (h^2 + t^2) dt.
+    Below _LAGUERRE_FROM, alpha > 3e149 here, so h^2 < 1e-297 t^2 drops out
+    and the integral is e^(-c^2/2) / c - sqrt(2 pi) Phi(-c). Above it the
+    Laguerre sum is taken relative to its integrand at t = c: with u = c/t,
+    1 / (t (h^2 + t^2)) = c^-3 u^3 / (1 + (u h/c)^2), each term at most 1,
+    so ln S is finite while c^2 is and -inf beyond."""
+    log_front = -0.5 * h * h + math.log(h / math.pi)
+    if c < _LAGUERRE_FROM:
+        return log_front + math.log(math.exp(-0.5 * c * c) / c - numcore._SQRT_2PI * float(_sp.ndtr(-c)))
+    x, w = _gauss_rules()[:2]
+    u = 1.0 / np.sqrt(1.0 + 2.0 * x / (c * c))
+    log_sum = math.log(float(w @ (u * (u / np.hypot(1.0, u * (h / c))) ** 2)))
+    return log_front - 0.5 * c * c - 3.0 * math.log(c) + log_sum
 
 
 def _sn_log_heavy(h: float, alpha: float) -> LogProb:
@@ -448,7 +468,11 @@ class SkewSymmetric(SkewingMechanism):
     rests on the symmetry checked here, to 1e-12 on a grid. Azzalini's
     closed form, through Owen's T, is within 1e-14 * max(1, |ln S|) of
     mpmath for |alpha| <= 1e3 and |y| <= 40 (tests/test_mechanisms.py,
-    ``TestAzzaliniClosedForm``).
+    ``TestAzzaliniClosedForm``). Up to |alpha| = 3e300 both log tails are
+    finite and raise no warning; on the light side ln S is about
+    -(1 + alpha^2) y^2 / 2, within 1e-14 * max(1, |ln S|) of the integral's
+    leading term at |alpha| = 1e103, 1e154, 1e200 and 3e300, and -inf
+    where (alpha y)^2 overflows.
 
     The rule gives ln S(y) for y < Phi^-1(3/4) to ``DEFAULT_TOL``'s
     rel_tol, or raises ``ConvergenceError`` with the partial past 400
@@ -634,11 +658,15 @@ class SkewSymmetric(SkewingMechanism):
         [Phi^-1(q/2), sqrt 2 erfinv(q)]; the bracket shrinks to each iterate
         by the sign of g. Newton starts at the lower end, from where it
         stays left of the root where S is log-concave; where S is 0 it
-        tries the upper end once (the root, for pi = 1[y >= 0]), and it
-        bisects where a step would leave the bracket. It stops when |g| is
-        within 2^-51 |ln q|, the rounding of ln S, or a step or the bracket
-        within abs_tol + rel_tol |y|, and raises ``ConvergenceError`` with
-        the last iterate after ``tol.max_iter`` evaluations."""
+        tries the upper end once (the root, for pi = 1[y >= 0]). It bisects
+        where a step would leave the bracket, where |ln S| passes 2^40 and
+        ln(S/s) is lost in its rounding, and where a step within the
+        tolerance comes with |g| >= 1: a steep ln S far from the root, as at
+        y = 0 of a huge Azzalini shape, where S(0) ~ 1/(pi alpha). It stops
+        when |g| is within 2^-51 |ln q|, the rounding of ln S, or a step or
+        the bracket within abs_tol + rel_tol |y|, and raises
+        ``ConvergenceError`` with the last iterate after ``tol.max_iter``
+        evaluations."""
         log_q = math.log(q)
         lo = float(_sp.ndtri_exp(log_q - _LOG2))  # finite at q = 5e-324
         hi = _SQRT2 * float(_sp.erfinv(q))  # Phi^-1((1 + q)/2) rounds 1 + q for tiny q
@@ -657,12 +685,13 @@ class SkewSymmetric(SkewingMechanism):
                 y, tried_hi = hi, True
                 continue
             width = tol.abs_tol + tol.rel_tol * abs(y)
-            if g > _NEG_INF:
+            if -2.0**40 < log_cdf:  # past it ln(S/s) is lost in the rounding of ln S and ln s
                 log_ratio = log_cdf - self.composed_log_pdf(y)  # ln(S/s): no overflow at a tiny y
                 step = g * math.exp(log_ratio) if log_ratio < 700.0 else math.inf
                 if abs(step) <= width:
-                    return min(max(y - step, lo), hi)
-                if lo < y - step < hi:
+                    if abs(g) < 1.0:  # else a steep ln S, not the root: bisect
+                        return min(max(y - step, lo), hi)
+                elif lo < y - step < hi:
                     y -= step
                     continue
             if hi - lo <= width:
@@ -924,11 +953,6 @@ class TwoPiece(SkewingMechanism):
     def p(self, x):
         x = _within(x, open_=True)
         z = _sp.ndtri(x)
-        if isinstance(x, float):  # a float, or a 0-d array, skips np.where
-            c = self.b if x < 0.5 else self.a
-            e = 0.5 * z * z * (1.0 - 1.0 / (c * c))
-            if e < 700.0:  # numpy's exp, as an array's, where it cannot overflow
-                return float((2.0 / (self.a + self.b)) * np.exp(e))
         c = np.where(x < 0.5, self.b, self.a)
         with np.errstate(over="ignore"):
             return _out((2.0 / (self.a + self.b)) * np.exp(0.5 * z * z * (1.0 - 1.0 / (c * c))))
@@ -1054,11 +1078,12 @@ class SkewedDistribution(ContinuousDistribution):
 
     ``pdf``, ``log_pdf``, ``log_cdf`` and ``log_sf`` take a float or an
     array in one call of the hook, ``composed_log_pdf``, ``composed_log_cdf``
-    or ``composed_log_sf``, after one check of the array; a float gets a
-    float (``log_pdf`` an ``np.float64`` where the hook is one numpy
-    expression), and each element of an array what its float gets from
-    ``log_cdf`` and ``log_sf``, bit for bit. The hooks keep both tails
-    finite in log space. ``log_tail_mass`` of a float or a grid is one call
+    or ``composed_log_sf``, on the value ``numcore._require_finite`` checked;
+    a float gets a Python float, and each element of an array what its
+    float gets from ``log_cdf`` and ``log_sf``, bit for bit. ``pdf`` of a
+    float is ``math.exp`` of the hook, whose last bit numpy's exp of an
+    array can differ in. The hooks keep both tails finite in log space.
+    ``log_tail_mass`` of a float or a grid is one call
     of ``composed_log_tail_mass`` after the same check: the log-sum-exp of
     both tails, or for ``SkewSymmetric`` the normal's ln 2 Phi(-y), exact
     for every pi by the symmetry its constructor checks (Wang, Boyer &
@@ -1083,9 +1108,7 @@ class SkewedDistribution(ContinuousDistribution):
         return _out(np.exp(self.log_pdf(y)))
 
     def log_pdf(self, y):
-        if isinstance(y, float):
-            return self.mechanism.composed_log_pdf(numcore._require_finite(y))
-        return _out(self.mechanism.composed_log_pdf(_finite(y)))
+        return _out(self.mechanism.composed_log_pdf(numcore._require_finite(y)))
 
     def cdf(self, y: float) -> float:
         return math.exp(self.log_cdf(y))
@@ -1094,18 +1117,13 @@ class SkewedDistribution(ContinuousDistribution):
         return self.mechanism.composed_cdf(np.asarray(y, dtype=float))
 
     def log_cdf(self, y):
-        if isinstance(y, float):
-            return min(0.0, self.mechanism.composed_log_cdf(numcore._require_finite(y)))
-        return _at_most_0(self.mechanism.composed_log_cdf(_finite(y)))
+        return _at_most_0(self.mechanism.composed_log_cdf(numcore._require_finite(y)))
 
     def log_sf(self, y):
-        if isinstance(y, float):
-            return min(0.0, self.mechanism.composed_log_sf(numcore._require_finite(y)))
-        return _at_most_0(self.mechanism.composed_log_sf(_finite(y)))
+        return _at_most_0(self.mechanism.composed_log_sf(numcore._require_finite(y)))
 
     def _log_tail_mass(self, y):
-        y = numcore._require_finite(y) if isinstance(y, float) else _finite(y)
-        return _out(self.mechanism.composed_log_tail_mass(y))
+        return _out(self.mechanism.composed_log_tail_mass(numcore._require_finite(y)))
 
     def quantile(self, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
         return self.mechanism.composed_quantile(q, tol)
@@ -1122,18 +1140,10 @@ class SkewedDistribution(ContinuousDistribution):
         return f"SkewedDistribution({_STD!r}, {self.mechanism!r})"
 
 
-def _finite(y) -> np.ndarray:
-    """y as a float array, checked to be finite by one reduction."""
-    y = np.asarray(y, dtype=float)
-    if not np.isfinite(y).all():
-        raise DomainError(f"y must be finite, got {y!r}")
-    return y
-
-
-def _at_most_0(v: np.ndarray):
-    """min(0.0, v) of each element, as a float's min takes it (NaN to 0);
-    a float for a 0-d v."""
-    return _out(np.where(v < 0.0, v, 0.0))
+def _at_most_0(v):
+    """min(0.0, v) of a float, or of each element of an array as a float's
+    min takes it (NaN to 0); a float for a float or a 0-d v."""
+    return float(min(0.0, v)) if isinstance(v, float) else _out(np.where(v < 0.0, v, 0.0))
 
 
 def _require_normal_base(base) -> None:

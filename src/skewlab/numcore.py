@@ -12,10 +12,13 @@ interval. A float (``np.float64`` is one) is checked with ``math`` and
 chained comparisons, which costs about 0.1 us; anything else goes
 through ``np.asarray`` and ``np.all``, about 5 us on a scalar, forty
 times the ufunc it guards. Both paths raise the same ``DomainError``
-with the same message, and hand the argument to the ufunc unchanged.
-An array that a public entry of the package has checked already goes on
-to the unchecked forms: scipy's ufuncs, ``_normal_cdf``,
-``_log_normal_sf`` and ``_log_normal_pdf``.
+with the same message. The finite check, ``_require_finite``, returns
+what it checked, a float as it is and anything else as a float array,
+and the normal kernels and ``SkewedDistribution`` hand that on; the unit
+checks hand the argument to the ufunc unchanged. An array that a public
+entry of the package has checked already goes on to the unchecked
+forms: scipy's ufuncs, ``_normal_cdf``, ``_log_normal_sf`` and
+``_log_normal_pdf``.
 
 The log-space survival functions are the load-bearing part: plain
 ``1 - Phi(y)`` is numerically 0 from y ~ 38 and loses digits from y ~ 8,
@@ -93,10 +96,13 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _require_finite(y, name: str = "y"):
-    """y, checked to be finite."""
+def _require_finite(y):
+    """y as a float (``np.float64`` is one) or else a float array, checked
+    to be finite."""
+    if not isinstance(y, float):
+        y = np.asarray(y, dtype=float)
     if not (math.isfinite(y) if isinstance(y, float) else np.all(np.isfinite(y))):
-        raise DomainError(f"{name} must be finite, got {y!r}")
+        raise DomainError(f"y must be finite, got {y!r}")
     return y
 
 
@@ -111,14 +117,12 @@ def _in_unit(x, open_: bool) -> bool:
 
 def normal_pdf(y):
     """Standard normal density exp(-y^2/2)/sqrt(2*pi)."""
-    _require_finite(y)
-    return np.exp(-0.5 * np.square(y)) / _SQRT_2PI
+    return np.exp(-0.5 * np.square(_require_finite(y))) / _SQRT_2PI
 
 
 def log_normal_pdf(y):
     """Natural log of the standard normal density."""
-    _require_finite(y)
-    return _log_normal_pdf(y)
+    return _log_normal_pdf(_require_finite(y))
 
 
 def _log_normal_pdf(y):
@@ -128,8 +132,7 @@ def _log_normal_pdf(y):
 def normal_cdf(y):
     """Standard normal CDF Phi(y). ndtr is 0 from y ~ -37.68, where Phi(y)
     is still subnormal down to y ~ -38.48: there it is exp(ln Phi(y))."""
-    _require_finite(y)
-    return _normal_cdf(y)
+    return _normal_cdf(_require_finite(y))
 
 
 def _normal_cdf(y):
@@ -144,15 +147,13 @@ def _normal_cdf(y):
 
 def log_normal_cdf(y) -> LogProb:
     """ln Phi(y), accurate far into the left tail."""
-    _require_finite(y)
-    return _sp.log_ndtr(y)
+    return _sp.log_ndtr(_require_finite(y))
 
 
 def log_normal_sf(y) -> LogProb:
     """ln(1 - Phi(y)), evaluated as ln Phi(-y) so the right tail never
     underflows (exact by symmetry of the normal)."""
-    _require_finite(y)
-    return _log_normal_sf(y)
+    return _log_normal_sf(_require_finite(y))
 
 
 def _log_normal_sf(y):

@@ -252,6 +252,18 @@ class TestVerify:
         assert out == ""
         assert target.read_text().startswith("suite,case_id,lhs,rhs,pass")
 
+    @pytest.mark.parametrize("command", [["verify", "--suite", "thm2"],
+                                         ["tail", "--family", "marshall-olkin", "--param", "gamma=2"]])
+    def test_out_that_cannot_be_opened_exits_2(self, capsys, tmp_path, command):
+        # exit 1 means a failed verify row; a path that cannot be written is
+        # a usage error, whether its directory is missing or it is one
+        for target in (tmp_path / "missing_dir" / "x.csv", tmp_path):
+            code, out, err = run_cli(capsys, *command, "--out", str(target))
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: cannot open --out {str(target)!r}: ")
+        assert not (tmp_path / "missing_dir").exists()
+
     def test_failing_row_exits_1(self, capsys, monkeypatch):
         import skewlab.cli as cli_mod
         from skewlab.divisibility import BoundCheckRow

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from oracles import mp_log_normal_sf
 from skewlab import DomainError, RngState, log_tail_mass
@@ -94,8 +95,13 @@ class TestGenericQuantile:
 
 class TestLogTailMass:
     def test_is_log2_plus_log_sf_exactly(self, std):
-        for y in (1.5, 5.0, 10.0, 30.0, 40.0):
+        # the base class's log-sum-exp of the two equal tails, bit for bit
+        ys = (1e-300, 0.5, 1.5, 5.0, 10.0, 30.0, 38.5, 40.0, 1e200)
+        for y in ys:
             assert log_tail_mass(std, y) == math.log(2.0) + std.log_sf(y)
+            assert log_tail_mass(std, y) == math.log(2.0) + float(special.log_ndtr(-y))
+        assert np.array_equal(log_tail_mass(std, np.array(ys)),
+                              math.log(2.0) + special.log_ndtr(-np.array(ys)))
 
     def test_spot_value_y10(self, std):
         # oracle: ln(2 Phi(-10)) = ln 2 - 53.2312851505...

@@ -128,11 +128,11 @@ class TestBoundednessClassifier:
             sizes = [n for n, _ in trace]
             assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
-    def test_certified_bound_property(self):
+    def test_analytic_bound_property(self):
         bounded = estimate_sup_p(MarshallOlkin(4.0))
-        assert bounded.certified_bound == 4.0
+        assert bounded.analytic_bound == 4.0
         unbounded = estimate_sup_p(TwoPiece(0.5, 1.5))
-        assert unbounded.certified_bound is None
+        assert unbounded.analytic_bound is None
 
 
 def _refinement_grids():
@@ -489,7 +489,7 @@ class TestVerdicts:
             v = divisibility_verdict(mech)
             if v.verdict is Verdict.NOT_ID:
                 assert (v.rule == "theorem-2" and isinstance(mech, TwoPiece)) or (
-                    v.rule == "theorem-1" and v.boundedness.certified_bound is not None)
+                    v.rule == "theorem-1" and v.boundedness.analytic_bound is not None)
                 # the cited rule ran on every tail ordinate and passed
                 assert [r.y for r in v.rule_rows] == [r.y for r in v.tail.rows]
                 assert all(r.passed for r in v.rule_rows)

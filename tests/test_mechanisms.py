@@ -765,6 +765,50 @@ class TestAzzaliniClosedForm:
             want = math.log1p(-q)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (got, want)
 
+    @pytest.mark.parametrize("alpha", [s * a for a in (1e103, 1e154, 1e200, 3e300) for s in (1.0, -1.0)])
+    def test_huge_shapes_against_the_leading_term(self, alpha):
+        # From |alpha| ~ 1e103 the Laguerre sum's t (1 + (t/h)^2) overflows a
+        # double, and no log tail may take math.log(0.0) or warn. With
+        # c = |alpha| h, h = -y on the light side,
+        # S(-h) = (h/pi) e^(-h^2/2) int_c^inf e^(-t^2/2) / (h^2 + t^2) dt,
+        # whose leading term drops h^2 there, (h/c)^2 = alpha^-2 of it:
+        # the bracket below, in its asymptotic series from c = 1e8. ln S is
+        # about -(1 + alpha^2) h^2 / 2, -inf where that overflows. The
+        # mpmath oracle's 20 digits lose S from |alpha| ~ 1e40.
+        dist = compose(StandardNormal(), SkewSymmetric.azzalini(alpha))
+        a, sign = abs(alpha), math.copysign(1.0, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h in (0.7 / a, 2.0 / a, 3.5 / a, 1e-10, 1.0, 1.3, 40.0):
+                with mp.workdps(40):
+                    big_h, c = mp.mpf(h), a * mp.mpf(h)
+                    if c > 1e8:
+                        bracket = -c * c / 2 - 3 * mp.log(c) + mp.log1p(-3 / (c * c))
+                    else:
+                        bracket = mp.log(mp.exp(-c * c / 2) / c - mp.sqrt(2 * mp.pi) * mp.ncdf(-c))
+                    light = mp.log(big_h / mp.pi) - big_h * big_h / 2 + bracket
+                    heavy = mp.log(mp.erfc(big_h / mp.sqrt(2)) - mp.exp(light))
+                # the light tail is S(-h) for alpha > 0, 1 - S(h) for alpha < 0
+                got_light = dist.log_cdf(-h) if alpha > 0.0 else dist.log_sf(h)
+                got_heavy = dist.log_sf(h) if alpha > 0.0 else dist.log_cdf(-h)
+                for got, want in ((got_light, float(light)), (got_heavy, float(heavy))):
+                    if want == -math.inf:
+                        assert got == want, (h, got)
+                    else:
+                        assert abs(got - want) <= AZZ_LOG_REL * max(1.0, abs(want)), (h, got, want)
+            # the law nears sign * |Z|: S(y) = 2 Phi(y) - 1 above 0 for alpha > 0
+            grid = np.linspace(-3.0, 3.0, 13)
+            want = np.where(sign * grid > 0.0, np.abs(sp.erf(grid / math.sqrt(2.0))), 0.0)
+            want = want if alpha > 0.0 else 1.0 - want
+            assert np.allclose([dist.cdf(float(y)) for y in grid], want, rtol=1e-14, atol=1e-16)
+            assert np.allclose(dist.cdf_array(grid), want, atol=1e-6)
+            # S(0) ~ 1/(pi alpha): the root is the limit's to abs_tol; at
+            # q = 0.5 Newton's tiny step from y = 0, where ln S is steep, once
+            # stopped it there
+            for q in (1e-12, 1e-5, 0.3, 0.5, 0.7, 1.0 - 1e-5):
+                want_q = math.sqrt(2.0) * sp.erfinv(q) if alpha > 0.0 else sp.ndtri(0.5 * q)
+                assert abs(dist.quantile(q) - want_q) <= 1e-12 + 1e-9 * abs(want_q), q
+
     @pytest.mark.parametrize("y", [1e-3, 3e-4])
     def test_cdf_above_zero_below_the_median(self, y):
         # alpha = 1e3 has its median at 0.67: for y in (0, 0.67), S(y) is the
@@ -1580,7 +1624,9 @@ class TestArrayLogTails:
         assert _bit_differences(lambda y: log_tail_mass(source, y), _TAIL_MASS_YS) == []
         assert np.array_equal(log_tail_mass(source, _TAIL_MASS_YS), log_tail_mass(std, _TAIL_MASS_YS))
 
-    @pytest.mark.parametrize("name,mech", _DENSITY_LAWS)
+    @pytest.mark.parametrize("name,mech", _DENSITY_LAWS + [
+        ("numeric-mo-2", extract_mechanism(compose(StandardNormal(), MarshallOlkin(2.0)),
+                                           StandardNormal()))])
     def test_array_keeps_shape(self, name, mech, std):
         dist = compose(std, mech)
         ys, positive = _DENSITY_YS[:6].reshape(2, 3), np.array(DEFAULT_Y_GRID[:6]).reshape(2, 3)
@@ -1591,6 +1637,15 @@ class TestArrayLogTails:
         assert isinstance(out, np.ndarray) and out.shape == (2, 3)
         for fn in (dist.log_cdf, dist.log_sf, lambda y: log_tail_mass(dist, y)):
             assert type(fn(np.array(0.3))) is float
+        # a float gets a Python float, the bits of its 1-element array's
+        # element; the extracted law's density stops where Phi(y) rounds to 1
+        ys = (-38.0, -9.0, 0.3, 2.0, 9.0, 38.0)
+        for fn, grid in ((dist.log_pdf, ys[:4]), (dist.log_cdf, ys), (dist.log_sf, ys),
+                         (lambda y: log_tail_mass(dist, y), ys[2:])):
+            for y in grid:
+                v = fn(y)
+                assert type(v) is float, (fn, y, type(v))
+                assert np.float64(v).tobytes() == fn(np.array([y]))[0].tobytes(), (fn, y)
 
     @pytest.mark.parametrize("name,mech", shipped_instances())
     def test_non_finite_in_an_array_raises(self, name, mech, std):
