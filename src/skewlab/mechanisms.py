@@ -36,7 +36,7 @@ it in y, and above 0 one minus the mirror's at -y, where Phi(-y) never
 rounds toward 1. The quantile is ``_lower_quantile`` below S(0), where
 no argument of Phi^-1 exceeds 1/2, and from S(0) on minus the mirror's
 at 1 - q, exact there. ``SkewSymmetric`` takes a
-float's quantile at q <= 1/2 by Newton on ln S(y) - ln q inside
+float's quantile at q <= 1/2 by Newton on Phi^-1(S(y)) - Phi^-1(q) inside
 [Phi^-1(q/2), sqrt 2 erfinv(q)], which holds the root because
 2 Phi - 1 <= S <= 2 Phi, bisecting where a step would leave it; the tail
 mass at it was within 2.3e-13 in ln of mpmath on the laws its docstring
@@ -285,10 +285,20 @@ class AzzaliniPi:
         self.alpha = float(alpha)
 
     def __call__(self, y):
-        return numcore._normal_cdf(self.alpha * y)
+        return numcore._normal_cdf(self._scaled(y))
 
     def log(self, y):
-        return _sp.log_ndtr(self.alpha * y)
+        return _sp.log_ndtr(self._scaled(y))
+
+    def _scaled(self, y):
+        """alpha y, +-inf past the doubles (|alpha| above about 2.2e307 on
+        the symmetry grid), where Phi is exactly 0 or 1. A scalar is
+        multiplied as a Python float, which overflows without a warning and
+        skips np.errstate; an array under numpy's warning switched off."""
+        if isinstance(y, float):  # np.float64 too
+            return self.alpha * float(y)
+        with np.errstate(over="ignore"):
+            return self.alpha * y
 
     @cached_property
     def mirror(self) -> "AzzaliniPi":
@@ -364,6 +374,7 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # As pi <= 1, the mass below t is at most 2 Phi(t); while that bound at
 # the stretch's end exceeds rel_tol of S, another follows, at least four
 # times as deep, or after one with no mass the deepest, 45 * 4^3 nats.
+# S is 0 once that deepest stretch is empty too.
 # Panels are bisected until their error estimates add up to rel_tol / 4.3
 # of the total. The estimate is the distance from a 15-point Lobatto rule
 # whose end nodes sit 2^-30 of the panel inside its edges: it reads a step
@@ -373,6 +384,7 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _PANEL_EDGES = np.concatenate([[0.0], 2.0 ** np.arange(-9.0, 1.0)])
 _FIRST_DROP = 45.0
 _STRETCHES = 4
+_DEEPEST_DROP = _FIRST_DROP * 4.0 ** (_STRETCHES - 1)  # 2880 nats
 _MAX_PANELS = 400  # per stretch, bisected ones included
 _SLACK = 4.3  # 1 / 0.236, the estimate's worst reading of a step
 _LOG_REL = math.log(DEFAULT_TOL.rel_tol)
@@ -488,13 +500,14 @@ class SkewSymmetric(SkewingMechanism):
     width from its edge is not seen at all.
 
     At a float the CDF is exp of ln S. A quantile at q <= 1/2 is the root
-    of g(y) = ln S(y) - ln q by Newton, whose slope s/S comes from
-    ``composed_log_pdf``, inside the bracket [Phi^-1(q/2), sqrt 2 erfinv(q)]
-    (``_root``); above 1/2 it is minus the mirror's at 1 - q. The tail mass
-    at it was within 2.3e-13 in ln of mpmath for Azzalini alpha = -50, -2,
-    0.5, 3 and 50 and the named pis (logistic 2 and 10, cauchy-cdf, sign)
-    at q from 1e-300 to 1 - 1e-12, and the sign pi's root, the bracket's
-    upper end sqrt 2 erfinv(q), within 2 ulps for q down to 1e-300
+    of g(y) = Phi^-1(S(y)) - Phi^-1(q) by Newton on this probit scale,
+    whose slope s/phi(Phi^-1(S)) comes from ln S and ``composed_log_pdf``,
+    inside the bracket [Phi^-1(q/2), sqrt 2 erfinv(q)] (``_root``); above
+    1/2 it is minus the mirror's at 1 - q. The tail mass at it was within
+    2.3e-13 in ln of mpmath for Azzalini alpha = -50, -2, 0.5, 3 and 50 and
+    the named pis (logistic 2 and 10, cauchy-cdf, sign) at q from 1e-300 to
+    1 - 1e-12, and the sign pi's root, the bracket's upper end
+    sqrt 2 erfinv(q), within 2 ulps for q down to 1e-300
     (``TestSkewSymmetricQuantileRoot`` holds them to 1e-12 and 4 ulps).
     Arrays (not draws, the sign flip) take the base class's rules on a
     cached table of S on [-13, 0], step h = 13/8192, summed by 5-point
@@ -578,14 +591,14 @@ class SkewSymmetric(SkewingMechanism):
             log_target = _LOG_REL + log_front + log_mass
             if _LOG2 + float(_sp.log_ndtr(y - b)) <= log_target:
                 return min(0.0, log_front + log_mass)
+            if log_mass == _NEG_INF and drop == _DEEPEST_DROP:
+                return _NEG_INF  # no mass down to the deepest stretch: S is 0
             a, drop = b, 4.0 * drop
             if log_target == _NEG_INF:  # nothing yet: straight to the deepest stretch
-                drop = _FIRST_DROP * 4.0 ** (_STRETCHES - 1)
+                drop = _DEEPEST_DROP
             else:  # or as deep as 2 Phi(y - b) <= e^log_target asks
                 need = y + math.sqrt(2.0 * (_LOG2 - log_target))
                 drop = max(drop, need * (0.5 * need - y))
-        if log_mass == _NEG_INF:
-            return _NEG_INF
         raise ConvergenceError(f"panel rule for ln S({y!r}) did not reach its truncation bound",
                                partial=min(0.0, log_front + log_mass))
 
@@ -652,22 +665,25 @@ class SkewSymmetric(SkewingMechanism):
         return self._root(q, tol)
 
     def _root(self, q: float, tol: Tolerance) -> float:
-        """The y with ln S(y) = ln q for q <= 1/2: Newton on g = ln S - ln q,
-        whose slope is s/S, inside a bracket that costs no evaluation. As
-        0 <= pi <= 1, 2 Phi(y) - 1 <= S(y) <= 2 Phi(y), so the root lies in
-        [Phi^-1(q/2), sqrt 2 erfinv(q)]; the bracket shrinks to each iterate
-        by the sign of g. Newton starts at the lower end, from where it
-        stays left of the root where S is log-concave; where S is 0 it
-        tries the upper end once (the root, for pi = 1[y >= 0]). It bisects
-        where a step would leave the bracket, where |ln S| passes 2^40 and
-        ln(S/s) is lost in its rounding, and where a step within the
-        tolerance comes with |g| >= 1: a steep ln S far from the root, as at
-        y = 0 of a huge Azzalini shape, where S(0) ~ 1/(pi alpha). It stops
-        when |g| is within 2^-51 |ln q|, the rounding of ln S, or a step or
-        the bracket within abs_tol + rel_tol |y|, and raises
+        """The y with ln S(y) = ln q for q <= 1/2: Newton on the probit
+        scale, g = z - z_q with z = Phi^-1(S(y)) from ln S and z_q =
+        Phi^-1(q), whose slope is s(y)/phi(z), inside a bracket that costs
+        no evaluation. Every law here has a Gaussian-type tail, so z is
+        nearly linear in y. As 0 <= pi <= 1, 2 Phi(y) - 1 <= S(y) <=
+        2 Phi(y), so the root lies in [Phi^-1(q/2), sqrt 2 erfinv(q)]; the
+        bracket shrinks to each iterate by the sign of ln S - ln q. Newton
+        starts at the lower end; where S is 0 it tries the upper end once
+        (the root, for pi = 1[y >= 0]). It bisects where a step would leave
+        the bracket, where |ln S| passes 2^40 and ln(phi(z)/s) is lost in its
+        rounding, and where a step within the tolerance comes with
+        |ln S - ln q| >= 1: a steep ln S far from the root, as at y = 0 of a
+        huge Azzalini shape, where S(0) ~ 1/(pi alpha). It stops when
+        |ln S - ln q| is within 2^-51 |ln q|, the rounding of ln S, or a step
+        or the bracket within abs_tol + rel_tol |y|, and raises
         ``ConvergenceError`` with the last iterate after ``tol.max_iter``
         evaluations."""
         log_q = math.log(q)
+        z_q = float(_sp.ndtri_exp(log_q))
         lo = float(_sp.ndtri_exp(log_q - _LOG2))  # finite at q = 5e-324
         hi = _SQRT2 * float(_sp.erfinv(q))  # Phi^-1((1 + q)/2) rounds 1 + q for tiny q
         resolution = 2.0**-51 * abs(log_q)
@@ -685,9 +701,13 @@ class SkewSymmetric(SkewingMechanism):
                 y, tried_hi = hi, True
                 continue
             width = tol.abs_tol + tol.rel_tol * abs(y)
-            if -2.0**40 < log_cdf:  # past it ln(S/s) is lost in the rounding of ln S and ln s
-                log_ratio = log_cdf - self.composed_log_pdf(y)  # ln(S/s): no overflow at a tiny y
-                step = g * math.exp(log_ratio) if log_ratio < 700.0 else math.inf
+            # past -2^40 ln(phi(z)/s) is lost in the rounding of ln S and ln s;
+            # at ln S = 0, z is inf
+            if -2.0**40 < log_cdf < 0.0:
+                z = float(_sp.ndtri_exp(log_cdf))
+                # ln(phi(z)/s): no overflow at a tiny y
+                log_ratio = -0.5 * z * z - 0.5 * numcore._LOG_2PI - self.composed_log_pdf(y)
+                step = (z - z_q) * math.exp(log_ratio) if log_ratio < 700.0 else math.inf
                 if abs(step) <= width:
                     if abs(g) < 1.0:  # else a steep ln S, not the root: bisect
                         return min(max(y - step, lo), hi)

@@ -101,7 +101,7 @@ def _require_finite(y):
     to be finite."""
     if not isinstance(y, float):
         y = np.asarray(y, dtype=float)
-    if not (math.isfinite(y) if isinstance(y, float) else np.all(np.isfinite(y))):
+    if not (math.isfinite(y) if isinstance(y, float) else np.isfinite(y).all()):
         raise DomainError(f"y must be finite, got {y!r}")
     return y
 
