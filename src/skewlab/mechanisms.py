@@ -35,12 +35,13 @@ The CDF is ``_lower_cdf(y)`` up to 0, P(Phi(y)) unless the family writes
 it in y, and above 0 one minus the mirror's at -y, where Phi(-y) never
 rounds toward 1. The quantile is ``_lower_quantile`` below S(0), where
 no argument of Phi^-1 exceeds 1/2, and from S(0) on minus the mirror's
-at 1 - q, exact there. ``SkewSymmetric`` takes a
-float's quantile at q <= 1/2 by Newton on Phi^-1(S(y)) - Phi^-1(q) inside
-[Phi^-1(q/2), sqrt 2 erfinv(q)], which holds the root because
+at 1 - q, exact there. ``SkewSymmetric`` reads arrays from a table of
+S on [-13, 0], and takes a float's quantile at q <= 1/2 by Newton on
+Phi^-1(S(y)) - Phi^-1(q), from that table where ln S is a panel rule,
+inside [Phi^-1(q/2), sqrt 2 erfinv(q)], which holds the root because
 2 Phi - 1 <= S <= 2 Phi, bisecting where a step would leave it; the tail
 mass at it was within 2.3e-13 in ln of mpmath on the laws its docstring
-names. It reads arrays from a table on [-13, 0].
+names.
 ``composed_sample`` inverts ``composed_quantile``, except for the exact
 constructions: a normal's sign flip and a ratio of gamma variates.
 """
@@ -162,6 +163,7 @@ class SkewingMechanism(ABC):
 
     epsilon_skew_gamma: float | None = None
     bound_note: str | None = None
+    is_identity: bool = False
 
     def p(self, x):
         """Mechanism density at x in [0, 1]."""
@@ -189,10 +191,6 @@ class SkewingMechanism(ABC):
     @property
     def analytic_sup(self) -> float | None:
         return None
-
-    @property
-    def is_identity(self) -> bool:
-        return False
 
     # -- composition hooks; the CDF and quantile also take arrays ----------
 
@@ -261,6 +259,11 @@ class SkewingMechanism(ABC):
         lower, upper = self.composed_log_cdf(-y), self.composed_log_sf(y)
         return np.logaddexp(_at_most_0(lower), _at_most_0(upper))
 
+
+# The y grid of every skew-symmetric CDF table, step h = 13/8192, shared
+# read-only by all of them
+_TABLE_Y = np.linspace(-13.0, 0.0, 8193)
+_TABLE_Y.flags.writeable = False
 
 # exact +-pairs; excludes 0, where indicator-style pi may break symmetry
 _HALF_GRID = np.linspace(0.016, 8.0, 500)
@@ -339,6 +342,12 @@ def _gauss_rules() -> tuple[np.ndarray, ...]:
     """Gauss-Laguerre (64) and Gauss-Legendre (32) nodes and weights, made
     on first use: the eigensolves take about 10 ms, too much for import."""
     return (*np.polynomial.laguerre.laggauss(64), *np.polynomial.legendre.leggauss(32))
+
+
+@cache
+def _table_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 5-point Gauss-Legendre nodes and weights of the CDF tables."""
+    return np.polynomial.legendre.leggauss(5)
 
 
 @cache
@@ -503,9 +512,16 @@ class SkewSymmetric(SkewingMechanism):
     of g(y) = Phi^-1(S(y)) - Phi^-1(q) by Newton on this probit scale,
     whose slope s/phi(Phi^-1(S)) comes from ln S and ``composed_log_pdf``,
     inside the bracket [Phi^-1(q/2), sqrt 2 erfinv(q)] (``_root``); above
-    1/2 it is minus the mirror's at 1 - q. The tail mass at it was within
-    2.3e-13 in ln of mpmath for Azzalini alpha = -50, -2, 0.5, 3 and 50 and
-    the named pis (logistic 2 and 10, cauchy-cdf, sign) at q from 1e-300 to
+    1/2 it is minus the mirror's at 1 - q. Where ln S is the panel rule,
+    Newton starts at the array quantile of the tables below, within about
+    1e-6 of the root, and takes one or two log-CDF calls a quantile on the
+    benchmark's levels; the mechanism's first quantile builds its table,
+    and its mirror's past S(0), about 1 ms each, once, as a first array
+    call does. Where pi gives ln S in closed form, as Azzalini's does, a
+    call costs about 1/150 of a table, and Newton starts at the bracket's
+    lower end, building none. The tail mass at the root was within 2.3e-13
+    in ln of mpmath for Azzalini alpha = -50, -2, 0.5, 3 and 50 and the
+    named pis (logistic 2 and 10, cauchy-cdf, sign) at q from 1e-300 to
     1 - 1e-12, and the sign pi's root, the bracket's upper end
     sqrt 2 erfinv(q), within 2 ulps for q down to 1e-300
     (``TestSkewSymmetricQuantileRoot`` holds them to 1e-12 and 4 ulps).
@@ -514,7 +530,8 @@ class SkewSymmetric(SkewingMechanism):
     Gauss panels from the exact S(-13), and on the mirror's above; the CDF
     is 0 below -13, and a q below S(-13) takes the float quantile. Its error in probability is at most
     h^2/8 * max|s'|, s the composed density: 1.2e-7 for Azzalini
-    |alpha| = 1, 3.0e-7 for alpha = 3, 5.0e-6 for alpha = 50.
+    |alpha| = 1, 3.0e-7 for alpha = 3, 5.0e-6 for alpha = 50, 1.4e-7 and
+    6.3e-7 for the logistic pi at 2 and 10, and 1.0e-7 for cauchy-cdf.
     """
 
     def __init__(self, pi: Callable):
@@ -531,6 +548,7 @@ class SkewSymmetric(SkewingMechanism):
             raise ParameterError("pi must map into [0, 1]")
         if not np.all(np.abs(vals + vals[::-1] - 1.0) <= 1e-12):
             raise ParameterError("pi must satisfy pi(-y) = 1 - pi(y)")
+        self.is_identity = bool(np.all(np.abs(vals - 0.5) <= 1e-12))
 
     @classmethod
     def azzalini(cls, alpha: float) -> "SkewSymmetric":
@@ -672,22 +690,36 @@ class SkewSymmetric(SkewingMechanism):
         nearly linear in y. As 0 <= pi <= 1, 2 Phi(y) - 1 <= S(y) <=
         2 Phi(y), so the root lies in [Phi^-1(q/2), sqrt 2 erfinv(q)]; the
         bracket shrinks to each iterate by the sign of ln S - ln q. Newton
-        starts at the lower end; where S is 0 it tries the upper end once
-        (the root, for pi = 1[y >= 0]). It bisects where a step would leave
-        the bracket, where |ln S| passes 2^40 and ln(phi(z)/s) is lost in its
-        rounding, and where a step within the tolerance comes with
-        |ln S - ln q| >= 1: a steep ln S far from the root, as at y = 0 of a
-        huge Azzalini shape, where S(0) ~ 1/(pi alpha). It stops when
-        |ln S - ln q| is within 2^-51 |ln q|, the rounding of ln S, or a step
-        or the bracket within abs_tol + rel_tol |y|, and raises
-        ``ConvergenceError`` with the last iterate after ``tol.max_iter``
-        evaluations."""
+        starts at the bracket's lower end where pi gives ln S in closed
+        form. Else it starts at the tables' quantile clipped into the
+        bracket, the mechanism's own below S(0) and minus the mirror's at
+        1 - q from it, as in ``composed_quantile``: at the lower end below
+        S(-13), and at the upper end where the start is within
+        abs_tol + rel_tol |hi| of it. That end is the sign pi's root, where
+        S jumps from 0 and Newton from below stops short in ln S. Where S
+        is 0 it tries the upper end once (the root, for pi = 1[y >= 0]).
+        It bisects where a step would leave the bracket, where |ln S|
+        passes 2^40 and ln(phi(z)/s) is lost in its rounding, and where a
+        step within the tolerance comes with |ln S - ln q| >= 1: a steep
+        ln S far from the root, as at y = 0 of a huge Azzalini shape, where
+        S(0) ~ 1/(pi alpha). It stops when |ln S - ln q| is within
+        2^-51 |ln q|, the rounding of ln S, or a step or the bracket within
+        abs_tol + rel_tol |y|, and raises ``ConvergenceError`` with the last
+        iterate after ``tol.max_iter`` evaluations."""
         log_q = math.log(q)
         z_q = float(_sp.ndtri_exp(log_q))
         lo = float(_sp.ndtri_exp(log_q - _LOG2))  # finite at q = 5e-324
         hi = _SQRT2 * float(_sp.erfinv(q))  # Phi^-1((1 + q)/2) rounds 1 + q for tiny q
         resolution = 2.0**-51 * abs(log_q)
         y, tried_hi = lo, False
+        if self._pi_log_cdf is None:  # a table costs about 25 rule calls, 150 closed-form ones
+            if q < self._cdf_at_0:
+                start = float(self._table_quantile(q))
+            else:
+                start = 0.0 - float(self.mirror._table_quantile(1.0 - q))  # 0.0, not -0.0
+            y = min(max(start, lo), hi)
+            if hi - y <= tol.abs_tol + tol.rel_tol * abs(hi):
+                y = hi
         for _ in range(tol.max_iter):
             log_cdf = self.composed_log_cdf(y)
             g = log_cdf - log_q
@@ -720,11 +752,15 @@ class SkewSymmetric(SkewingMechanism):
         raise ConvergenceError(f"quantile root for q={q!r} did not converge in {tol.max_iter} steps",
                                partial=y)
 
-    def _lower_quantile(self, q: np.ndarray) -> np.ndarray:
-        # below the table's first value, S(-13), the rooted float quantile
+    def _table_quantile(self, q):
+        """The y with S(y) = q on the table, a float or an array: np.interp,
+        -inf below its first value, S(-13)."""
         y_grid, cdf = self._cdf_table
-        y = np.interp(q, cdf, y_grid)
-        for i in np.flatnonzero(q < cdf[0]):
+        return np.interp(q, cdf, y_grid, left=_NEG_INF)
+
+    def _lower_quantile(self, q: np.ndarray) -> np.ndarray:
+        y = self._table_quantile(q)
+        for i in np.flatnonzero(y == _NEG_INF):  # below S(-13), the rooted float quantile
             y[i] = self._root(float(q[i]), DEFAULT_TOL)
         return y
 
@@ -739,8 +775,8 @@ class SkewSymmetric(SkewingMechanism):
     def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(y grid on [-13, 0], CDF values): panel-by-panel Gauss quadrature
         of the composed density, anchored by the exact log tail at -13."""
-        y = np.linspace(-13.0, 0.0, 8193)
-        nodes, weights = np.polynomial.legendre.leggauss(5)
+        y = _TABLE_Y
+        nodes, weights = _table_rule()
         mid = 0.5 * (y[:-1] + y[1:])
         half = 0.5 * (y[1] - y[0])
         t = mid[:, None] + half * nodes[None, :]
@@ -753,11 +789,6 @@ class SkewSymmetric(SkewingMechanism):
     @property
     def analytic_sup(self) -> float:
         return 2.0  # p = 2*pi <= 2 always
-
-    @cached_property
-    def is_identity(self) -> bool:
-        vals = np.asarray(self.pi(_SYMMETRIC_GRID), dtype=float)
-        return bool(np.all(np.abs(vals - 0.5) <= 1e-12))
 
     def __repr__(self) -> str:
         return f"SkewSymmetric(pi={self.pi!r})"

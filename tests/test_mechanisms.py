@@ -1135,11 +1135,10 @@ def _mp_log_tails(name, y):
 class TestSkewSymmetricQuantileRoot:
     """The float quantile at q <= 1/2 is Newton on the probit scale,
     Phi^-1(S(y)) - Phi^-1(q), inside [Phi^-1(q/2), sqrt 2 erfinv(q)], and
-    minus the mirror's at 1 - q above. It replaced Newton on ln S - ln q,
-    which took 111 log-CDF calls, at most 7 a quantile, on the benchmark's
-    30, and before that brentq on S - q from a doubling bracket, which
-    took 11 to 50 log-CDF calls a quantile and stopped within its tolerance
-    in y: at q = 1e-300 the tail mass was off by 1.4e-8 in ln (logistic 10)."""
+    minus the mirror's at 1 - q above. Newton starts at the CDF tables'
+    quantile where ln S is the panel rule's, and at the bracket's lower end
+    where pi gives ln S in closed form. The root's tail mass must meet q to
+    1e-12 in ln, not merely the root lie within the tolerance in y."""
 
     @pytest.mark.parametrize("q", ROOT_QS)
     @pytest.mark.parametrize("name", sorted(ROOT_LAWS))
@@ -1202,16 +1201,89 @@ class TestSkewSymmetricQuantileRoot:
             assert 1 <= len(calls) <= 10, (q, len(calls))
 
     def test_log_cdf_calls_in_total(self, std, monkeypatch):
-        # Newton on ln S - ln q took 111 log-CDF calls, at most 7 a quantile
+        # cold, a panel-rule pi's first quantile also reads S(0), one call,
+        # and builds its table, one call at -13, and its mirror's first
+        # quantile above S(0) builds the mirror's, another
         calls = self._count_log_cdf(monkeypatch)
-        per_quantile = []
+        cold, warm = [], []
         for family, params in EVALUATE_LAWS:
             dist = compose(std, cli.build_mechanism(family, dict(params)))
-            for q in EVALUATE_QS:
-                calls.clear()
-                dist.quantile(q)
-                per_quantile.append(len(calls))
-        assert max(per_quantile) <= 6 and sum(per_quantile) <= 89, per_quantile
+            for per_quantile in (cold, warm):
+                for q in EVALUATE_QS:
+                    calls.clear()
+                    dist.quantile(q)
+                    per_quantile.append(len(calls))
+        assert max(warm) <= 6 and sum(warm) <= 73, warm
+        assert max(cold) <= 6 and sum(cold) <= 84, cold
+        # the last 15, on the panel-rule pis, start from the tables
+        assert max(warm[15:]) <= 2 and sum(warm[15:]) <= 25, warm
+
+    def test_table_start_honours_tolerance(self, std, monkeypatch):
+        # the start is within about 1e-6 of the root, so the loose tolerance
+        # stops after one log-CDF call, the default after two: at q = 0.1 from
+        # the mechanism's table, at q = 0.3, above S(0) = 0.222, from its
+        # mirror's
+        dist = compose(std, cli.build_mechanism("skewsym-custom", {"pi": "logistic", "alpha": 2.0}))
+        dist.quantile(0.1), dist.quantile(0.3)
+        calls, got = self._count_log_cdf(monkeypatch), {}
+        for tol in (Tolerance(), Tolerance(abs_tol=1e-3)):
+            calls.clear()
+            got[tol.abs_tol] = (dist.quantile(0.1, tol), dist.quantile(0.3, tol), len(calls))
+        assert got[1e-12] == (-0.38481849872013946, 0.18040946328409962, 4)
+        assert got[1e-3] == (-0.38481849872013346, 0.18040946328409863, 2)
+        for default, loose, q in zip(got[1e-12], got[1e-3], (0.1, 0.3)):
+            assert loose != default and abs(loose - default) <= 1e-3
+            log_cdf = mp_skew_symmetric_log_tails(_mp_logistic(2), default, ())[0]
+            assert abs(log_cdf - math.log(q)) <= 1e-12
+
+    @pytest.mark.parametrize("mech,err", [
+        (SkewSymmetric.azzalini(1.0), 1.2e-7), (SkewSymmetric.azzalini(-1.0), 1.2e-7),
+        (SkewSymmetric.azzalini(3.0), 3.0e-7), (SkewSymmetric.azzalini(50.0), 5.0e-6),
+        (_named_pi("logistic", 2.0), 1.4e-7), (_named_pi("logistic", 10.0), 6.3e-7),
+        (_named_pi("cauchy-cdf"), 1.0e-7),
+    ], ids=["azzalini-1", "azzalini--1", "azzalini-3", "azzalini-50",
+            "logistic-2", "logistic-10", "cauchy-cdf"])
+    def test_agrees_with_the_array_quantile(self, std, mech, err):
+        # the array quantile's S is within the table's error, h^2/8 max|s'|,
+        # in probability of q, where the float quantile's is q to rounding;
+        # from a table start the float quantile is the array's polished
+        dist = compose(std, mech)
+        qs = np.concatenate([10.0 ** -np.arange(1.0, 16.0), np.linspace(0.05, 0.95, 19),
+                             1.0 - 10.0 ** -np.arange(1.0, 16.0)])
+        floats = np.array([dist.quantile(float(q)) for q in qs])
+        arrays = dist.quantile_array(qs)
+        s_float, s_array = np.exp(dist.log_cdf(floats)), np.exp(dist.log_cdf(arrays))
+        assert np.max(np.abs(s_float - qs)) <= 1e-15
+        assert np.max(np.abs(s_array - s_float)) <= err
+
+    def test_table_built_once_across_float_and_array_calls(self, std, monkeypatch):
+        # a panel-rule pi: one table per side, its mirror's above S(0), shared
+        # by the float root and the array path, on one read-only y grid for
+        # every table
+        builds = []
+        rule = mechanisms._table_rule
+        monkeypatch.setattr(mechanisms, "_table_rule", lambda: builds.append(1) or rule())
+        mech = cli.build_mechanism("skewsym-custom", {"pi": "logistic", "alpha": 2.0})
+        dist = compose(std, mech)
+        dist.quantile(1e-6)
+        assert len(builds) == 1
+        dist.quantile_array(np.array([1e-6, 0.05, 0.3, 0.9]))
+        dist.cdf_array(np.array([-2.0, 0.5]))
+        dist.quantile(0.3), dist.quantile(0.7), dist.quantile(1e-300)
+        assert len(builds) == 2
+        assert mech.mirror.mirror is mech
+        grid = mech._cdf_table[0]
+        assert grid is mech.mirror._cdf_table[0] is mechanisms._TABLE_Y
+        assert not grid.flags.writeable and grid[0] == -13.0 and grid[-1] == 0.0
+
+    def test_closed_form_quantile_builds_no_table(self, std):
+        # an Azzalini log-CDF call costs about 1/150 of a table: its float
+        # quantile starts at the bracket's lower end and builds none
+        mech = SkewSymmetric.azzalini(3.0)
+        dist = compose(std, mech)
+        for q in (1e-300, 1e-6, 0.3, 0.7, 1 - 1e-12):
+            dist.quantile(q)
+        assert "_cdf_table" not in vars(mech) and "_cdf_table" not in vars(mech.mirror)
 
 
 class TestAzzaliniRunsNoQuadrature:
