@@ -37,11 +37,8 @@ rounds toward 1. The quantile is ``_lower_quantile`` below S(0), where
 no argument of Phi^-1 exceeds 1/2, and from S(0) on minus the mirror's
 at 1 - q, exact there. ``SkewSymmetric`` reads arrays from a table of
 S on [-13, 0], and takes a float's quantile at q <= 1/2 by Newton on
-Phi^-1(S(y)) - Phi^-1(q), from that table where ln S is a panel rule,
-inside [Phi^-1(q/2), sqrt 2 erfinv(q)], which holds the root because
-2 Phi - 1 <= S <= 2 Phi, bisecting where a step would leave it; the tail
-mass at it was within 2.3e-13 in ln of mpmath on the laws its docstring
-names.
+Phi^-1(S(y)) - Phi^-1(q) inside a bracket that holds the root, as its
+docstring states.
 ``composed_sample`` inverts ``composed_quantile``, except for the exact
 constructions: a normal's sign flip and a ratio of gamma variates.
 """
@@ -345,9 +342,18 @@ def _gauss_rules() -> tuple[np.ndarray, ...]:
 
 
 @cache
-def _table_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The 5-point Gauss-Legendre nodes and weights of the CDF tables."""
-    return np.polynomial.legendre.leggauss(5)
+def _table_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables' 5-point Gauss-Legendre nodes and weights, and phi at t."""
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    phi = numcore.normal_pdf(_table_nodes(nodes))
+    phi.flags.writeable = False  # 320 KB, shared by every table
+    return nodes, weights, phi
+
+
+def _table_nodes(nodes: np.ndarray) -> np.ndarray:
+    """t, 5 per panel of ``_TABLE_Y``, remade per table: keeping it is 320 KB."""
+    y = _TABLE_Y
+    return 0.5 * (y[:-1] + y[1:])[:, None] + 0.5 * (y[1] - y[0]) * nodes[None, :]
 
 
 @cache
@@ -482,13 +488,10 @@ class SkewSymmetric(SkewingMechanism):
     mirror mechanism is ``SkewSymmetric(pi.mirror)``, else that of pi(-y).
     ln S is pi's, else a fixed rule (see the comment above
     ``_PANEL_EDGES``); an array of y takes one float call per element, as
-    in every family.
-    The two-sided tail mass, ``composed_log_tail_mass``, is ln 2 Phi(-y)
-    for every pi: with pi(-y) = 1 - pi(y), |Y| has the law of |Z| (Wang,
-    Boyer & Genton 2004), so S(-y) + 1 - S(y) is the normal's. That
-    rests on the symmetry checked here, to 1e-12 on a grid. Azzalini's
-    closed form, through Owen's T, is within 1e-14 * max(1, |ln S|) of
-    mpmath for |alpha| <= 1e3 and |y| <= 40 (tests/test_mechanisms.py,
+    in every family. The two-sided tail mass, ``composed_log_tail_mass``,
+    is ln 2 Phi(-y) for every pi (module docstring). Azzalini's closed
+    form, through Owen's T, is within 1e-14 * max(1, |ln S|) of mpmath for
+    |alpha| <= 1e3 and |y| <= 40 (tests/test_mechanisms.py,
     ``TestAzzaliniClosedForm``). Up to |alpha| = 3e300 both log tails are
     finite and raise no warning; on the light side ln S is about
     -(1 + alpha^2) y^2 / 2, within 1e-14 * max(1, |ln S|) of the integral's
@@ -516,10 +519,10 @@ class SkewSymmetric(SkewingMechanism):
     Newton starts at the array quantile of the tables below, within about
     1e-6 of the root, and takes one or two log-CDF calls a quantile on the
     benchmark's levels; the mechanism's first quantile builds its table,
-    and its mirror's past S(0), about 1 ms each, once, as a first array
-    call does. Where pi gives ln S in closed form, as Azzalini's does, a
-    call costs about 1/150 of a table, and Newton starts at the bracket's
-    lower end, building none. The tail mass at the root was within 2.3e-13
+    and its mirror's past S(0), about 0.5 to 0.9 ms each, once, as a first
+    array call does. Where pi gives ln S in closed form, as Azzalini's
+    does, a call costs about 1/150 of a table, and Newton starts at the
+    bracket's lower end, building none. The tail mass at the root was within 2.3e-13
     in ln of mpmath for Azzalini alpha = -50, -2, 0.5, 3 and 50 and the
     named pis (logistic 2 and 10, cauchy-cdf, sign) at q from 1e-300 to
     1 - 1e-12, and the sign pi's root, the bracket's upper end
@@ -775,14 +778,11 @@ class SkewSymmetric(SkewingMechanism):
     def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(y grid on [-13, 0], CDF values): panel-by-panel Gauss quadrature
         of the composed density, anchored by the exact log tail at -13."""
-        y = _TABLE_Y
-        nodes, weights = _table_rule()
-        mid = 0.5 * (y[:-1] + y[1:])
-        half = 0.5 * (y[1] - y[0])
-        t = mid[:, None] + half * nodes[None, :]
+        nodes, weights, phi = _table_rule()
+        y, t = _TABLE_Y, _table_nodes(nodes)
         w = 2.0 * np.asarray(self.pi(t.ravel()), dtype=float).reshape(t.shape)
-        w *= numcore.normal_pdf(t)
-        panels = half * (w @ weights)
+        w *= phi
+        panels = 0.5 * (y[1] - y[0]) * (w @ weights)
         left = math.exp(self.composed_log_cdf(float(y[0])))
         return y, np.concatenate([[left], left + np.cumsum(panels)])
 

@@ -122,6 +122,79 @@ class TestSample:
                              "--param", "alpha=1", "--n", "0")
         assert code == 2
 
+    # one write a slice of 4,096 draws: n on both sides of the slice ends
+    SLICE_NS = (1, 4095, 4096, 4097, 3 * 4096 + 5)
+
+    @pytest.mark.parametrize("family,params", [("orderstats", {"psi1": 5.0, "psi2": 1e-3}),
+                                               ("azzalini", {"alpha": 3.0})])
+    def test_bytes_are_the_reprs_of_the_library_draws(self, capsys, tmp_path, family, params):
+        # the per-draw loop's bytes. Order statistics (5, 1e-3) draws far in
+        # the upper tail, past y = 100; with seed 11, Azzalini 3 draws
+        # include |y| < 1e-4, whose reprs take the exponent form
+        from skewlab.distributions import RngState, StandardNormal
+
+        argv = ["sample", "--family", family, "--seed", "11"]
+        argv += [a for k, v in params.items() for a in ("--param", f"{k}={v!r}")]
+        dist = mechanisms.compose(StandardNormal(), build_mechanism(family, dict(params)))
+        for n in self.SLICE_NS:
+            draws = mechanisms.sample_skewed(dist, RngState(11), n)
+            want = "".join(repr(float(v)) + "\n" for v in draws)
+            code, out, err = run_cli(capsys, *argv, "--n", str(n))
+            assert (code, err) == (0, "")
+            assert out == want
+            target = tmp_path / f"{family}-{n}.txt"
+            code, out, _ = run_cli(capsys, *argv, "--n", str(n), "--out", str(target))
+            assert (code, out) == (0, "")
+            assert target.read_bytes() == want.encode("utf-8")
+        assert ("e" in want) == (family == "azzalini")
+        assert (draws.max() > 100.0) == (family == "orderstats")
+
+    def test_one_write_a_slice(self, monkeypatch):
+        class CountingStream:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        for n in self.SLICE_NS:
+            stream = CountingStream()
+            monkeypatch.setattr(sys, "stdout", stream)
+            code = main(["sample", "--family", "twopiece-eps", "--param", "gamma=-0.5",
+                         "--n", str(n), "--seed", "3"])
+            monkeypatch.undo()
+            assert code == 0
+            assert 1 <= len(stream.writes) <= math.ceil(n / 4096) + 1
+            text = "".join(stream.writes)
+            assert text.endswith("\n") and text.count("\n") == n
+
+
+class TestOutFile:
+    KEPT = "kept from an earlier run\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--family", "azzalini", "--param", "alpha=1", "--n", "0"],
+        ["sample", "--family", "azzalini", "--n", "5"],
+        ["check", "--family", "orderstats", "--param", "psi1=-1", "--param", "psi2=1"],
+        ["eval", "--family", "azzalini", "--param", "alpha=1", "--what", "quantile",
+         "--grid", "0:1:5"],
+    ])
+    def test_a_command_that_exits_2_leaves_the_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "kept.txt"
+        target.write_text(self.KEPT)
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+        assert target.read_text() == self.KEPT
+
+    def test_a_command_that_succeeds_replaces_the_file(self, capsys, tmp_path):
+        target = tmp_path / "kept.txt"
+        target.write_text(self.KEPT * 1000)
+        code, _, _ = run_cli(capsys, "sample", "--family", "azzalini", "--param", "alpha=1",
+                             "--n", "3", "--seed", "1", "--out", str(target))
+        assert code == 0
+        assert len(target.read_text().splitlines()) == 3
+
 
 class TestTail:
     def test_identity_statistic_at_ten(self, capsys):

@@ -1276,6 +1276,23 @@ class TestSkewSymmetricQuantileRoot:
         assert grid is mech.mirror._cdf_table[0] is mechanisms._TABLE_Y
         assert not grid.flags.writeable and grid[0] == -13.0 and grid[-1] == 0.0
 
+    def test_table_phi_is_made_on_first_use_and_read_only(self):
+        # phi at the tables' nodes does not depend on pi: the first table
+        # makes it, not import or construction, and no table can write to it
+        code = ("from skewlab import cli, mechanisms; "
+                "cli.build_mechanism('skewsym-custom', {'pi': 'logistic'}); "
+                "print(mechanisms._table_rule.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "0"
+        nodes, weights, phi = mechanisms._table_rule()
+        assert phi is mechanisms._table_rule()[2]
+        assert phi.shape == (8192, 5) and not phi.flags.writeable
+        with pytest.raises(ValueError):
+            phi[0, 0] = 0.0
+        assert np.array_equal(phi, numcore.normal_pdf(mechanisms._table_nodes(nodes)))
+
     def test_closed_form_quantile_builds_no_table(self, std):
         # an Azzalini log-CDF call costs about 1/150 of a table: its float
         # quantile starts at the bracket's lower end and builds none
