@@ -37,8 +37,9 @@ rounds toward 1. The quantile is ``_lower_quantile`` below S(0), where
 no argument of Phi^-1 exceeds 1/2, and from S(0) on minus the mirror's
 at 1 - q, exact there. ``SkewSymmetric`` reads arrays from a table of
 S on [-13, 0], and takes a float's quantile at q <= 1/2 by Newton on
-Phi^-1(S(y)) - Phi^-1(q) inside a bracket that holds the root, as its
-docstring states.
+Phi^-1(S(y)) - Phi^-1(q) inside a bracket that holds the root, started
+where ln S is the panel rule from the cubic Hermite of ln S on that
+table, as its docstring states.
 ``composed_sample`` inverts ``composed_quantile``, except for the exact
 constructions: a normal's sign flip and a ratio of gamma variates.
 """
@@ -516,12 +517,14 @@ class SkewSymmetric(SkewingMechanism):
     whose slope s/phi(Phi^-1(S)) comes from ln S and ``composed_log_pdf``,
     inside the bracket [Phi^-1(q/2), sqrt 2 erfinv(q)] (``_root``); above
     1/2 it is minus the mirror's at 1 - q. Where ln S is the panel rule,
-    Newton starts at the array quantile of the tables below, within about
-    1e-6 of the root, and takes one or two log-CDF calls a quantile on the
-    benchmark's levels; the mechanism's first quantile builds its table,
-    and its mirror's past S(0), about 0.5 to 0.9 ms each, once, as a first
-    array call does. Where pi gives ln S in closed form, as Azzalini's
-    does, a call costs about 1/150 of a table, and Newton starts at the
+    Newton starts from the tables below: the cubic Hermite of ln S on the
+    table interval that holds q, slopes s/S from two float densities, was
+    within 2e-12 max(1, |y|) of the root for the named pis, where the
+    linear array quantile was up to 3.4e-6 off, so a quantile on the
+    table takes one log-CDF call; the mechanism's first quantile builds
+    its table, and its mirror's past S(0), about 0.5 to 0.9 ms each, once,
+    as a first array call does. Where pi gives ln S in closed form, as
+    Azzalini's does, a call costs about 1/150 of a table, and Newton starts at the
     bracket's lower end, building none. The tail mass at the root was within 2.3e-13
     in ln of mpmath for Azzalini alpha = -50, -2, 0.5, 3 and 50 and the
     named pis (logistic 2 and 10, cauchy-cdf, sign) at q from 1e-300 to
@@ -694,13 +697,15 @@ class SkewSymmetric(SkewingMechanism):
         2 Phi(y), so the root lies in [Phi^-1(q/2), sqrt 2 erfinv(q)]; the
         bracket shrinks to each iterate by the sign of ln S - ln q. Newton
         starts at the bracket's lower end where pi gives ln S in closed
-        form. Else it starts at the tables' quantile clipped into the
-        bracket, the mechanism's own below S(0) and minus the mirror's at
-        1 - q from it, as in ``composed_quantile``: at the lower end below
-        S(-13), and at the upper end where the start is within
-        abs_tol + rel_tol |hi| of it. That end is the sign pi's root, where
-        S jumps from 0 and Newton from below stops short in ln S. Where S
-        is 0 it tries the upper end once (the root, for pi = 1[y >= 0]).
+        form. Else it starts at the tables' linear quantile clipped into
+        the bracket, the mechanism's own below S(0) and minus the mirror's
+        at 1 - q from it, as in ``composed_quantile``, and, unless that is
+        the upper end, at ``_hermite_quantile`` clipped likewise: at the
+        lower end below S(-13), and at the upper end where the start is
+        within abs_tol + rel_tol |hi| of it. That end is the sign pi's
+        root, where S jumps from 0 and Newton from below stops short in
+        ln S. Where S is 0 it tries the upper end once (the root, for
+        pi = 1[y >= 0]).
         It bisects where a step would leave the bracket, where |ln S|
         passes 2^40 and ln(phi(z)/s) is lost in its rounding, and where a
         step within the tolerance comes with |ln S - ln q| >= 1: a steep
@@ -716,11 +721,13 @@ class SkewSymmetric(SkewingMechanism):
         resolution = 2.0**-51 * abs(log_q)
         y, tried_hi = lo, False
         if self._pi_log_cdf is None:  # a table costs about 25 rule calls, 150 closed-form ones
-            if q < self._cdf_at_0:
-                start = float(self._table_quantile(q))
-            else:
-                start = 0.0 - float(self.mirror._table_quantile(1.0 - q))  # 0.0, not -0.0
-            y = min(max(start, lo), hi)
+            own = q < self._cdf_at_0
+            table, level = (self, q) if own else (self.mirror, 1.0 - q)
+            start = float(table._table_quantile(level))
+            y = min(max(start if own else 0.0 - start, lo), hi)  # 0.0, not -0.0
+            if y < hi:  # else the sign pi's root: no refinement
+                start = table._hermite_quantile(level, start)
+                y = min(max(start if own else 0.0 - start, lo), hi)
             if hi - y <= tol.abs_tol + tol.rel_tol * abs(hi):
                 y = hi
         for _ in range(tol.max_iter):
@@ -760,6 +767,35 @@ class SkewSymmetric(SkewingMechanism):
         -inf below its first value, S(-13)."""
         y_grid, cdf = self._cdf_table
         return np.interp(q, cdf, y_grid, left=_NEG_INF)
+
+    def _hermite_quantile(self, q: float, start: float) -> float:
+        """The y with S(y) = q on the cubic Hermite of ln S over the table
+        interval [y0, y1] with S(y0) <= q < S(y1): ln S from the table, the
+        slopes s/S from two float densities, solved by Newton from the line
+        through the ends and clipped into the interval. ``start``, the
+        linear table quantile, where q is off the table, S(y0) is 0 or the
+        cubic does not increase on the interval."""
+        y_grid, cdf = self._cdf_table
+        k = int(np.searchsorted(cdf, q, side="right")) - 1
+        if not 0 <= k < cdf.size - 1 or cdf[k] == 0.0:
+            return start
+        y0, y1 = float(y_grid[k]), float(y_grid[k + 1])
+        l0, l1 = math.log(cdf[k]), math.log(cdf[k + 1])
+        d0, d1 = self.composed_log_pdf(y0) - l0, self.composed_log_pdf(y1) - l1
+        if not (d0 < 700.0 and d1 < 700.0):  # ln s/S: its exp would overflow, or NaN
+            return start
+        # l0 + t (m0 + t (c2 + t c3)) on t in [0, 1], slope m0 + 2 c2 t + 3 c3 t^2
+        h, dl = y1 - y0, l1 - l0
+        m0, m1 = h * math.exp(d0), h * math.exp(d1)
+        c2, c3 = 3.0 * dl - 2.0 * m0 - m1, m0 + m1 - 2.0 * dl
+        if not (m0 > 0.0 and m1 > 0.0) or (0.0 < -c2 < 3.0 * c3 and c2 * c2 >= 3.0 * c3 * m0):
+            return start  # a slope of 0 at an end, or one that dips to 0 inside
+        r = math.log(q) - l0
+        t = r / dl
+        for _ in range(3):  # clipped, so the slope stays positive
+            t -= (t * (m0 + t * (c2 + t * c3)) - r) / (m0 + t * (2.0 * c2 + 3.0 * t * c3))
+            t = min(max(t, 0.0), 1.0)
+        return y0 + h * t
 
     def _lower_quantile(self, q: np.ndarray) -> np.ndarray:
         y = self._table_quantile(q)
@@ -1064,7 +1100,9 @@ class NumericMechanism(SkewingMechanism):
     writes only a float pdf one element at a time (the base class's
     ``log_pdf``). The composed CDF, the quantile and both log tails are
     the source's, since P(Phi(y)) = source.cdf(y), each taken from its
-    float method one element at a time; it has no mirror.
+    float method one element at a time; it has no mirror. The density is
+    phi(y) p(Phi(y)) wherever 0 < Phi(y) < 1, and the source's where
+    Phi(y) rounds to 0 or 1 (y below about -38.5 or above 8.3).
     Evaluation of p is restricted to the open interval; endpoint behavior
     is a question for the boundedness probe, not extrapolation.
     """
@@ -1078,6 +1116,20 @@ class NumericMechanism(SkewingMechanism):
             raise DomainError(f"extracted mechanism is defined on (0, 1), got {float(bad)!r}")
         z = _sp.ndtri(x)
         return _out(self.source.log_pdf(z) - numcore._log_normal_pdf(z))
+
+    def composed_log_pdf(self, y):
+        try:
+            return super().composed_log_pdf(y)
+        except DomainError:  # log_p's: Phi(y) rounds to 0 or 1
+            pass
+        # p(Phi(y)) is undefined in doubles there: ln s(y) is the source's
+        if isinstance(y, float):
+            return self.source.log_pdf(y)
+        x = numcore._normal_cdf(y)
+        out, inner = np.empty(y.shape), (x > 0.0) & (x < 1.0)
+        out[inner] = numcore._log_normal_pdf(y[inner]) + self.log_p(x[inner])
+        out[~inner] = self.source.log_pdf(y[~inner])
+        return out
 
     @_elementwise
     def composed_cdf(self, y: float) -> float:

@@ -76,10 +76,15 @@ def ks_test(samples, cdf) -> KsResult:
             raise TypeError
     except (TypeError, ValueError):
         f = np.array([float(cdf(float(v))) for v in x])
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - f)
-    d_minus = np.max(f - (i - 1) / n)
-    return KsResult(float(max(d_plus, d_minus)), int(n), _KS_1PCT / math.sqrt(n))
+    # i/n - f and f - (i - 1)/n, bit for bit, in two arrays (1/n - t.min()
+    # for the second would move D by an ulp)
+    t = np.arange(1.0, n + 1.0)
+    t /= n
+    t -= f
+    u = np.arange(0.0, n)
+    u /= n
+    np.subtract(f, u, out=u)
+    return KsResult(float(max(t.max(), u.max())), int(n), _KS_1PCT / math.sqrt(n))
 
 
 def moment_estimate(samples, k: int) -> float:

@@ -1213,28 +1213,53 @@ class TestSkewSymmetricQuantileRoot:
                     calls.clear()
                     dist.quantile(q)
                     per_quantile.append(len(calls))
-        assert max(warm) <= 6 and sum(warm) <= 73, warm
-        assert max(cold) <= 6 and sum(cold) <= 84, cold
-        # the last 15, on the panel-rule pis, start from the tables
-        assert max(warm[15:]) <= 2 and sum(warm[15:]) <= 25, warm
+        assert max(warm) <= 6 and sum(warm) <= 63, warm
+        assert max(cold) <= 6 and sum(cold) <= 74, cold
+        # the last 15, on the panel-rule pis, start from the tables' Hermite
+        # step, which the first Newton step polishes: linear starts took 25
+        assert max(warm[15:]) <= 1 and sum(warm[15:]) <= 15, warm
 
     def test_table_start_honours_tolerance(self, std, monkeypatch):
-        # the start is within about 1e-6 of the root, so the loose tolerance
-        # stops after one log-CDF call, the default after two: at q = 0.1 from
-        # the mechanism's table, at q = 0.3, above S(0) = 0.222, from its
-        # mirror's
+        # the Hermite start is within about 1e-14 of the root, so the default
+        # and the loose tolerance stop after one log-CDF call, and one of
+        # 1e-15 takes a second: at q = 0.1 from the mechanism's table, at
+        # q = 0.3, above S(0) = 0.222, from its mirror's
         dist = compose(std, cli.build_mechanism("skewsym-custom", {"pi": "logistic", "alpha": 2.0}))
         dist.quantile(0.1), dist.quantile(0.3)
         calls, got = self._count_log_cdf(monkeypatch), {}
-        for tol in (Tolerance(), Tolerance(abs_tol=1e-3)):
+        for tol in (Tolerance(), Tolerance(abs_tol=1e-3), Tolerance(abs_tol=1e-15, rel_tol=1e-15)):
             calls.clear()
             got[tol.abs_tol] = (dist.quantile(0.1, tol), dist.quantile(0.3, tol), len(calls))
-        assert got[1e-12] == (-0.38481849872013946, 0.18040946328409962, 4)
-        assert got[1e-3] == (-0.38481849872013346, 0.18040946328409863, 2)
-        for default, loose, q in zip(got[1e-12], got[1e-3], (0.1, 0.3)):
-            assert loose != default and abs(loose - default) <= 1e-3
-            log_cdf = mp_skew_symmetric_log_tails(_mp_logistic(2), default, ())[0]
+        roots = (-0.38481849872013985, 0.18040946328409954)
+        assert got == {1e-12: (*roots, 2), 1e-3: (*roots, 2), 1e-15: (*roots, 4)}, got
+        for y, q in zip(roots, (0.1, 0.3)):
+            log_cdf = mp_skew_symmetric_log_tails(_mp_logistic(2), y, ())[0]
             assert abs(log_cdf - math.log(q)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["logistic-2", "logistic-10", "cauchy-cdf", "sign", "half"])
+    def test_table_start_is_near_the_root(self, std, monkeypatch, name):
+        # the first log-CDF call of a warm quantile is at the start: the
+        # table's linear quantile was up to 3.4e-6 off; S(-13) is below
+        # 1e-37 for these pis, so the levels from 1e-12 are on the tables
+        dist = compose(std, _named_pi("half") if name == "half" else ROOT_LAWS[name][0])
+        calls = self._count_log_cdf(monkeypatch)
+        for q in (q for q in ROOT_QS if min(q, 1.0 - q) >= 1e-12):
+            dist.quantile(q)
+            calls.clear()
+            y = dist.quantile(q)
+            start = calls[0] if q <= 0.5 else -calls[0]  # above 1/2 the mirror's root
+            assert abs(start - y) <= 1e-10 * max(1.0, abs(y)), (q, start, y)
+
+    def test_jump_pi_calls_do_not_rise(self, std, monkeypatch):
+        # where the table interval holds S = 0 the start stays linear, and
+        # the root is bisected toward the jump
+        dist = compose(std, CUSTOM_PIS["jump"][0])
+        calls = self._count_log_cdf(monkeypatch)
+        for q, most in ((1e-300, 36), (1e-14, 33), (1e-6, 23), (0.01, 3)):
+            dist.quantile(q)
+            calls.clear()
+            dist.quantile(q)
+            assert len(calls) <= most, (q, len(calls))
 
     @pytest.mark.parametrize("mech,err", [
         (SkewSymmetric.azzalini(1.0), 1.2e-7), (SkewSymmetric.azzalini(-1.0), 1.2e-7),
@@ -1767,10 +1792,11 @@ class TestArrayLogTails:
         for fn in (dist.log_cdf, dist.log_sf, lambda y: log_tail_mass(dist, y)):
             assert type(fn(np.array(0.3))) is float
         # a float gets a Python float, the bits of its 1-element array's
-        # element; the extracted law's density stops where Phi(y) rounds to 1
-        ys = (-38.0, -9.0, 0.3, 2.0, 9.0, 38.0)
-        for fn, grid in ((dist.log_pdf, ys[:4]), (dist.log_cdf, ys), (dist.log_sf, ys),
-                         (lambda y: log_tail_mass(dist, y), ys[2:])):
+        # element, also where Phi(y) rounds to 0 or 1 (-40 and 9): there the
+        # extracted law's density is its source's
+        ys = (-40.0, -38.0, -9.0, 0.3, 2.0, 9.0, 38.0)
+        for fn, grid in ((dist.log_pdf, ys), (dist.log_cdf, ys), (dist.log_sf, ys),
+                         (lambda y: log_tail_mass(dist, y), ys[3:])):
             for y in grid:
                 v = fn(y)
                 assert type(v) is float, (fn, y, type(v))

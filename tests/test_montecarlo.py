@@ -86,6 +86,20 @@ class TestKsTest:
             assert ks_test(draws.reshape(2, -1), cdf) == ks_test(draws, cdf)
             assert ks_test(draws.reshape(10, 10, 10), cdf) == ks_test(draws, cdf)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 200_003])
+    def test_statistic_bit_for_bit(self, std, n):
+        # the statistic in place equals max(i/n - F, F - (i - 1)/n) from an
+        # integer i, bit for bit, in the bulk and on skewed and exact-fit CDFs
+        draws = std.sample(RngState(n), n)
+        x = np.sort(draws)
+        i = np.arange(1, n + 1)
+        for cdf in (normal_cdf, lambda y: np.asarray(normal_cdf(y)) ** 3,
+                    lambda y: (np.argsort(np.argsort(y)) + 0.5) / y.size):
+            f = np.asarray(cdf(x), dtype=float)
+            want = max(np.max(i / n - f), np.max(f - (i - 1) / n))
+            got = ks_test(draws.reshape(1, -1), cdf).statistic
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
 
 class TestMoments:
     def test_identity_first_two(self, std):
