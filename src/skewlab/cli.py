@@ -9,8 +9,10 @@ written a slice of 4,096 lines at a time. Exit codes are 0 for success,
 ``--out`` path that cannot be opened among them. ``--out`` is opened on
 the command's first write, so a command that exits 2 leaves the file as
 it was. Every command is pure given its flags and seed. The SKEWLAB_TOL
-environment variable overrides the default absolute tolerance of the
-underlying numerics.
+environment variable sets the absolute tolerance of the Newton root of a
+skew-symmetric float quantile, and of nothing else: only ``eval --what
+quantile`` reads it, the closed families' quantiles are closed forms that
+ignore it, and ln S by the panel rule keeps ``DEFAULT_TOL``.
 
 Each family name appears once, in ``_FAMILIES``, with its numeric
 parameters and constructor; ``FAMILIES``, the ``--family`` choices and
@@ -131,8 +133,8 @@ def _parse_grid(raw: str) -> np.ndarray:
         raise UsageError(f"--grid expects numeric lo:hi:n, got {raw!r}") from exc
     if n < 2:
         raise UsageError(f"--grid needs n >= 2, got n={n}")
-    if not (lo < hi):
-        raise UsageError(f"--grid needs lo < hi, got {raw!r}")
+    if not (lo < hi and hi - lo < math.inf):  # else linspace overflows to a NaN grid
+        raise UsageError(f"--grid needs lo < hi with hi - lo finite, got {raw!r}")
     return np.linspace(lo, hi, n)
 
 

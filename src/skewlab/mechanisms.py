@@ -35,11 +35,11 @@ The CDF is ``_lower_cdf(y)`` up to 0, P(Phi(y)) unless the family writes
 it in y, and above 0 one minus the mirror's at -y, where Phi(-y) never
 rounds toward 1. The quantile is ``_lower_quantile`` below S(0), where
 no argument of Phi^-1 exceeds 1/2, and from S(0) on minus the mirror's
-at 1 - q, exact there. ``SkewSymmetric`` reads arrays from a table of
-S on [-13, 0], and takes a float's quantile at q <= 1/2 by Newton on
-Phi^-1(S(y)) - Phi^-1(q) inside a bracket that holds the root, started
-where ln S is the panel rule from the cubic Hermite of ln S on that
-table, as its docstring states.
+at level 1 - q, handed q as that level's exact complement.
+``SkewSymmetric`` reads arrays from a table of S on [-13, 0], and takes
+a float's quantile at q <= 1/2 by Newton on Phi^-1(S(y)) - Phi^-1(q)
+inside a bracket that holds the root, started for every pi from the
+cubic Hermite of ln S on that table, as its docstring states.
 ``composed_sample`` inverts ``composed_quantile``, except for the exact
 constructions: a normal's sign flip and a ratio of gamma variates.
 """
@@ -112,6 +112,18 @@ def _phi_inv(x, q, log_x):
     return y
 
 
+def _from_complement(q, c, lower, upper):
+    """lower(q), or upper(q, c) where c = 1 - q holds digits that q, rounded
+    near 1, has lost: where 1 - q, exact for q >= 1/2, is not c. q and c are
+    a float or a pair of 1-d arrays."""
+    if isinstance(q, float):
+        return float(upper(q, c) if 1.0 - q != c else lower(q))
+    out, lost = lower(q), 1.0 - q != c
+    if lost.any():
+        out[lost] = upper(q[lost], c[lost])
+    return out
+
+
 def _log1mexp(v: float) -> float:
     """ln(1 - e^v) for v <= 0."""
     return math.log1p(-math.exp(v)) if v < 0.0 else _NEG_INF
@@ -140,14 +152,15 @@ class SkewingMechanism(ABC):
     one float call per element, so each element is its float's value, bit
     for bit.
     It writes ``composed_log_cdf``, ``mirror``, the mechanism of -Y, whose
-    lower tail is this one's upper one, and ``_lower_quantile``, the y with
-    S(y) = q below S(0). ``composed_cdf`` is ``_lower_cdf`` up to 0 and one
-    minus the mirror's at -y above; ``composed_quantile`` is
-    ``_lower_quantile`` below S(0) and minus the mirror's at 1 - q from
-    S(0) on. A family without a mirror writes both itself, and any family
-    may write ``composed_sample`` in place of inversion. ``composed_log_cdf``
-    works from the smaller tail, ln(1 - e^v) of the mirror's v where S is
-    near 1, so exp of it is S(y) at a float (``SkewedDistribution.cdf``).
+    lower tail is this one's upper one, and ``_lower_quantile(q, c)``, the
+    y with S(y) = q below S(0), given c = 1 - q, which keeps the digits of a
+    q near 1. ``composed_cdf`` is ``_lower_cdf`` up to 0 and one minus the
+    mirror's at -y above; ``composed_quantile`` is ``_lower_quantile`` below
+    S(0) and minus the mirror's at level 1 - q, with c = q, from S(0) on. A
+    family without a mirror writes both itself, and any family may write
+    ``composed_sample`` in place of inversion. ``composed_log_cdf`` works
+    from the smaller tail, ln(1 - e^v) of the mirror's v where S is near 1,
+    so exp of it is S(y) at a float (``SkewedDistribution.cdf``).
     ``composed_log_tail_mass`` is ln(S(-y) + 1 - S(y)) from both log tails,
     unless a family knows it without them, as ``SkewSymmetric`` does.
     Instances are immutable and validated at construction; all evaluation
@@ -209,19 +222,21 @@ class SkewingMechanism(ABC):
         return self.cdf_P(numcore.normal_cdf(y))
 
     def composed_quantile(self, q, tol: Tolerance = DEFAULT_TOL):
-        """The y with S(y) = q, for q in (0, 1): ``_lower_quantile(q)`` below
-        S(0), else minus the mirror's at 1 - q, which is exact there; a
-        float and an array take the same rule."""
+        """The y with S(y) = q, for q in (0, 1): ``_lower_quantile(q, 1 - q)``
+        below S(0), else minus the mirror's at level 1 - q, handed q itself
+        as its complement: 1 - (1 - q) loses q's digits, where S(0) is
+        small; a float and an array take the same rule."""
         q = _within(q, open_=True, what="q")
         if isinstance(q, float):
             if q < self._cdf_at_0:
-                return self._lower_quantile(q)
-            return 0.0 - self.mirror._lower_quantile(1.0 - q)  # 0.0, not -0.0
+                return self._lower_quantile(q, 1.0 - q)
+            return 0.0 - self.mirror._lower_quantile(1.0 - q, q)  # 0.0, not -0.0
         flat, y = q.reshape(-1), np.empty(q.size)
         up = flat >= self._cdf_at_0
         below, above = np.flatnonzero(~up), np.flatnonzero(up)
-        y[below] = self._lower_quantile(flat[below])
-        y[above] = 0.0 - self.mirror._lower_quantile(1.0 - flat[above])
+        low, high = flat[below], flat[above]
+        y[below] = self._lower_quantile(low, 1.0 - low)
+        y[above] = 0.0 - self.mirror._lower_quantile(1.0 - high, high)
         return y.reshape(q.shape)
 
     @cached_property
@@ -516,26 +531,26 @@ class SkewSymmetric(SkewingMechanism):
     of g(y) = Phi^-1(S(y)) - Phi^-1(q) by Newton on this probit scale,
     whose slope s/phi(Phi^-1(S)) comes from ln S and ``composed_log_pdf``,
     inside the bracket [Phi^-1(q/2), sqrt 2 erfinv(q)] (``_root``); above
-    1/2 it is minus the mirror's at 1 - q. Where ln S is the panel rule,
-    Newton starts from the tables below: the cubic Hermite of ln S on the
-    table interval that holds q, slopes s/S from two float densities, was
-    within 2e-12 max(1, |y|) of the root for the named pis, where the
-    linear array quantile was up to 3.4e-6 off, so a quantile on the
-    table takes one log-CDF call; the mechanism's first quantile builds
-    its table, and its mirror's past S(0), about 0.5 to 0.9 ms each, once,
-    as a first array call does. Where pi gives ln S in closed form, as
-    Azzalini's does, a call costs about 1/150 of a table, and Newton starts at the
-    bracket's lower end, building none. The tail mass at the root was within 2.3e-13
-    in ln of mpmath for Azzalini alpha = -50, -2, 0.5, 3 and 50 and the
-    named pis (logistic 2 and 10, cauchy-cdf, sign) at q from 1e-300 to
-    1 - 1e-12, and the sign pi's root, the bracket's upper end
-    sqrt 2 erfinv(q), within 2 ulps for q down to 1e-300
-    (``TestSkewSymmetricQuantileRoot`` holds them to 1e-12 and 4 ulps).
+    1/2 it is minus the mirror's at 1 - q. For every pi, closed-form ln S
+    or the panel rule, Newton starts from the tables below: the cubic
+    Hermite of ln S on the table interval that holds q, slopes s/S from two
+    float densities, was within 2e-12 max(1, |y|) of the root for the
+    named pis and 1.4e-11 for Azzalini alpha = 50, where the linear array
+    quantile was up to 3.4e-6 off, so a quantile on the table takes one
+    log-CDF call; the mechanism's first quantile builds its table, and its
+    mirror's past S(0), about 0.4 to 1.3 ms each, once, as a first array
+    call does. The tail mass at the root was within 2.3e-13 in ln of
+    mpmath for Azzalini alpha = -50, -2, 0.5, 3 and 50 and the named pis
+    (logistic 2 and 10, cauchy-cdf, sign) at q from 1e-300 to 1 - 1e-12,
+    and the sign pi's root, the bracket's upper end sqrt 2 erfinv(q),
+    within 2 ulps for q down to 1e-300 (``TestSkewSymmetricQuantileRoot``
+    holds them to 1e-12 and 4 ulps).
     Arrays (not draws, the sign flip) take the base class's rules on a
     cached table of S on [-13, 0], step h = 13/8192, summed by 5-point
     Gauss panels from the exact S(-13), and on the mirror's above; the CDF
-    is 0 below -13, and a q below S(-13) takes the float quantile. Its error in probability is at most
-    h^2/8 * max|s'|, s the composed density: 1.2e-7 for Azzalini
+    is 0 below -13, and a q below S(-13) takes the float quantile. Its
+    error in probability is at most h^2/8 * max|s'|, s the composed
+    density: 1.2e-7 for Azzalini
     |alpha| = 1, 3.0e-7 for alpha = 3, 5.0e-6 for alpha = 50, 1.4e-7 and
     6.3e-7 for the logistic pi at 2 and 10, and 1.0e-7 for cauchy-cdf.
     """
@@ -696,16 +711,13 @@ class SkewSymmetric(SkewingMechanism):
         nearly linear in y. As 0 <= pi <= 1, 2 Phi(y) - 1 <= S(y) <=
         2 Phi(y), so the root lies in [Phi^-1(q/2), sqrt 2 erfinv(q)]; the
         bracket shrinks to each iterate by the sign of ln S - ln q. Newton
-        starts at the bracket's lower end where pi gives ln S in closed
-        form. Else it starts at the tables' linear quantile clipped into
-        the bracket, the mechanism's own below S(0) and minus the mirror's
-        at 1 - q from it, as in ``composed_quantile``, and, unless that is
-        the upper end, at ``_hermite_quantile`` clipped likewise: at the
-        lower end below S(-13), and at the upper end where the start is
-        within abs_tol + rel_tol |hi| of it. That end is the sign pi's
-        root, where S jumps from 0 and Newton from below stops short in
-        ln S. Where S is 0 it tries the upper end once (the root, for
-        pi = 1[y >= 0]).
+        starts at ``_table_start`` clipped into the bracket, the
+        mechanism's own below S(0) and minus the mirror's at 1 - q from it,
+        as in ``composed_quantile``: at the lower end below S(-13), and at
+        the upper end where the start is within abs_tol + rel_tol |hi| of
+        it. That end is the sign pi's root, where S jumps from 0 and Newton
+        from below stops short in ln S. Where S is 0 it tries the upper end
+        once (the root, for pi = 1[y >= 0]).
         It bisects where a step would leave the bracket, where |ln S|
         passes 2^40 and ln(phi(z)/s) is lost in its rounding, and where a
         step within the tolerance comes with |ln S - ln q| >= 1: a steep
@@ -719,17 +731,11 @@ class SkewSymmetric(SkewingMechanism):
         lo = float(_sp.ndtri_exp(log_q - _LOG2))  # finite at q = 5e-324
         hi = _SQRT2 * float(_sp.erfinv(q))  # Phi^-1((1 + q)/2) rounds 1 + q for tiny q
         resolution = 2.0**-51 * abs(log_q)
-        y, tried_hi = lo, False
-        if self._pi_log_cdf is None:  # a table costs about 25 rule calls, 150 closed-form ones
-            own = q < self._cdf_at_0
-            table, level = (self, q) if own else (self.mirror, 1.0 - q)
-            start = float(table._table_quantile(level))
-            y = min(max(start if own else 0.0 - start, lo), hi)  # 0.0, not -0.0
-            if y < hi:  # else the sign pi's root: no refinement
-                start = table._hermite_quantile(level, start)
-                y = min(max(start if own else 0.0 - start, lo), hi)
-            if hi - y <= tol.abs_tol + tol.rel_tol * abs(hi):
-                y = hi
+        own = q < self._cdf_at_0
+        start = self._table_start(q) if own else 0.0 - self.mirror._table_start(1.0 - q)
+        y, tried_hi = min(max(start, lo), hi), False  # 0.0 - start above: 0.0, not -0.0
+        if hi - y <= tol.abs_tol + tol.rel_tol * abs(hi):
+            y = hi
         for _ in range(tol.max_iter):
             log_cdf = self.composed_log_cdf(y)
             g = log_cdf - log_q
@@ -762,20 +768,15 @@ class SkewSymmetric(SkewingMechanism):
         raise ConvergenceError(f"quantile root for q={q!r} did not converge in {tol.max_iter} steps",
                                partial=y)
 
-    def _table_quantile(self, q):
-        """The y with S(y) = q on the table, a float or an array: np.interp,
-        -inf below its first value, S(-13)."""
-        y_grid, cdf = self._cdf_table
-        return np.interp(q, cdf, y_grid, left=_NEG_INF)
-
-    def _hermite_quantile(self, q: float, start: float) -> float:
+    def _table_start(self, q: float) -> float:
         """The y with S(y) = q on the cubic Hermite of ln S over the table
         interval [y0, y1] with S(y0) <= q < S(y1): ln S from the table, the
         slopes s/S from two float densities, solved by Newton from the line
-        through the ends and clipped into the interval. ``start``, the
-        linear table quantile, where q is off the table, S(y0) is 0 or the
-        cubic does not increase on the interval."""
+        through the ends and clipped into the interval. The linear table
+        quantile, np.interp, -inf below S(-13), where q is off the table,
+        S(y0) is 0 or the cubic does not increase on the interval."""
         y_grid, cdf = self._cdf_table
+        start = float(np.interp(q, cdf, y_grid, left=_NEG_INF))
         k = int(np.searchsorted(cdf, q, side="right")) - 1
         if not 0 <= k < cdf.size - 1 or cdf[k] == 0.0:
             return start
@@ -797,8 +798,9 @@ class SkewSymmetric(SkewingMechanism):
             t = min(max(t, 0.0), 1.0)
         return y0 + h * t
 
-    def _lower_quantile(self, q: np.ndarray) -> np.ndarray:
-        y = self._table_quantile(q)
+    def _lower_quantile(self, q: np.ndarray, c: np.ndarray) -> np.ndarray:
+        y_grid, cdf = self._cdf_table
+        y = np.interp(q, cdf, y_grid, left=_NEG_INF)
         for i in np.flatnonzero(y == _NEG_INF):  # below S(-13), the rooted float quantile
             y[i] = self._root(float(q[i]), DEFAULT_TOL)
         return y
@@ -868,10 +870,13 @@ class OrderStatistics(SkewingMechanism):
     def mirror(self) -> "OrderStatistics":
         return OrderStatistics(self.psi2, self.psi1)  # 1 - I_x(a, b) = I_{1-x}(b, a)
 
-    def _lower_quantile(self, q):
-        # x = I^-1_q(psi1, psi2); ln x from I_x = x^psi1 / (psi1 B), the series' first term
-        return _phi_inv(_sp.betaincinv(self.psi1, self.psi2, q), q,
-                        lambda q: (np.log(q) + math.log(self.psi1) + self._log_b) / self.psi1)
+    def _lower_quantile(self, q, c):
+        # x = I^-1_q(psi1, psi2), or from 1 - I_x = c; ln x from
+        # I_x = x^psi1 / (psi1 B), the series' first term
+        a, b = self.psi1, self.psi2
+        x = _from_complement(q, c, lambda q: _sp.betaincinv(a, b, q),
+                             lambda q, c: _sp.betainccinv(a, b, c))
+        return _phi_inv(x, q, lambda q: (np.log(q) + math.log(a) + self._log_b) / a)
 
     def _lower_cdf(self, y: np.ndarray) -> np.ndarray:
         """I_x(psi1, psi2) at x = Phi(y) for y <= 0; where x is subnormal,
@@ -964,9 +969,9 @@ class MarshallOlkin(SkewingMechanism):
         g = self.gamma * q
         return _out(g / ((1.0 - q) + g))  # no cancellation near q = 1
 
-    def _lower_quantile(self, q):
+    def _lower_quantile(self, q, c):
         g = self.gamma * q  # x as in quantile_P; ln x drops g from the denominator
-        return _phi_inv(g / ((1.0 - q) + g), q,
+        return _phi_inv(g / (c + g), q,
                         lambda q: math.log(self.gamma) + np.log(q) - np.log1p(-q))
 
     @cached_property
@@ -1014,8 +1019,8 @@ class TwoPiece(SkewingMechanism):
     """
 
     def __init__(self, a: float, b: float):
-        if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
-            raise ParameterError(f"scale factors must be positive, got ({a!r}, {b!r})")
+        if not (a > 0 and b > 0 and a + b < 2.0**1023):  # 2 (a + b) is a double
+            raise ParameterError(f"scale factors must be positive, a + b < 2^1023, got ({a!r}, {b!r})")
         self.a, self.b = float(a), float(b)
         self._log_norm = math.log(2.0 / (self.a + self.b))
         # the scales of Y/s are {1-g, 1+g}; |g| reaches 1 only by rounding
@@ -1047,11 +1052,16 @@ class TwoPiece(SkewingMechanism):
     def _lower_cdf(self, y: np.ndarray) -> np.ndarray:
         return (2.0 * self.b / (self.a + self.b)) * numcore.normal_cdf(y / self.b)
 
-    def _lower_quantile(self, q):
-        # S(y) = (2b/(a+b)) Phi(y/b) below S(0) = b/(a+b)
-        ab = self.a + self.b
-        return self.b * _phi_inv(q * ab / (2.0 * self.b), q,
-                                 lambda q: np.log(q) + math.log(ab / (2.0 * self.b)))
+    def _lower_quantile(self, q, c):
+        # S(y) = (2b/(a+b)) Phi(y/b) below S(0) = b/(a+b); from c, where q
+        # is near 1 and Phi(y/b) near 1/2, y = b sqrt 2 erfinv(2 Phi(y/b) - 1)
+        # with 2 Phi(y/b) - 1 = q a/b - c, which keeps its digits
+        a, b = self.a, self.b
+        ab = a + b
+        return _from_complement(
+            q, c, lambda q: b * _phi_inv(q * ab / (2.0 * b), q,
+                                         lambda q: np.log(q) + math.log(ab / (2.0 * b))),
+            lambda q, c: b * _SQRT2 * _sp.erfinv(q * a / b - c))
 
     def composed_log_pdf(self, y):
         if isinstance(y, float):  # a float skips np.where
@@ -1197,9 +1207,10 @@ class SkewedDistribution(ContinuousDistribution):
     ``composed_quantile`` and ``composed_cdf``. ``cdf_array`` is a family's
     lower side up to 0 and one minus the mirror's at -y above. A closed
     family's quantile, float or array, is its lower side's below S(0) and
-    minus the mirror's at 1 - q from S(0) on; the tail mass at it is
-    within 2e-13 in ln of mpmath, plus what 2 ulps of y move it. A
-    non-finite y raises DomainError. ``sample`` is ``composed_sample``.
+    minus the mirror's at level 1 - q from S(0) on, handed q as that
+    level's complement; the tail mass at it is within 2e-13 in ln of
+    mpmath, plus what 2 ulps of y move it. A non-finite y raises
+    DomainError. ``sample`` is ``composed_sample``.
     """
 
     def __init__(self, mechanism: SkewingMechanism):

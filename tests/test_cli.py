@@ -5,12 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import mp_skew_normal_log_tails
+from oracles import mp_skew_symmetric_log_tails
 from skewlab import divisibility, mechanisms
 from skewlab.cli import FAMILIES, UsageError, _json, build_mechanism, main
 
@@ -85,6 +86,15 @@ class TestEval:
         code, _, _ = run_cli(capsys, "eval", "--family", "azzalini",
                              "--param", "alpha=1", "--what", "cdf", "--grid=0:1:1")
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["-1e400:1:3", "-1:nan:3", "-1e308:1e308:3"])
+    def test_grid_ends_must_be_finite(self, capsys, grid):
+        # linspace warned and made NaNs, and the command ended with "y must
+        # be finite, got nan"
+        code, out, err = run_cli(capsys, "eval", "--family", "azzalini",
+                                 "--param", "alpha=1", "--what", "pdf", f"--grid={grid}")
+        assert code == 2 and out == ""
+        assert "--grid needs lo < hi with hi - lo finite" in err
 
     def test_skewsym_custom_logistic(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--family", "skewsym-custom",
@@ -291,6 +301,13 @@ class TestCheck:
         assert d["verdict"] == "NOT_ID" and d["rule"] == "theorem-1"
         assert d["bound"] == pytest.approx(max(float(p1), float(p2)), rel=1e-15)
 
+    def test_twopiece_scales_past_the_doubles_exit_2(self, capsys):
+        # a + b overflows: math.log(2 / (a + b)) raised ValueError, exit 1
+        code, out, err = run_cli(capsys, "check", "--family", "twopiece-ab",
+                                 "--param", "a=9e307", "--param", "b=9e307")
+        assert code == 2 and out == ""
+        assert "scale factors must be positive, a + b < 2^1023" in err
+
     def test_orderstats_below_one_inconclusive(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--family", "orderstats",
                                "--param", "psi1=0.5", "--param", "psi2=2")
@@ -369,17 +386,21 @@ class TestEnvTolerance:
         assert dist.cdf(float(rows[2][1])) == pytest.approx(0.75, abs=1e-6)
 
     def test_tolerance_changes_quantiles(self, capsys, monkeypatch):
-        argv = ("eval", "--family", "azzalini", "--param", "alpha=3",
-                "--what", "quantile", "--grid=0.3:0.7:2")
+        # at q = 1e-300, below the CDF table's first value, Newton starts at
+        # the bracket's lower end and takes several steps
+        argv = ("eval", "--family", "skewsym-custom", "--param", "pi=logistic",
+                "--param", "alpha=2", "--what", "quantile", "--grid=1e-300:1e-200:5")
         _, default, _ = run_cli(capsys, *argv)
         monkeypatch.setenv("SKEWLAB_TOL", "1e-3")
         code, loose, _ = run_cli(capsys, *argv)
         assert code == 0
         loose, default = parse_csv(loose)[1][0][1], parse_csv(default)[1][0][1]
-        assert loose == "0.3634905790039505"
-        assert default == "0.36349057919482386"
+        assert loose == "-35.11966770173825"
+        assert default == "-35.11966770173996"
         assert loose != default and abs(float(loose) - float(default)) <= 1e-3
-        assert abs(mp_skew_normal_log_tails(float(default), 3.0)[0] - math.log(0.3)) <= 1e-12
+        logistic = lambda t: 1 / (1 + mp.exp(-2 * t))
+        log_cdf = mp_skew_symmetric_log_tails(logistic, float(default), ())[0]
+        assert abs(log_cdf - math.log(1e-300)) <= 1e-12
 
     def test_bad_value_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("SKEWLAB_TOL", "not-a-number")

@@ -62,7 +62,10 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             OrderStatistics(p1, p2)
 
-    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    # at (9e307, 9e307) a + b overflows, and math.log(2 / (a + b)) raised
+    # ValueError; at (1, 1.7e308) 2 b does, and the quantile raised it
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (9e307, 9e307),
+                                     (1.0, 1.7e308), (float("inf"), 1.0), (1.0, float("nan"))])
     def test_twopiece_rejects(self, a, b):
         with pytest.raises(ParameterError):
             TwoPiece(a, b)
@@ -320,15 +323,17 @@ class TestSkewSymmetric:
     def test_quantile_honours_tolerance(self, std):
         # the Newton root stops one step earlier under the loose tolerance:
         # a different root, within that tolerance of the default one, which
-        # hits its tail mass to rounding
-        dist = compose(std, SkewSymmetric.azzalini(3.0))
-        default, loose = dist.quantile(0.3), dist.quantile(0.3, Tolerance(abs_tol=1e-3))
-        assert default == 0.36349057919482386
-        assert loose == 0.3634905790039505
+        # hits its tail mass to rounding. Below S(-13), off the CDF table,
+        # Newton starts at the bracket's lower end and takes several steps
+        dist = compose(std, _named_pi("logistic", 2.0))
+        default, loose = dist.quantile(1e-100), dist.quantile(1e-100, Tolerance(abs_tol=1e-3))
+        assert default == -19.399401070522444
+        assert loose == -19.399401070328064
         assert loose != default and abs(loose - default) <= 1e-3
-        assert abs(mp_skew_normal_log_tails(default, 3.0)[0] - math.log(0.3)) <= 1e-12
+        log_cdf = mp_skew_symmetric_log_tails(_mp_logistic(2), default, ())[0]
+        assert abs(log_cdf - math.log(1e-100)) <= 1e-12
         extracted = extract_mechanism(dist, std)
-        assert extracted.quantile_P(0.3, Tolerance(abs_tol=1e-3)) == float(normal_cdf(loose))
+        assert extracted.quantile_P(1e-100, Tolerance(abs_tol=1e-3)) == float(normal_cdf(loose))
 
     def test_azzalini_pi_object(self):
         pi = AzzaliniPi(2.5)
@@ -1136,9 +1141,9 @@ class TestSkewSymmetricQuantileRoot:
     """The float quantile at q <= 1/2 is Newton on the probit scale,
     Phi^-1(S(y)) - Phi^-1(q), inside [Phi^-1(q/2), sqrt 2 erfinv(q)], and
     minus the mirror's at 1 - q above. Newton starts at the CDF tables'
-    quantile where ln S is the panel rule's, and at the bracket's lower end
-    where pi gives ln S in closed form. The root's tail mass must meet q to
-    1e-12 in ln, not merely the root lie within the tolerance in y."""
+    quantile for every pi, whether ln S is the panel rule's or pi's closed
+    form. The root's tail mass must meet q to 1e-12 in ln, not merely the
+    root lie within the tolerance in y."""
 
     @pytest.mark.parametrize("q", ROOT_QS)
     @pytest.mark.parametrize("name", sorted(ROOT_LAWS))
@@ -1176,7 +1181,8 @@ class TestSkewSymmetricQuantileRoot:
         assert abs(y - want) <= tol.abs_tol + tol.rel_tol * abs(y), (y, want)
 
     def test_max_iter_raises_with_the_partial(self, std):
-        dist = compose(std, SkewSymmetric.azzalini(3.0))
+        # the jump pi's root is bisected toward its jump, from a table start
+        dist = compose(std, CUSTOM_PIS["jump"][0])
         with pytest.raises(ConvergenceError, match="did not converge") as info:
             dist.quantile(0.3, Tolerance(max_iter=1))
         assert math.isfinite(info.value.partial)
@@ -1201,9 +1207,11 @@ class TestSkewSymmetricQuantileRoot:
             assert 1 <= len(calls) <= 10, (q, len(calls))
 
     def test_log_cdf_calls_in_total(self, std, monkeypatch):
-        # cold, a panel-rule pi's first quantile also reads S(0), one call,
-        # and builds its table, one call at -13, and its mirror's first
-        # quantile above S(0) builds the mirror's, another
+        # every quantile here starts from the tables' Hermite step, which
+        # the first Newton step polishes: Azzalini's from the bracket's lower
+        # end took up to 6, 48 warm in all. Cold, a mechanism's first
+        # quantile also reads S(0), one call, and builds its table, one call
+        # at -13, and its mirror's first quantile above S(0) the mirror's
         calls = self._count_log_cdf(monkeypatch)
         cold, warm = [], []
         for family, params in EVALUATE_LAWS:
@@ -1213,11 +1221,8 @@ class TestSkewSymmetricQuantileRoot:
                     calls.clear()
                     dist.quantile(q)
                     per_quantile.append(len(calls))
-        assert max(warm) <= 6 and sum(warm) <= 63, warm
-        assert max(cold) <= 6 and sum(cold) <= 74, cold
-        # the last 15, on the panel-rule pis, start from the tables' Hermite
-        # step, which the first Newton step polishes: linear starts took 25
-        assert max(warm[15:]) <= 1 and sum(warm[15:]) <= 15, warm
+        assert max(warm) <= 1 and sum(warm) <= 30, warm
+        assert max(cold) <= 3 and sum(cold) <= 53, cold
 
     def test_table_start_honours_tolerance(self, std, monkeypatch):
         # the Hermite start is within about 1e-14 of the root, so the default
@@ -1236,12 +1241,15 @@ class TestSkewSymmetricQuantileRoot:
             log_cdf = mp_skew_symmetric_log_tails(_mp_logistic(2), y, ())[0]
             assert abs(log_cdf - math.log(q)) <= 1e-12
 
-    @pytest.mark.parametrize("name", ["logistic-2", "logistic-10", "cauchy-cdf", "sign", "half"])
+    @pytest.mark.parametrize("name", ["logistic-2", "logistic-10", "cauchy-cdf", "sign", "half",
+                                      "azzalini-3", "azzalini--3", "azzalini-50", "azzalini--50"])
     def test_table_start_is_near_the_root(self, std, monkeypatch, name):
         # the first log-CDF call of a warm quantile is at the start: the
         # table's linear quantile was up to 3.4e-6 off; S(-13) is below
         # 1e-37 for these pis, so the levels from 1e-12 are on the tables
-        dist = compose(std, _named_pi("half") if name == "half" else ROOT_LAWS[name][0])
+        mech = ROOT_LAWS[name][0] if name in ROOT_LAWS else (
+            _named_pi("half") if name == "half" else SkewSymmetric.azzalini(-3.0))
+        dist = compose(std, mech)
         calls = self._count_log_cdf(monkeypatch)
         for q in (q for q in ROOT_QS if min(q, 1.0 - q) >= 1e-12):
             dist.quantile(q)
@@ -1317,15 +1325,6 @@ class TestSkewSymmetricQuantileRoot:
         with pytest.raises(ValueError):
             phi[0, 0] = 0.0
         assert np.array_equal(phi, numcore.normal_pdf(mechanisms._table_nodes(nodes)))
-
-    def test_closed_form_quantile_builds_no_table(self, std):
-        # an Azzalini log-CDF call costs about 1/150 of a table: its float
-        # quantile starts at the bracket's lower end and builds none
-        mech = SkewSymmetric.azzalini(3.0)
-        dist = compose(std, mech)
-        for q in (1e-300, 1e-6, 0.3, 0.7, 1 - 1e-12):
-            dist.quantile(q)
-        assert "_cdf_table" not in vars(mech) and "_cdf_table" not in vars(mech.mirror)
 
 
 class TestAzzaliniRunsNoQuadrature:
@@ -1530,6 +1529,31 @@ class TestOneQuantileRule:
         want = np.array([dist.cdf(y) for y in ys])
         assert np.all(np.abs(got - want) <= 2e-13 * want + 4 * 5e-324)
         assert got[1] > 0.0
+
+
+class TestClosedQuantileFromS0ToHalf:
+    """From S(0) to 1/2 a closed family's quantile is minus its mirror's at
+    level 1 - q, and the mirror is handed q as that level's complement.
+    Through 1 - (1 - q) q's digits were lost where S(0) is small: each law
+    here was 2.2e-5 to 1.3e-4 off in ln at q = 1e-12 and 2.9e-11 at 1e-6,
+    and MarshallOlkin(1e20) and OrderStatistics(2000, 1) gave y = -inf at
+    q = 1e-20, where 1 - q rounds to 1. OrderStatistics(50, 1) at 1e-20 is
+    below its S(0) = 2^-50, on its own lower quantile."""
+
+    @pytest.mark.parametrize("mech", [
+        MarshallOlkin(1e20), OrderStatistics(50.0, 1.0), OrderStatistics(2000.0, 1.0),
+        TwoPiece(1e20, 1.0),
+    ], ids=["mo-1e20", "orderstats-50-1", "orderstats-2000-1", "twopiece-1e20-1"])
+    @pytest.mark.parametrize("q", [1e-20, 1e-12, 1e-6, 0.3])
+    def test_tail_mass_against_mpmath(self, std, mech, q):
+        # within the 2e-13 in ln SkewedDistribution states; a float and a
+        # one-element array take one rule
+        dist = compose(std, mech)
+        for y in (dist.quantile(q), float(dist.quantile_array(np.array([q]))[0])):
+            assert math.isfinite(y)
+            with mp.workdps(60):  # S(y) from the mirror's upper tail at -y
+                log_cdf = mp.log(_mp_sf(mech.mirror, -y))
+            assert abs(log_cdf - math.log(q)) <= 2e-13, (q, y, float(log_cdf))
 
 
 # (name, call, message): {s} is str() of the argument as a float array,
