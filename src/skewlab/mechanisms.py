@@ -47,6 +47,7 @@ constructions: a normal's sign flip and a ratio of gamma variates.
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from functools import cache, cached_property
 from typing import Callable
@@ -1023,6 +1024,12 @@ class TwoPiece(SkewingMechanism):
             raise ParameterError(f"scale factors must be positive, a + b < 2^1023, got ({a!r}, {b!r})")
         self.a, self.b = float(a), float(b)
         self._log_norm = math.log(2.0 / (self.a + self.b))
+        # p's exponent is (z^2 / 2) (1 - 1/c^2) on the side of scale c. Where
+        # 1/c^2 overflows, the factor is held at the most negative double,
+        # not -inf, so that p(1/2) = 2/(a+b) and not 0 * -inf
+        self._p_factors = tuple(
+            1.0 - 1.0 / (c * c) if c * c > 1.0 / sys.float_info.max else -sys.float_info.max
+            for c in (self.b, self.a))
         # the scales of Y/s are {1-g, 1+g}; |g| reaches 1 only by rounding
         g = (self.b - self.a) / (self.a + self.b)
         if 0.0 < abs(g) < 1.0:
@@ -1045,9 +1052,9 @@ class TwoPiece(SkewingMechanism):
     def p(self, x):
         x = _within(x, open_=True)
         z = _sp.ndtri(x)
-        c = np.where(x < 0.5, self.b, self.a)
+        factor = np.where(x < 0.5, *self._p_factors)
         with np.errstate(over="ignore"):
-            return _out((2.0 / (self.a + self.b)) * np.exp(0.5 * z * z * (1.0 - 1.0 / (c * c))))
+            return _out((2.0 / (self.a + self.b)) * np.exp(0.5 * z * z * factor))
 
     def _lower_cdf(self, y: np.ndarray) -> np.ndarray:
         return (2.0 * self.b / (self.a + self.b)) * numcore.normal_cdf(y / self.b)
@@ -1074,7 +1081,9 @@ class TwoPiece(SkewingMechanism):
         ab = a + b
         if isinstance(y, float):
             if y < 0.0:
-                return math.log(2.0 * b / ab) + float(_sp.log_ndtr(y / b))
+                w = 2.0 * b / ab  # 2 S(0), which rounds to 0 where b/(a+b) < 2.5e-324
+                log_w = math.log(w) if w > 0.0 else self._log_norm + math.log(b)
+                return log_w + float(_sp.log_ndtr(y / b))
             sf = 2.0 * a / ab * float(numcore._normal_cdf(-y / a))
             if sf <= 0.5:  # S near 1: ln(1 - sf) keeps the mass beyond y
                 return math.log1p(-sf)

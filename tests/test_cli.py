@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import mp_skew_symmetric_log_tails
-from skewlab import divisibility, mechanisms
+from skewlab import cli, divisibility, mechanisms
 from skewlab.cli import FAMILIES, UsageError, _json, build_mechanism, main
 
 
@@ -20,6 +20,26 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_no_child_left():
+    # every process a command forked has been waited for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class CountingStream:
+    """A stream that keeps each write; with an error, its second write
+    raises it."""
+
+    def __init__(self, error=None):
+        self.writes = []
+        self.error = error
+
+    def write(self, text):
+        if self.error is not None and self.writes:
+            raise self.error
+        self.writes.append(text)
 
 
 def parse_csv(out):
@@ -132,12 +152,38 @@ class TestSample:
                              "--param", "alpha=1", "--n", "0")
         assert code == 2
 
-    # one write a slice of 4,096 draws: n on both sides of the slice ends
-    SLICE_NS = (1, 4095, 4096, 4097, 3 * 4096 + 5)
+    # one write a slice of 4,096 draws: n on both sides of the slice ends,
+    # and of the fork threshold: with two CPUs, 9 slices are formatted by one
+    # process and 10 by two
+    SLICE_NS = (1, 4095, 4096, 4097, 3 * 4096 + 5, 9 * 4096, 9 * 4096 + 1, 12 * 4096 + 7)
+
+    @pytest.fixture(params=[2, 3])
+    def processes(self, request, monkeypatch):
+        """The processes cmd_sample used, by slice count. With param 2 the
+        process may run on two CPUs and the real rule picks; with 3 every
+        sample forks two formatters, so that at 1 to 4 slices one of them
+        formats fewer slices than the others or none."""
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork: one process formats every sample")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        if request.param == 3:
+            monkeypatch.setattr(cli, "_sample_processes", lambda n_slices: 3)
+        picked, used = cli._sample_processes, {}
+
+        def spy(n_slices):
+            used[n_slices] = picked(n_slices)
+            return used[n_slices]
+
+        monkeypatch.setattr(cli, "_sample_processes", spy)
+        yield
+        if request.param == 2:
+            assert used == {k: 1 + (k >= 10) for k in used}
+        assert request.param in used.values()
 
     @pytest.mark.parametrize("family,params", [("orderstats", {"psi1": 5.0, "psi2": 1e-3}),
                                                ("azzalini", {"alpha": 3.0})])
-    def test_bytes_are_the_reprs_of_the_library_draws(self, capsys, tmp_path, family, params):
+    def test_bytes_are_the_reprs_of_the_library_draws(self, capsys, tmp_path, processes,
+                                                      family, params):
         # the per-draw loop's bytes. Order statistics (5, 1e-3) draws far in
         # the upper tail, past y = 100; with seed 11, Azzalini 3 draws
         # include |y| < 1e-4, whose reprs take the exponent form
@@ -152,31 +198,58 @@ class TestSample:
             code, out, err = run_cli(capsys, *argv, "--n", str(n))
             assert (code, err) == (0, "")
             assert out == want
+            assert_no_child_left()
             target = tmp_path / f"{family}-{n}.txt"
             code, out, _ = run_cli(capsys, *argv, "--n", str(n), "--out", str(target))
             assert (code, out) == (0, "")
             assert target.read_bytes() == want.encode("utf-8")
+            assert_no_child_left()
         assert ("e" in want) == (family == "azzalini")
         assert (draws.max() > 100.0) == (family == "orderstats")
 
-    def test_one_write_a_slice(self, monkeypatch):
-        class CountingStream:
-            def __init__(self):
-                self.writes = []
-
-            def write(self, text):
-                self.writes.append(text)
-
+    def test_one_write_a_slice(self, monkeypatch, processes):
         for n in self.SLICE_NS:
             stream = CountingStream()
-            monkeypatch.setattr(sys, "stdout", stream)
-            code = main(["sample", "--family", "twopiece-eps", "--param", "gamma=-0.5",
-                         "--n", str(n), "--seed", "3"])
-            monkeypatch.undo()
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", stream)
+                code = main(["sample", "--family", "twopiece-eps", "--param", "gamma=-0.5",
+                             "--n", str(n), "--seed", "3"])
             assert code == 0
             assert 1 <= len(stream.writes) <= math.ceil(n / 4096) + 1
             text = "".join(stream.writes)
             assert text.endswith("\n") and text.count("\n") == n
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()],
+                             ids=["write-error", "ctrl-c"])
+    def test_a_failing_stream_leaves_no_child(self, monkeypatch, processes, error):
+        # the second write raises while the formatters wait on their pipes
+        for n in [n for n in self.SLICE_NS if n > 4096]:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", CountingStream(error))
+                with pytest.raises(type(error)):
+                    main(["sample", "--family", "azzalini", "--param", "alpha=3",
+                          "--n", str(n), "--seed", "3"])
+            assert_no_child_left()
+
+    def test_a_failing_formatter_fails_the_command(self, monkeypatch):
+        # a formatter that raises ends in os._exit(1) before its first slice:
+        # the relay reads a short slice, and main does not return 0
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork: no formatter to fail")
+        parent, text = os.getpid(), cli._slice_text
+
+        def slice_text(draws, i):
+            if os.getpid() != parent:
+                raise MemoryError("in a formatter")
+            return text(draws, i)
+
+        monkeypatch.setattr(cli, "_slice_text", slice_text)
+        monkeypatch.setattr(cli, "_sample_processes", lambda n_slices: 2)
+        with pytest.raises(RuntimeError, match="formatter"):
+            main(["sample", "--family", "azzalini", "--param", "alpha=3", "--n", "20000",
+                  "--seed", "3"])
+        assert_no_child_left()
 
 
 class TestOutFile:
@@ -196,6 +269,24 @@ class TestOutFile:
         assert code == 2
         assert out == "" and err.startswith("error: ")
         assert target.read_text() == self.KEPT
+
+    def test_a_forking_sample_that_cannot_open_its_file(self, capsys, tmp_path, monkeypatch):
+        # the formatter is forked before the first write opens --out; a path
+        # under a regular file cannot be opened, so the command exits 2
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork: nothing is forked")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        target = tmp_path / "kept.txt"
+        target.write_text(self.KEPT)
+        code, out, err = run_cli(capsys, "sample", "--family", "azzalini", "--param", "alpha=1",
+                                 "--n", "100000", "--seed", "1", "--out", str(target / "x.txt"))
+        assert code == 2
+        assert out == "" and err.startswith("error: cannot open --out")
+        assert target.read_text() == self.KEPT
+        assert forks == [1]
+        assert_no_child_left()
 
     def test_a_command_that_succeeds_replaces_the_file(self, capsys, tmp_path):
         target = tmp_path / "kept.txt"

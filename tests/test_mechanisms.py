@@ -263,6 +263,38 @@ class TestTwoPieceForms:
         for y in np.linspace(-6, 6, 101):
             assert da.pdf(float(y)) == db.pdf(float(-y))
 
+    @pytest.mark.parametrize("a,b", [(1e-300, 1e300), (1e300, 1e-300), (1e-160, 1.0)])
+    def test_p_where_the_scale_squared_underflows(self, a, b):
+        # 1 - 1/c^2 was 1 - 1/0: a divide by zero, and p(1/2) = 0 * -inf = NaN
+        mech = TwoPiece(a, b)
+        assert mech.p(0.5) == 2.0 / (a + b)
+        xs = np.array([1e-5, 0.3, 0.5, 0.7, 1.0 - 1e-5])
+        got = mech.p(xs)
+        assert got[2] == 2.0 / (a + b)
+        z = sp.ndtri(xs)
+        for i in (0, 1, 3, 4):
+            c = b if xs[i] < 0.5 else a
+            if c < 1e-150:  # exp(-z^2 / (2 c^2)) is 0 in doubles
+                assert got[i] == 0.0
+            else:
+                assert got[i] == pytest.approx(2.0 / (a + b) * math.exp(0.5 * z[i] ** 2 * (1.0 - c**-2)))
+
+    def test_lower_log_cdf_where_the_mass_below_zero_underflows(self, std):
+        # S(0) = b/(a+b) = 1e-600 is 0 in doubles; ln S(0) + ln Phi(y/b) is not
+        dist = compose(std, TwoPiece(1e300, 1e-300))
+        want = math.log(2.0) - 600.0 * math.log(10.0) + float(sp.log_ndtr(-0.1))
+        assert dist.log_cdf(-1e-301) == pytest.approx(want, rel=1e-14)
+
+    def test_p_keeps_its_bits_on_finite_factors(self):
+        # p(x) = (2/(a+b)) exp((z^2/2)(1 - 1/c^2)), as it was computed per element
+        xs = np.linspace(1e-5, 1.0 - 1e-5, 201)
+        z = sp.ndtri(xs)
+        for a, b in ((5.0, 0.1), (0.5, 0.8), (1.5, 1.5), (1.5, 0.5), (0.5, 2.0)):
+            c = np.where(xs < 0.5, b, a)
+            want = (2.0 / (a + b)) * np.exp(0.5 * z * z * (1.0 - 1.0 / (c * c)))
+            assert np.array_equal(TwoPiece(a, b).p(xs), want)
+            assert [TwoPiece(a, b).p(float(x)) for x in xs] == want.tolist()
+
     def test_continuity_at_knot(self, std):
         dist = compose(std, TwoPiece.epsilon_skew(0.3))
         assert dist.pdf(-1e-12) == pytest.approx(dist.pdf(1e-12), rel=1e-9)
