@@ -1,92 +1,22 @@
 """skewlab: skewed-normal constructions via unit-interval skewing
 mechanisms, with log-space tail diagnostics for non-infinite-divisibility
-certification."""
+certification.
 
-from .distributions import ContinuousDistribution, RngState, StandardNormal, log_tail_mass
-from .divisibility import (
-    DEFAULT_Y_GRID,
-    BoundednessReport,
-    Classification,
-    DivisibilityVerdict,
-    TailReport,
-    TailRow,
-    Verdict,
-    divisibility_verdict,
-    estimate_sup_p,
-    steutel_statistic,
-    verify_theorem1_bound,
-    verify_theorem2_chain,
-)
-from .errors import (
-    BracketingError,
-    ConvergenceError,
-    DomainError,
-    ParameterError,
-    PreconditionError,
-    SkewlabError,
-)
-from .mechanisms import (
-    AzzaliniPi,
-    MarshallOlkin,
-    NumericMechanism,
-    OrderStatistics,
-    SkewedDistribution,
-    SkewingMechanism,
-    SkewSymmetric,
-    TwoPiece,
-    compose,
-    extract_mechanism,
-    mo_cdf_P,
-    sample_flip,
-    sample_skewed,
-    twopiece_cdf,
-)
-from .montecarlo import KsResult, ks_test, moment_estimate, oracle_cdf
+A module's ``__all__`` is its public API, and the package re-exports it:
+every name there is declared once, in the module that defines it. Of
+``numcore`` only ``Tolerance`` and ``DEFAULT_TOL`` are re-exported; its
+kernels stay in ``skewlab.numcore``.
+"""
+
+from . import distributions, divisibility, errors, mechanisms, montecarlo
+from .distributions import *
+from .divisibility import *
+from .errors import *
+from .mechanisms import *
+from .montecarlo import *
 from .numcore import DEFAULT_TOL, Tolerance
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AzzaliniPi",
-    "BoundednessReport",
-    "BracketingError",
-    "Classification",
-    "ContinuousDistribution",
-    "ConvergenceError",
-    "DEFAULT_TOL",
-    "DEFAULT_Y_GRID",
-    "DivisibilityVerdict",
-    "DomainError",
-    "KsResult",
-    "MarshallOlkin",
-    "NumericMechanism",
-    "OrderStatistics",
-    "ParameterError",
-    "PreconditionError",
-    "RngState",
-    "SkewedDistribution",
-    "SkewingMechanism",
-    "SkewSymmetric",
-    "SkewlabError",
-    "StandardNormal",
-    "TailReport",
-    "TailRow",
-    "Tolerance",
-    "TwoPiece",
-    "Verdict",
-    "compose",
-    "divisibility_verdict",
-    "estimate_sup_p",
-    "extract_mechanism",
-    "ks_test",
-    "log_tail_mass",
-    "mo_cdf_P",
-    "moment_estimate",
-    "oracle_cdf",
-    "sample_flip",
-    "sample_skewed",
-    "steutel_statistic",
-    "twopiece_cdf",
-    "verify_theorem1_bound",
-    "verify_theorem2_chain",
-]
+__all__ = sorted({"DEFAULT_TOL", "Tolerance", *distributions.__all__, *divisibility.__all__,
+                  *errors.__all__, *mechanisms.__all__, *montecarlo.__all__})

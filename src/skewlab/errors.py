@@ -4,6 +4,9 @@ Library code never raises bare ValueError/RuntimeError for contract
 violations; callers can catch SkewlabError to intercept everything.
 """
 
+__all__ = ["SkewlabError", "DomainError", "ParameterError", "BracketingError",
+           "ConvergenceError", "PreconditionError"]
+
 
 class SkewlabError(Exception):
     """Base error for this package."""

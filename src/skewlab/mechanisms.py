@@ -209,8 +209,10 @@ class SkewingMechanism(ABC):
     def composed_cdf(self, y):
         """S(y) at finite y: ``_lower_cdf(y)`` up to 0, and above one minus
         the mirror's at -y, where Phi(-y) never rounds toward 1; a float and
-        an array take the same rule."""
-        y = np.asarray(y, dtype=float)
+        an array take the same rule. y is checked here, once, so a
+        non-finite y raises ``DomainError`` naming the caller's values, and
+        the sides take the unchecked kernels."""
+        y = np.asarray(numcore._require_finite(y))
         # boolean masks, not the quantile's flat indices: they are faster on
         # sorted input, which is what ks_test passes
         s, up = np.empty_like(y), y > 0.0
@@ -219,8 +221,8 @@ class SkewingMechanism(ABC):
         return _out(s)
 
     def _lower_cdf(self, y: np.ndarray) -> np.ndarray:
-        """S(y) = P(Phi(y)) for y <= 0, a 1-d array."""
-        return self.cdf_P(numcore.normal_cdf(y))
+        """S(y) = P(Phi(y)) for y <= 0, a finite 1-d array."""
+        return self.cdf_P(numcore._normal_cdf(y))
 
     def composed_quantile(self, q, tol: Tolerance = DEFAULT_TOL):
         """The y with S(y) = q, for q in (0, 1): ``_lower_quantile(q, 1 - q)``
@@ -526,7 +528,11 @@ class SkewSymmetric(SkewingMechanism):
     panel's edge and the error estimate under-reads it: for a pi that
     jumps at -1, ln S is 5.5e-9 off at y = -1 + 1e-8 and 5.6e-6 off at
     -1 + 1e-11, against rel_tol 1e-10. A jump within 2^-30 of a panel's
-    width from its edge is not seen at all.
+    width from its edge is not seen at all. Past |y| = 1.34e154, where
+    ln phi(y) is -inf, the rule's ln S is -inf at once, as S <= 2 Phi(y):
+    the CDF is 0 below and 1 above, and the density 0. A pi that returns
+    NaN on the rule's nodes raises ``ConvergenceError`` with no partial: a
+    pass that bisects no panel ends its stretch unconverged.
 
     At a float the CDF is exp of ln S. A quantile at q <= 1/2 is the root
     of g(y) = Phi^-1(S(y)) - Phi^-1(q) by Newton on this probit scale,
@@ -616,12 +622,15 @@ class SkewSymmetric(SkewingMechanism):
 
     def _rule_log_cdf(self, y: float) -> LogProb:
         """ln S(y) for y < Phi^-1(3/4) by the panel rule."""
-        numcore._require_finite(y)
         log_front = _LOG2 + _STD.log_pdf(y)
+        if log_front == _NEG_INF:  # y^2 overflows: S(y) <= 2 Phi(y), 0 in doubles
+            return _NEG_INF
         log_mass, a, drop = _NEG_INF, 0.0, _FIRST_DROP
         for _ in range(_STRETCHES):
             b = y + math.sqrt(y * y + 2.0 * drop)
             total, converged = self._log_stretch(y, a, b)
+            if total != total:
+                raise ConvergenceError(f"panel rule for ln S({y!r}) met a NaN from pi")
             log_mass = float(np.logaddexp(log_mass, total))
             if not converged:
                 raise ConvergenceError(
@@ -666,6 +675,8 @@ class SkewSymmetric(SkewingMechanism):
             if logs.size >= _MAX_PANELS:
                 return total, False
             mid = 0.5 * (lo[bad] + hi[bad])
+            if not mid.size:  # a NaN of pi compares False with every share
+                return total, False
             new_lo, new_hi = np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]])
             new_logs, new_errs = self._panel_logs(y, new_lo, new_hi)
             lo, hi = np.concatenate([lo[~bad], new_lo]), np.concatenate([hi[~bad], new_hi])
@@ -694,7 +705,7 @@ class SkewSymmetric(SkewingMechanism):
         return super().composed_cdf(y)
 
     def _lower_cdf(self, y: np.ndarray) -> np.ndarray:
-        return np.interp(numcore._require_finite(y), *self._cdf_table, left=0.0)
+        return np.interp(y, *self._cdf_table, left=0.0)
 
     def composed_quantile(self, q, tol: Tolerance = DEFAULT_TOL):
         q = _within(q, open_=True, what="q")
@@ -882,17 +893,27 @@ class OrderStatistics(SkewingMechanism):
     def _lower_cdf(self, y: np.ndarray) -> np.ndarray:
         """I_x(psi1, psi2) at x = Phi(y) for y <= 0; where x is subnormal,
         the series' first term x^psi1 / (psi1 B), from ln x."""
-        x = numcore.normal_cdf(y)
+        x = numcore._normal_cdf(y)
         s = _sp.betainc(self.psi1, self.psi2, x)
         sub = x < numcore._SMALLEST_NORMAL
         if np.any(sub):
-            log_x = numcore.log_normal_cdf(y[sub])
-            s[sub] = np.exp(self.psi1 * log_x - math.log(self.psi1) - self._log_b)
+            log_x = _sp.log_ndtr(y[sub])
+            with np.errstate(over="ignore"):  # psi1 ln x is -inf past the doubles: S is 0
+                s[sub] = np.exp(self.psi1 * log_x - math.log(self.psi1) - self._log_b)
         return s
 
     def composed_log_pdf(self, y):
-        return numcore._log_normal_pdf(y) + self._log_p_from_logs(
-            _sp.log_ndtr(y), numcore._log_normal_sf(y))
+        # ln s is -inf where ln phi is (past |y| = 1.34e154); its ln p term
+        # there is +inf for a psi below 1, and may overflow for one above 2
+        log_phi = numcore._log_normal_pdf(y)
+        if isinstance(y, float):  # Python floats overflow without a warning
+            if log_phi == _NEG_INF:
+                return _NEG_INF
+            return log_phi + self._log_p_from_logs(
+                float(_sp.log_ndtr(y)), float(numcore._log_normal_sf(y)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = log_phi + self._log_p_from_logs(_sp.log_ndtr(y), numcore._log_normal_sf(y))
+        return np.where(log_phi == _NEG_INF, _NEG_INF, out)
 
     def composed_log_cdf(self, y):
         if isinstance(y, float):
@@ -1057,7 +1078,9 @@ class TwoPiece(SkewingMechanism):
             return _out((2.0 / (self.a + self.b)) * np.exp(0.5 * z * z * factor))
 
     def _lower_cdf(self, y: np.ndarray) -> np.ndarray:
-        return (2.0 * self.b / (self.a + self.b)) * numcore.normal_cdf(y / self.b)
+        with np.errstate(over="ignore"):  # y/b is -inf past the doubles: S is 0
+            z = y / self.b
+        return (2.0 * self.b / (self.a + self.b)) * numcore._normal_cdf(z)
 
     def _lower_quantile(self, q, c):
         # S(y) = (2b/(a+b)) Phi(y/b) below S(0) = b/(a+b); from c, where q
@@ -1071,10 +1094,13 @@ class TwoPiece(SkewingMechanism):
             lambda q, c: b * _SQRT2 * _sp.erfinv(q * a / b - c))
 
     def composed_log_pdf(self, y):
+        # y/c is +-inf past the doubles, where ln phi is -inf
         if isinstance(y, float):  # a float skips np.where
             c = self.b if y < 0.0 else self.a
-            return self._log_norm + float(numcore._log_normal_pdf(y / c))
-        return self._log_norm + numcore._log_normal_pdf(y / np.where(y < 0.0, self.b, self.a))
+            return self._log_norm + numcore._log_normal_pdf(y / c)
+        with np.errstate(over="ignore"):
+            z = y / np.where(y < 0.0, self.b, self.a)
+        return self._log_norm + numcore._log_normal_pdf(z)
 
     def composed_log_cdf(self, y):
         a, b = self.a, self.b

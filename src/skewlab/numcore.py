@@ -13,12 +13,19 @@ chained comparisons, which costs about 0.1 us; anything else goes
 through ``np.asarray`` and ``np.all``, about 5 us on a scalar, forty
 times the ufunc it guards. Both paths raise the same ``DomainError``
 with the same message. The finite check, ``_require_finite``, returns
-what it checked, a float as it is and anything else as a float array,
-and the normal kernels and ``SkewedDistribution`` hand that on; the unit
+what it checked, a float as a Python float (``np.float64``'s own
+arithmetic warns on overflow) and anything else as a float array, and
+the normal kernels and ``SkewedDistribution`` hand that on; the unit
 checks hand the argument to the ufunc unchanged. An array that a public
 entry of the package has checked already goes on to the unchecked
 forms: scipy's ufuncs, ``_normal_cdf``, ``_log_normal_sf`` and
 ``_log_normal_pdf``.
+
+Past |y| = 1.34e154, y^2 overflows a double: ``normal_pdf`` is 0 and
+``log_normal_pdf`` -inf there, with no warning. A float is squared in
+Python arithmetic, which overflows silently, and an array under
+``np.errstate``, which the float path never enters: it costs about
+five times ``np.square`` of a float, and forty times ``y * y``.
 
 The log-space survival functions are the load-bearing part: plain
 ``1 - Phi(y)`` is numerically 0 from y ~ 38 and loses digits from y ~ 8,
@@ -97,13 +104,16 @@ DEFAULT_TOL = Tolerance()
 
 
 def _require_finite(y):
-    """y as a float (``np.float64`` is one) or else a float array, checked
-    to be finite."""
-    if not isinstance(y, float):
+    """y as a Python float (from ``np.float64`` too, whose own arithmetic
+    warns on overflow) or else a float array, checked to be finite."""
+    if isinstance(y, float):
+        if math.isfinite(y):
+            return float(y)
+    else:
         y = np.asarray(y, dtype=float)
-    if not (math.isfinite(y) if isinstance(y, float) else np.isfinite(y).all()):
-        raise DomainError(f"y must be finite, got {y!r}")
-    return y
+        if np.isfinite(y).all():
+            return y
+    raise DomainError(f"y must be finite, got {y!r}")
 
 
 def _in_unit(x, open_: bool) -> bool:
@@ -116,17 +126,31 @@ def _in_unit(x, open_: bool) -> bool:
 
 
 def normal_pdf(y):
-    """Standard normal density exp(-y^2/2)/sqrt(2*pi)."""
-    return np.exp(-0.5 * np.square(_require_finite(y))) / _SQRT_2PI
+    """Standard normal density exp(-y^2/2)/sqrt(2*pi); 0 past |y| =
+    1.34e154, where y^2 overflows, with no warning."""
+    return np.exp(_minus_half_square(_require_finite(y))) / _SQRT_2PI
 
 
 def log_normal_pdf(y):
-    """Natural log of the standard normal density."""
+    """Natural log of the standard normal density; -inf past |y| =
+    1.34e154, with no warning."""
     return _log_normal_pdf(_require_finite(y))
 
 
 def _log_normal_pdf(y):
-    return -0.5 * np.square(y) - 0.5 * _LOG_2PI
+    return _minus_half_square(y) - 0.5 * _LOG_2PI
+
+
+def _minus_half_square(y):
+    """-y^2/2, -inf where y^2 overflows, with no warning. A float is
+    squared in Python arithmetic, which overflows silently and skips
+    np.errstate, the cost of every float density; an array under numpy's
+    overflow warning switched off."""
+    if isinstance(y, float):  # np.float64 too, whose own product would warn
+        y = float(y)
+        return -0.5 * (y * y)
+    with np.errstate(over="ignore"):
+        return -0.5 * np.square(y)
 
 
 def normal_cdf(y):

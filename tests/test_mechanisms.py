@@ -1,6 +1,8 @@
+import contextlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -2176,3 +2178,114 @@ class TestOrderStatisticsLogCdfAboveZero:
 
     def test_cdf_below_the_median_far_out(self, std):
         assert compose(std, OrderStatistics(5.0, 1e-3)).cdf(8.2934) == pytest.approx(0.03474, rel=1e-3)
+
+
+# One law of each CLI family, the order statistics with a psi below 1 too
+# (its ln p term is +inf where ln phi is -inf), and the normal
+FAR_LAWS = {family: compose(StandardNormal(), cli.build_mechanism(family, params)) for family, params in (
+    ("azzalini", {"alpha": 3.0}),
+    ("skewsym-custom", {"pi": "logistic", "alpha": 2.0}),
+    ("orderstats", {"psi1": 2.0, "psi2": 3.0}),
+    ("marshall-olkin", {"gamma": 2.0}),
+    ("twopiece-eps", {"gamma": -0.5}),
+    ("twopiece-isf", {"gamma": 2.0}),
+    ("twopiece-ab", {"a": 1e-10, "b": 1.0}),
+)}
+assert set(FAR_LAWS) == set(cli.FAMILIES)
+FAR_LAWS["orderstats-0.5-2"] = compose(StandardNormal(), OrderStatistics(0.5, 2.0))
+FAR_LAWS["normal"] = StandardNormal()
+# past |y| = 1.34e154, where y^2 overflows a double: far enough that
+# (y/c)^2 does too for a two-piece scale c up to 7.4, and just past
+FAR_YS = (1e155, 1e300, -1e155, -1e300)
+JUST_PAST_YS = (1.35e154, -1.35e154)
+
+
+@contextlib.contextmanager
+def _within_seconds(seconds: int):
+    """Fail, rather than hang, a call that does not return in time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestFiniteYPastTheSquare:
+    """A finite y past |y| = 1.34e154 gives the limits with no warning:
+    y^2, and the two-piece laws' y / scale, overflow to inf quietly. The
+    CDF checks y once, so a non-finite y is named as the caller gave it."""
+
+    @pytest.mark.parametrize("name", sorted(FAR_LAWS))
+    def test_density_is_zero(self, name):
+        dist = FAR_LAWS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y in FAR_YS + tuple(map(np.float64, FAR_YS)):
+                assert dist.pdf(y) == 0.0 and dist.log_pdf(y) == -math.inf, y
+            ys = np.array(FAR_YS)
+            assert np.all(dist.pdf(ys) == 0.0) and np.all(dist.log_pdf(ys) == -np.inf)
+
+    def test_order_statistics_where_psi_ln_phi_overflows(self, std):
+        # ln phi(-1e154) is finite, and (psi1 - 1) ln Phi(-1e154) is not
+        dist = compose(std, OrderStatistics(5.0, 1e-3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y in (-1e154, np.float64(-1e154)):
+                assert dist.pdf(y) == 0.0 and dist.log_pdf(y) == -math.inf
+            assert dist.log_pdf(np.array([-1e154, 0.0]))[0] == -np.inf
+
+    def test_two_piece_cdf_past_its_scale(self, std):
+        dist = compose(std, TwoPiece(1e-10, 1.0))  # -y/a is -inf at y = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dist.cdf_array(np.array([1e300, 0.0]))
+            assert got[0] == 1.0 and got[1] == pytest.approx(1.0 / (1.0 + 1e-10), rel=1e-15)
+            assert dist.cdf(1e300) == 1.0
+            assert np.all(dist.pdf(np.array([1e145, 2e145])) == 0.0)  # y/a passes 1.34e154
+
+    @pytest.mark.parametrize("name", sorted(set(FAR_LAWS) - {"normal"}))
+    @pytest.mark.parametrize("ys", [[np.inf, 0.5], [0.0, np.nan], [-1.0, 2.0, -np.inf]])
+    def test_non_finite_y_names_the_callers_values(self, name, ys):
+        ys = np.array(ys)
+        with pytest.raises(DomainError) as info:
+            FAR_LAWS[name].cdf_array(ys)
+        assert str(info.value) == f"y must be finite, got {ys!r}"
+
+
+NAMED_PIS = ("logistic", "cauchy-cdf", "sign", "half")
+
+
+class TestPanelRuleEnds:
+    """Where ln phi(y) is -inf, the panel rule's ln S is -inf at once (S <=
+    2 Phi(y), 0 in doubles), and a pass that bisects no panel ends the
+    stretch unconverged: with a NaN of pi every comparison is False. Each
+    call runs under an alarm, so a hang fails."""
+
+    @pytest.mark.parametrize("kind", NAMED_PIS)
+    def test_limits_past_the_square(self, std, kind):
+        dist = compose(std, cli.build_mechanism("skewsym-custom", {"pi": kind, "alpha": 2.0}))
+        with warnings.catch_warnings(), _within_seconds(5):
+            warnings.simplefilter("error")
+            for y in FAR_YS + JUST_PAST_YS:
+                below = y < 0.0
+                assert dist.log_cdf(y) == (-math.inf if below else 0.0), y
+                assert dist.log_sf(y) == (0.0 if below else -math.inf), y
+                assert dist.cdf(y) == (0.0 if below else 1.0), y
+
+    def test_a_nan_of_pi_raises(self, std):
+        def pi(y):  # Phi(2y) where the constructor checks it, NaN beyond 9
+            y = np.asarray(y, dtype=float)
+            return np.where(np.abs(y) <= 9.0, sp.ndtr(2.0 * y), np.nan)
+
+        dist = compose(std, SkewSymmetric(pi))
+        for y in (-2.0, 0.5, 2.0):
+            with _within_seconds(5), pytest.raises(ConvergenceError, match="NaN from pi") as info:
+                dist.log_cdf(y)
+            assert info.value.partial is None
+

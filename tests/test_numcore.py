@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bisect, mp_log_normal_sf, mp_normal_cdf, mp_normal_pdf, mp_reg_inc_beta
-from skewlab import BracketingError, DomainError, Tolerance
+from skewlab import BracketingError, DomainError, Tolerance, numcore
 from skewlab.numcore import (
     DEFAULT_TOL,
     find_root,
@@ -44,6 +46,41 @@ class TestNormalPdf:
             normal_pdf(float("inf"))
         with pytest.raises(DomainError):
             normal_pdf(float("nan"))
+
+
+# past |y| = 1.34e154, where y^2 overflows a double
+BEYOND_THE_SQUARE = (1.35e154, 1e155, 1e300, sys.float_info.max)
+
+
+class TestNormalPdfPastTheSquare:
+    """y^2 overflows to inf with no warning: the density is 0 and its log
+    -inf, on the float path without np.errstate."""
+
+    @pytest.mark.parametrize("v", BEYOND_THE_SQUARE + tuple(-y for y in BEYOND_THE_SQUARE))
+    def test_zero_and_minus_inf_with_no_warning(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y in _forms(v):  # v is last in each
+                assert np.ravel(normal_pdf(y))[-1] == 0.0
+                assert np.ravel(log_normal_pdf(y))[-1] == -np.inf
+
+    def test_float_path_enters_no_errstate(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy.errstate was entered")
+
+        monkeypatch.setattr(np, "errstate", forbidden)
+        for y in (1e155, np.float64(-1e300), 0.7):
+            numcore._log_normal_pdf(y), normal_pdf(y), log_normal_pdf(y)
+        with pytest.raises(AssertionError, match="errstate"):
+            numcore._log_normal_pdf(np.array([1e155]))
+
+    def test_float_square_keeps_the_bits(self):
+        mags = np.geomspace(1e-300, 1.3e154, 20001)
+        ys = np.concatenate([-mags, [0.0], mags])
+        want = -0.5 * np.square(ys) - 0.5 * numcore._LOG_2PI
+        got = np.array([numcore._log_normal_pdf(float(y)) for y in ys])
+        assert got.tobytes() == want.tobytes()
+        assert numcore._log_normal_pdf(ys).tobytes() == want.tobytes()
 
 
 class TestNormalCdf:
