@@ -12,15 +12,14 @@ depend on how many processes formatted them. Exit codes are 0 for success,
 1 for a verification failure and 2 for usage or domain errors, an
 ``--out`` path that cannot be opened among them. ``--out`` is opened on
 the command's first write, so a command that exits 2 leaves the file as
-it was. Every command is pure given its flags and seed. The SKEWLAB_TOL
-environment variable sets the absolute tolerance of the Newton root of a
-skew-symmetric float quantile, and of nothing else: only ``eval --what
-quantile`` reads it, the closed families' quantiles are closed forms that
-ignore it, and ln S by the panel rule keeps ``DEFAULT_TOL``.
+it was. Every command is pure given its flags and seed, and reads no
+environment variable.
 
-Each family name appears once, in ``_FAMILIES``, with its numeric
-parameters and constructor; ``FAMILIES``, the ``--family`` choices and
-``build_mechanism`` all read it.
+Each family name appears once, in ``_FAMILIES``, with its ``--param``
+names and constructor; ``FAMILIES``, the ``--family`` choices and
+``build_mechanism`` all read it. A ``--param`` whose name the family does
+not read is a usage error. skewsym-custom reads pi and alpha, which the
+half and sign pis accept and ignore.
 
 The argument parser is built once per process, on the first ``main``
 call, and reused: ``main`` can be called repeatedly in one process, and
@@ -43,7 +42,6 @@ from scipy import special
 from . import divisibility, mechanisms
 from .distributions import RngState, StandardNormal
 from .errors import SkewlabError
-from .numcore import DEFAULT_TOL, Tolerance
 
 _STD = StandardNormal()
 
@@ -59,17 +57,6 @@ _PI_REGISTRY = {
 
 class UsageError(Exception):
     pass
-
-
-def _tolerance() -> Tolerance:
-    raw = os.environ.get("SKEWLAB_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        abs_tol = float(raw)
-    except ValueError as exc:
-        raise UsageError(f"SKEWLAB_TOL is not a number: {raw!r}") from exc
-    return Tolerance(abs_tol=abs_tol, rel_tol=DEFAULT_TOL.rel_tol, max_iter=DEFAULT_TOL.max_iter)
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -103,11 +90,12 @@ def _skewsym_custom(params: dict) -> mechanisms.SkewSymmetric:
     return mechanisms.SkewSymmetric(_PI_REGISTRY[kind](alpha))
 
 
-# each family's numeric --param names, in constructor order, and its
-# constructor; an entry without names reads the parameters itself
+# each family's --param names and its constructor, which takes the values
+# of the names in their order; skewsym-custom's reads its own, as pi is a
+# name and not a number
 _FAMILIES = {
     "azzalini": (("alpha",), mechanisms.SkewSymmetric.azzalini),
-    "skewsym-custom": ((), _skewsym_custom),
+    "skewsym-custom": (("pi", "alpha"), _skewsym_custom),
     "orderstats": (("psi1", "psi2"), mechanisms.OrderStatistics),
     "marshall-olkin": (("gamma",), mechanisms.MarshallOlkin),
     "twopiece-eps": (("gamma",), mechanisms.TwoPiece.epsilon_skew),
@@ -118,11 +106,16 @@ FAMILIES = tuple(_FAMILIES)
 
 
 def build_mechanism(family: str, params: dict) -> mechanisms.SkewingMechanism:
-    """The mechanism a family name and its named parameters describe."""
+    """The mechanism a family name and its named parameters describe; a
+    name the family does not read is a usage error."""
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
     names, make = _FAMILIES[family]
-    if not names:
+    for name in params:
+        if name not in names:
+            raise UsageError(f"family {family!r} reads no --param {name!r}; "
+                             f"it reads {', '.join(names)}")
+    if make is _skewsym_custom:
         return make(params)
     return make(*[_param(params, family, name) for name in names])
 
@@ -221,8 +214,7 @@ def cmd_eval(args, out) -> int:
     if args.what in ("quantile", "p") and not np.all((grid > 0.0) & (grid < 1.0)):
         raise UsageError(f"--what {args.what} needs a grid inside (0, 1)")
     fn = {"pdf": dist.pdf, "cdf": dist.cdf, "quantile": dist.quantile, "p": mech.p}[args.what]
-    extra = (_tolerance(),) if args.what == "quantile" else ()
-    values = [fn(float(x), *extra) for x in grid]
+    values = [fn(float(x)) for x in grid]
     _emit_table(["x", "value"], [[float(x), v] for x, v in zip(grid, values)], args.format, out)
     return 0
 

@@ -348,9 +348,13 @@ class AzzaliniPi:
 # switch points were chosen by the error against mpmath, which
 # ``SkewSymmetric`` states. Where c sqrt(1 + alpha^2) passes 1e150, from
 # alpha ~ 1e103 at h = 1, t/h or the sums would leave the doubles:
-# ``_sn_log_light_far`` takes the integral with h^2 factored out.
+# ``_sn_log_light_far`` takes the integral with h^2 factored out. From
+# _SCALED_FROM, where ulp(h^2/2) passes 1e-8, ``_sn_log_heavy`` takes its
+# two terms relative to e^(-h^2/2); below it the plain form stays, as the
+# scaled one moves the last bits of most heavy tails within |y| <= 40.
 _LAGUERRE_FROM = 3.0
 _NEAR_MODE = 0.5
+_SCALED_FROM = 1e4
 
 
 @cache
@@ -442,14 +446,18 @@ def _sn_cdf_owen(y: float, alpha: float) -> float:
     return float(2.0 * _sp.owens_t(c, 1.0 / alpha) + _sp.ndtr(c) * math.erf(y / _SQRT2))
 
 
-def _sn_log_light(h: float, alpha: float) -> LogProb:
-    """ln S(-h) for alpha >= 0 and h >= 0."""
+def _sn_log_light(h: float, alpha: float, scaled: bool = False) -> LogProb:
+    """ln S(-h) for alpha >= 0 and h >= 0; scaled, ln(e^(h^2/2) S(-h)),
+    which every branch but Owen's T near the mode takes without adding its
+    term -h^2/2, so it is finite where h^2 overflows."""
     if h * math.hypot(1.0, alpha) < _NEAR_MODE:
-        return math.log(_sn_cdf_owen(-h, alpha))
+        log_cdf = math.log(_sn_cdf_owen(-h, alpha))
+        return log_cdf + 0.5 * h * h if scaled else log_cdf
+    gauss = 0.0 if scaled else -0.5 * (h * h)  # -inf where h^2 overflows, as for phi
     c = alpha * h
     if c > 1e150 / math.hypot(1.0, alpha):  # where t/h would overflow, or the sums underflow
-        return _sn_log_light_far(float(h), float(c))
-    log_front = -0.5 * h * h - math.log(math.pi * h)
+        return _sn_log_light_far(float(h), float(c), gauss)
+    log_front = gauss - math.log(math.pi * h)
     if c >= _LAGUERRE_FROM:
         return log_front - 0.5 * c * c + math.log(_laguerre_tail(c, h))
     x, w = _gauss_rules()[2:]
@@ -460,14 +468,15 @@ def _sn_log_light(h: float, alpha: float) -> LogProb:
     return log_front + math.log(mass)
 
 
-def _sn_log_light_far(h: float, c: float) -> LogProb:
-    """ln S(-h) from S(-h) = h e^(-h^2/2) / pi * int_c^inf exp(-t^2/2) / (h^2 + t^2) dt.
+def _sn_log_light_far(h: float, c: float, gauss: float) -> LogProb:
+    """ln S(-h), with gauss in place of its term -h^2/2, from
+    S(-h) = h e^(-h^2/2) / pi * int_c^inf exp(-t^2/2) / (h^2 + t^2) dt.
     Below _LAGUERRE_FROM, alpha > 3e149 here, so h^2 < 1e-297 t^2 drops out
     and the integral is e^(-c^2/2) / c - sqrt(2 pi) Phi(-c). Above it the
     Laguerre sum is taken relative to its integrand at t = c: with u = c/t,
     1 / (t (h^2 + t^2)) = c^-3 u^3 / (1 + (u h/c)^2), each term at most 1,
     so ln S is finite while c^2 is and -inf beyond."""
-    log_front = -0.5 * h * h + math.log(h / math.pi)
+    log_front = gauss + math.log(h / math.pi)
     if c < _LAGUERRE_FROM:
         return log_front + math.log(math.exp(-0.5 * c * c) / c - numcore._SQRT_2PI * float(_sp.ndtr(-c)))
     x, w = _gauss_rules()[:2]
@@ -478,9 +487,15 @@ def _sn_log_light_far(h: float, c: float) -> LogProb:
 
 def _sn_log_heavy(h: float, alpha: float) -> LogProb:
     """ln(1 - S(h)) for alpha >= 0 and h >= 0: 1 - S(h) = 2 Phi(-h) - S(-h),
-    where S(-h) <= Phi(-h), so nothing cancels."""
-    log_2sf = _LOG2 + float(_sp.log_ndtr(-h))
-    return log_2sf + math.log1p(-math.exp(_sn_log_light(h, alpha) - log_2sf))
+    where S(-h) <= Phi(-h), so nothing cancels. From _SCALED_FROM both terms
+    are taken relative to e^(-h^2/2), 2 Phi(-h) as erfcx(h / sqrt 2), as
+    two logs of size h^2/2 lose their gap of ln 2 or more to rounding."""
+    if h < _SCALED_FROM:
+        log_2sf = _LOG2 + float(_sp.log_ndtr(-h))
+        return log_2sf + math.log1p(-math.exp(_sn_log_light(h, alpha) - log_2sf))
+    log_2sf = math.log(_sp.erfcx(h / _SQRT2))
+    log_1m = math.log1p(-math.exp(_sn_log_light(h, alpha, scaled=True) - log_2sf))
+    return -0.5 * (h * h) + (log_2sf + log_1m)
 
 
 def _sn_log_cdf(y: float, alpha: float) -> LogProb:
@@ -501,6 +516,8 @@ class SkewSymmetric(SkewingMechanism):
     ``pi`` maps the real line to [0, 1] with pi(-y) = 1 - pi(y) almost
     everywhere, and maps an array to an array of its shape; both are
     checked at construction. Composed densities are 2 * phi(y) * pi(y).
+    Every array call of pi runs with numpy's overflow warning off: its own
+    arithmetic, such as alpha y, may overflow to +-inf.
 
     pi may carry ``log``, ``composed_log_cdf`` (ln S at a float) and
     ``mirror`` (pi(-y) as such an object), as ``AzzaliniPi`` does; the
@@ -515,7 +532,10 @@ class SkewSymmetric(SkewingMechanism):
     finite and raise no warning; on the light side ln S is about
     -(1 + alpha^2) y^2 / 2, within 1e-14 * max(1, |ln S|) of the integral's
     leading term at |alpha| = 1e103, 1e154, 1e200 and 3e300, and -inf
-    where (alpha y)^2 overflows.
+    where (alpha y)^2 overflows. The heavy log tail, ln(1 - S(y)) at y > 0
+    for alpha >= 0, is finite out to |y| = 1.34e154, within 1e-14 *
+    max(1, |ln|) of mpmath at |y| = 1e3 to 1e150 (``TestAzzaliniFarLogTails``),
+    and -inf beyond, with the other tail 0.0.
 
     The rule gives ln S(y) for y < Phi^-1(3/4) to ``DEFAULT_TOL``'s
     rel_tol, or raises ``ConvergenceError`` with the partial past 400
@@ -567,7 +587,8 @@ class SkewSymmetric(SkewingMechanism):
         self._log_pi = getattr(pi, "log", None)
         self._pi_log_cdf = getattr(pi, "composed_log_cdf", None)
         try:
-            vals = np.asarray(pi(_SYMMETRIC_GRID), dtype=float)
+            with np.errstate(over="ignore"):  # alpha y of a steep pi may overflow to inf
+                vals = np.asarray(pi(_SYMMETRIC_GRID), dtype=float)
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"pi must accept an array: {exc}") from exc
         if vals.shape != _SYMMETRIC_GRID.shape:
@@ -591,7 +612,8 @@ class SkewSymmetric(SkewingMechanism):
 
     def p(self, x):
         z = _sp.ndtri(_within(x, open_=True))
-        return _out(2.0 * np.asarray(self.pi(z), dtype=float))
+        with np.errstate(over="ignore"):
+            return _out(2.0 * np.asarray(self.pi(z), dtype=float))
 
     def composed_log_pdf(self, y):
         if self._log_pi is not None:
@@ -599,7 +621,7 @@ class SkewSymmetric(SkewingMechanism):
         if isinstance(y, float):  # a float skips np.errstate
             v = float(self.pi(y))
             return _LOG2 + (math.log(v) if v > 0.0 else _NEG_INF) + float(numcore._log_normal_pdf(y))
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             log_pi = np.log(np.asarray(self.pi(y), dtype=float))
         return _LOG2 + log_pi + numcore._log_normal_pdf(y)
 
@@ -692,9 +714,9 @@ class SkewSymmetric(SkewingMechanism):
         peak = np.minimum(np.maximum(lo, y), hi)
         top = peak * (y - 0.5 * peak)  # the exponent's largest value on the panel
         f = np.exp(s * (y - 0.5 * s) - top[:, None])
-        f *= np.asarray(self.pi((y - s).ravel()), dtype=float).reshape(s.shape)
-        gauss, lobatto = f @ w_gauss, f @ w_lobatto
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
+            f *= np.asarray(self.pi((y - s).ravel()), dtype=float).reshape(s.shape)
+            gauss, lobatto = f @ w_gauss, f @ w_lobatto
             # the half-width in logs: on [0, 5e-324] it rounds to 0
             shift = top + np.log(hi - lo) - _LOG2
             return shift + np.log(gauss), shift + np.log(np.abs(gauss - lobatto))
@@ -821,7 +843,8 @@ class SkewSymmetric(SkewingMechanism):
         # the sign flip (Wang, Boyer & Genton 2004): X ~ N(0, 1) kept where
         # U <= pi(X), else negated, has density 2 phi pi as pi(-y) = 1 - pi(y)
         x = rng.standard_normal(n)
-        keep = rng.uniform(n) <= np.asarray(self.pi(x), dtype=float)
+        with np.errstate(over="ignore"):
+            keep = rng.uniform(n) <= np.asarray(self.pi(x), dtype=float)
         return x * (2.0 * keep - 1.0)  # -x where not kept, no branch per draw
 
     @cached_property
@@ -830,7 +853,8 @@ class SkewSymmetric(SkewingMechanism):
         of the composed density, anchored by the exact log tail at -13."""
         nodes, weights, phi = _table_rule()
         y, t = _TABLE_Y, _table_nodes(nodes)
-        w = 2.0 * np.asarray(self.pi(t.ravel()), dtype=float).reshape(t.shape)
+        with np.errstate(over="ignore"):
+            w = 2.0 * np.asarray(self.pi(t.ravel()), dtype=float).reshape(t.shape)
         w *= phi
         panels = 0.5 * (y[1] - y[0]) * (w @ weights)
         left = math.exp(self.composed_log_cdf(float(y[0])))

@@ -93,7 +93,12 @@ def mp_skew_normal_log_tails(y, alpha) -> tuple[float, float]:
 
     Negative shapes reflect, S_alpha(y) = 1 - S_-alpha(-y); for alpha >= 0
     the far side is 1 - S(h) = 2 Phi(-h) - S(-h) with S(-h) <= Phi(-h).
+    Shape 0 is the normal law, S = Phi: from |y| ~ 1e10 the far side's
+    difference would need h^2 to more digits than the integral is taken
+    to, while for alpha > 0 S(-h) is below 2 Phi(-h) by e^(-alpha^2 h^2 / 2).
     """
+    if alpha == 0:
+        return float(mp.log(mp.ncdf(y))), float(mp.log(mp.ncdf(-y)))
     if alpha < 0:
         log_cdf, log_sf = mp_skew_normal_log_tails(-y, -alpha)
         return log_sf, log_cdf

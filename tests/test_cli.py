@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import mp_skew_symmetric_log_tails
 from skewlab import cli, divisibility, mechanisms
+from skewlab.distributions import StandardNormal
 from skewlab.cli import FAMILIES, UsageError, _json, build_mechanism, main
 
 
@@ -340,7 +341,6 @@ class TestLogisticPi:
     def test_tail_out_to_forty(self, capsys, alpha):
         import mpmath as mp
         import numpy as np
-        from oracles import mp_skew_symmetric_log_tails
 
         code, out, _ = run_cli(capsys, "tail", "--family", "skewsym-custom", "--param",
                                "pi=logistic", "--param", f"alpha={alpha!r}", "--ys", "5,20,40")
@@ -460,53 +460,21 @@ class TestVerify:
         assert any(r[4] == "false" for r in rows)
 
 
-class TestEnvTolerance:
-    def test_tolerance_override_applies(self, capsys, monkeypatch):
-        monkeypatch.setenv("SKEWLAB_TOL", "1e-9")
-        code, out, _ = run_cli(capsys, "eval", "--family", "skewsym-custom",
-                               "--param", "pi=logistic", "--param", "alpha=1.5",
-                               "--what", "quantile", "--grid=0.25:0.75:3")
-        assert code == 0
-        _, rows = parse_csv(out)
-        # logistic skewing at q=0.75 must invert back through the cdf
-        from skewlab.cli import build_mechanism
-        from skewlab.mechanisms import compose
-        from skewlab.distributions import StandardNormal
-        dist = compose(StandardNormal(), build_mechanism(
-            "skewsym-custom", {"pi": "logistic", "alpha": 1.5}))
-        assert dist.cdf(float(rows[2][1])) == pytest.approx(0.75, abs=1e-6)
-
-    def test_tolerance_changes_quantiles(self, capsys, monkeypatch):
-        # at q = 1e-300, below the CDF table's first value, Newton starts at
-        # the bracket's lower end and takes several steps
+class TestNoEnvironment:
+    def test_skewlab_tol_is_not_read(self, capsys, monkeypatch):
+        # the CLI reads only its flags: a quantile takes the library's
+        # default tolerance whatever SKEWLAB_TOL, once read here, holds
         argv = ("eval", "--family", "skewsym-custom", "--param", "pi=logistic",
                 "--param", "alpha=2", "--what", "quantile", "--grid=1e-300:1e-200:5")
-        _, default, _ = run_cli(capsys, *argv)
-        monkeypatch.setenv("SKEWLAB_TOL", "1e-3")
-        code, loose, _ = run_cli(capsys, *argv)
-        assert code == 0
-        loose, default = parse_csv(loose)[1][0][1], parse_csv(default)[1][0][1]
-        assert loose == "-35.11966770173825"
-        assert default == "-35.11966770173996"
-        assert loose != default and abs(float(loose) - float(default)) <= 1e-3
-        logistic = lambda t: 1 / (1 + mp.exp(-2 * t))
-        log_cdf = mp_skew_symmetric_log_tails(logistic, float(default), ())[0]
-        assert abs(log_cdf - math.log(1e-300)) <= 1e-12
-
-    def test_bad_value_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("SKEWLAB_TOL", "not-a-number")
-        code, _, err = run_cli(capsys, "eval", "--family", "azzalini",
-                               "--param", "alpha=1", "--what", "quantile",
-                               "--grid=0.25:0.75:3")
-        assert code == 2
-        assert "SKEWLAB_TOL" in err
-
-    @pytest.mark.parametrize("what", ["pdf", "cdf", "p"])
-    def test_bad_value_is_read_by_quantile_only(self, capsys, monkeypatch, what):
-        monkeypatch.setenv("SKEWLAB_TOL", "not-a-number")
-        code, _, _ = run_cli(capsys, "eval", "--family", "azzalini", "--param", "alpha=1",
-                             "--what", what, "--grid=0.25:0.75:3")
-        assert code == 0
+        monkeypatch.delenv("SKEWLAB_TOL", raising=False)
+        code, unset, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        dist = mechanisms.compose(StandardNormal(), build_mechanism(
+            "skewsym-custom", {"pi": "logistic", "alpha": 2.0}))
+        assert parse_csv(unset)[1][0][1] == repr(dist.quantile(1e-300))
+        for value in ("1e-3", "not-a-number"):
+            monkeypatch.setenv("SKEWLAB_TOL", value)
+            assert run_cli(capsys, *argv) == (0, unset, "")
 
 
 class TestRepeatedCalls:
@@ -652,11 +620,41 @@ class TestFamilyTable:
          "skewsym-custom requires --param pi=<cauchy-cdf|half|logistic|sign>"),
         ("nope", {}, "unknown family 'nope'; choose from azzalini, skewsym-custom, "
                      "orderstats, marshall-olkin, twopiece-eps, twopiece-isf, twopiece-ab"),
+        ("skewsym-custom", {"pi": "logistic", "alph": 10.0},
+         "family 'skewsym-custom' reads no --param 'alph'; it reads pi, alpha"),
+        ("orderstats", {"psi1": 2.0, "psi2": 3.0, "psi3": 1.0},
+         "family 'orderstats' reads no --param 'psi3'; it reads psi1, psi2"),
+        ("azzalini", {"alpha": 1.0, "pi": "logistic"},
+         "family 'azzalini' reads no --param 'pi'; it reads alpha"),
     ])
     def test_usage_error_texts(self, family, params, text):
         with pytest.raises(UsageError) as info:
             build_mechanism(family, params)
         assert str(info.value) == text
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_name_the_family_does_not_read_is_refused(self, family):
+        params = {**FAMILY_INSTANCES[family][0], "typo": 1.0}
+        with pytest.raises(UsageError, match="reads no --param 'typo'"):
+            build_mechanism(family, params)
+
+    @pytest.mark.parametrize("kind", ["half", "sign"])
+    def test_pis_without_a_shape_accept_alpha(self, kind):
+        with_alpha = build_mechanism("skewsym-custom", {"pi": kind, "alpha": 5.0})
+        without = build_mechanism("skewsym-custom", {"pi": kind})
+        ys = np.linspace(-3.0, 3.0, 13)
+        assert np.array_equal(with_alpha.pi(ys), without.pi(ys))
+
+    @pytest.mark.parametrize("typo,argv", [
+        ("alph", ("eval", "--family", "skewsym-custom", "--param", "pi=logistic",
+                  "--param", "alph=10", "--what", "cdf", "--grid=-1:1:3")),
+        ("gama", ("check", "--family", "marshall-olkin", "--param", "gamma=2",
+                  "--param", "gama=3")),
+    ])
+    def test_a_misspelt_param_exits_2(self, capsys, typo, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"reads no --param {typo!r}" in err
 
 
 class TestFormatOption:

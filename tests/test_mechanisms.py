@@ -888,10 +888,61 @@ class TestAzzaliniClosedForm:
         for y in (-30.0, -5.0, 0.5, 8.0):
             want = float(2 * mp.log(mp.ncdf(y)))
             assert mp_skew_normal_log_tails(y, 1.0)[0] == pytest.approx(want, rel=1e-15, abs=1e-300)
-        # alpha = 0 gives S = Phi, also within 1e-12 of the mode
+        # alpha = 0 gives S = Phi, also within 1e-12 of the mode; the oracle
+        # takes Phi there, so its integral is checked on its own
         for y in (-40.0, -1e-12, 1e-300, 1e-12, 3.0):
             want = float(mp.log(mp.ncdf(y)))
             assert mp_skew_normal_log_tails(y, 0.0)[0] == pytest.approx(want, rel=1e-15, abs=1e-300)
+            h = abs(y)
+            assert abs(_mp_skew_normal_light(h, 0.0) / mp.ncdf(-mp.mpf(h)) - 1) <= 1e-18
+
+
+# |y| far past the north star's 40, up to where y^2 overflows a double
+AZZ_FAR_ALPHAS = (0.0, 0.5, 3.0, 50.0, -2.0)
+AZZ_FAR_YS = tuple(s * y for y in (1e3, 1e8, 1e10, 1e20, 1e100, 1e150) for s in (1.0, -1.0))
+
+
+class TestAzzaliniFarLogTails:
+    """The heavy tail, ln(1 - S(y)) at y > 0 for alpha >= 0, is
+    2 Phi(-y) - S(-y), each taken relative to e^(-y^2/2): the difference
+    of their logs, each of size y^2/2, lost their gap of ln 2 or more to
+    rounding, and overflowed in exp or met log(0) from |y| ~ 1e8."""
+
+    @pytest.mark.parametrize("alpha", AZZ_FAR_ALPHAS)
+    @pytest.mark.parametrize("y", AZZ_FAR_YS)
+    def test_log_tails_against_the_oracle(self, alpha, y):
+        dist = compose(StandardNormal(), SkewSymmetric.azzalini(alpha))
+        want_cdf, want_sf = mp_skew_normal_log_tails(y, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dist.log_cdf(y), dist.log_sf(y)
+        for got_log, want in zip(got, (want_cdf, want_sf)):
+            assert math.isfinite(got_log), (got, want_cdf, want_sf)
+            assert abs(got_log - want) <= AZZ_LOG_REL * max(1.0, abs(want)), (got_log, want)
+
+    @pytest.mark.parametrize("alpha", AZZ_FAR_ALPHAS)
+    def test_past_the_square_the_tails_are_their_limits(self, alpha):
+        dist = compose(StandardNormal(), SkewSymmetric.azzalini(alpha))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y in (1e155, 1e300, -1e155, -1e300):
+                for v in (y, np.float64(y)):
+                    small, other = (dist.log_sf(v), dist.log_cdf(v)) if y > 0.0 else (
+                        dist.log_cdf(v), dist.log_sf(v))
+                    assert (small, other) == (-math.inf, 0.0), (y, small, other)
+                    assert dist.cdf(v) == (1.0 if y > 0.0 else 0.0)
+            # the heavy tail is finite out to 1.34e154, where y^2 still is
+            heavy = dist.log_sf(1.34e154) if alpha >= 0.0 else dist.log_cdf(-1.34e154)
+            assert heavy == pytest.approx(-0.5 * 1.34e154**2, rel=1e-15)
+
+    def test_cli_cdf_far_out(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["eval", "--family", "azzalini", "--param", "alpha=0", "--what", "cdf",
+                             "--grid=1e10:1e20:3"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == "x,value\n10000000000.0,1.0\n5.0000000004999995e+19,1.0\n1e+20,1.0\n"
 
 
 class TestSkewSymmetricQuantileInY:
@@ -2288,4 +2339,31 @@ class TestPanelRuleEnds:
             with _within_seconds(5), pytest.raises(ConvergenceError, match="NaN from pi") as info:
                 dist.log_cdf(y)
             assert info.value.partial is None
+
+
+class TestNamedPisWhereAlphaYOverflows:
+    """The logistic and cauchy-cdf pis take alpha y, which overflows to
+    +-inf near the largest double, where pi is exactly 0 or 1: the array
+    sites that call pi switch numpy's overflow warning off."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "cauchy-cdf"])
+    def test_construction_at_a_huge_shape(self, std, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mech = cli.build_mechanism("skewsym-custom", {"pi": kind, "alpha": 1e308})
+            dist = compose(std, mech)
+            assert mech.p(np.array([0.1, 0.5, 0.9])).tolist() == [0.0, 1.0, 2.0]
+            assert dist.cdf(-1.0) == 0.0 and dist.cdf_array(np.array([-1.0]))[0] == 0.0
+            assert np.all(sample_skewed(dist, RngState(3), 1000) >= 0.0)
+
+    @pytest.mark.parametrize("kind", ["logistic", "cauchy-cdf"])
+    def test_density_at_the_largest_double(self, std, kind):
+        dist = compose(std, cli.build_mechanism("skewsym-custom", {"pi": kind, "alpha": 2.0}))
+        largest = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y in (largest, -largest):
+                assert dist.pdf(np.array([y]))[0] == 0.0
+                assert dist.log_pdf(np.array([y]))[0] == -np.inf
+                assert dist.pdf(y) == 0.0 and dist.log_pdf(y) == -math.inf
 
