@@ -19,7 +19,12 @@ Each family name appears once, in ``_FAMILIES``, with its ``--param``
 names and constructor; ``FAMILIES``, the ``--family`` choices and
 ``build_mechanism`` all read it. A ``--param`` whose name the family does
 not read is a usage error. skewsym-custom reads pi and alpha, which the
-half and sign pis accept and ignore.
+half and sign pis accept and ignore. Its half, sign and logistic pis are
+``mechanisms.HalfPi``, ``SignPi`` and ``LogisticPi``: the first two give
+the closed-form ln S of their laws (the normal and the half-normal), so
+no float call of theirs runs the panel rule, and the logistic pi gives
+ln pi, so its density stays finite where pi underflows. cauchy-cdf is a
+plain function of y, whose ln S is the panel rule's.
 
 The argument parser is built once per process, on the first ``main``
 call, and reused: ``main`` can be called repeatedly in one process, and
@@ -37,7 +42,6 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import NoReturn
 
 import numpy as np
-from scipy import special
 
 from . import divisibility, mechanisms
 from .distributions import RngState, StandardNormal
@@ -45,12 +49,14 @@ from .errors import SkewlabError
 
 _STD = StandardNormal()
 
-# named skewing functions for the skewsym-custom family; each takes a float
-# or a float array of y
+# named skewing functions for the skewsym-custom family, each made from
+# alpha; each takes a float or a float array of y. The half and sign pis
+# carry the closed-form ln S of their laws, the logistic pi its ln pi;
+# cauchy-cdf is a plain function, whose ln S is the panel rule's
 _PI_REGISTRY = {
-    "half": lambda alpha: (lambda y: 0.0 * y + 0.5),
-    "sign": lambda alpha: (lambda y: (y >= 0.0) * 1.0),
-    "logistic": lambda alpha: (lambda y: special.expit(alpha * y)),  # no overflow far out
+    "half": lambda alpha: mechanisms.HalfPi(),
+    "sign": lambda alpha: mechanisms.SignPi(),
+    "logistic": mechanisms.LogisticPi,
     "cauchy-cdf": lambda alpha: (lambda y: 0.5 + np.arctan(alpha * y) / math.pi),
 }
 

@@ -7,7 +7,8 @@ S(y) = P(Phi(y)). Four families are implemented:
 
 * ``SkewSymmetric``: p(x) = 2*pi(Phi^-1(x)) for a skewing function pi with
   0 <= pi <= 1 and pi(-y) = 1 - pi(y); ``AzzaliniPi`` packages the
-  pi(y) = Phi(alpha*y) instance.
+  pi(y) = Phi(alpha*y) instance, and ``SignPi``, ``HalfPi`` and
+  ``LogisticPi`` the named pis of the command line but cauchy-cdf.
 * ``OrderStatistics``: p is a Beta(psi1, psi2) density.
 * ``MarshallOlkin``: p(x) = gamma / (x + gamma*(1-x))^2.
 * ``TwoPiece``: differently scaled halves of the normal density on either
@@ -17,7 +18,8 @@ S(y) = P(Phi(y)). Four families are implemented:
 Log tails stay finite out to |y| ~ 40, where S is numerically 0 or 1. A
 family writes the lower one, ``composed_log_cdf``: closed or series
 forms, or for ``SkewSymmetric`` pi's own (``AzzaliniPi``, through Owen's
-T), else a composite Gauss-Legendre rule. Its ``mirror``, the mechanism
+T; ``SignPi`` and ``HalfPi``, through erf), else a composite
+Gauss-Legendre rule. Its ``mirror``, the mechanism
 x -> 1 - P(1 - x) of -Y, is in the same family and gives the upper tail
 at -y. Both log tails take a float or an array; every family takes an
 array one float call per element, through ``SkewingMechanism``'s one lift,
@@ -63,6 +65,9 @@ from .numcore import DEFAULT_TOL, LogProb, Tolerance
 __all__ = [
     "SkewingMechanism",
     "AzzaliniPi",
+    "HalfPi",
+    "SignPi",
+    "LogisticPi",
     "SkewSymmetric",
     "OrderStatistics",
     "MarshallOlkin",
@@ -333,6 +338,111 @@ class AzzaliniPi:
         return f"AzzaliniPi(alpha={self.alpha})"
 
 
+# erf(y / sqrt 2) = y sqrt(2/pi) (1 - y^2/6 + ...): below 2^-1021, where
+# y / sqrt 2 or erf of it would be subnormal, ln S is ln y + ln sqrt(2/pi)
+_SIGN_SERIES_BELOW = 2.0**-1021
+_LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
+
+
+def _log_2cdf(y: float) -> LogProb:
+    """ln 2 Phi(y) = ln erfc(-y / sqrt 2) for y <= 0: log1p(-erf) above -1,
+    else -y^2/2 + ln erfcx(-y / sqrt 2), which is -inf where y^2 overflows.
+    On 2,000 random y in [-40, 0] it was within 3.2 ulps of mpmath, where
+    ln 2 + log_ndtr(y) was 3.8 ulps off below -1 and 4.6e5 near 0."""
+    if y > -1.0:
+        return math.log1p(-math.erf(-y / _SQRT2))
+    return -0.5 * (y * y) + math.log(_sp.erfcx(-y / _SQRT2))  # erfcx > 0 for every finite y
+
+
+class HalfPi:
+    """Skewing function pi(y) = 1/2, which composes to the standard normal:
+    ``SkewSymmetric`` takes ln S = ln Phi(y) at a float from ``math.erfc``
+    above 0 and ``_log_2cdf`` below, with no rule; against mpmath their
+    mean errors were below ``log_ndtr``'s. pi is its own mirror. Past |y| = 1.34e154,
+    where y^2 overflows, ln S is -inf below and 0 above, as the rule
+    gives."""
+
+    def __call__(self, y):
+        return 0.0 * y + 0.5
+
+    @property
+    def mirror(self) -> "HalfPi":
+        return self
+
+    def composed_log_cdf(self, y: float) -> LogProb:
+        if y > 0.0:
+            return math.log1p(-0.5 * math.erfc(y / _SQRT2))
+        return _log_2cdf(y) - _LOG2
+
+    def __repr__(self) -> str:
+        return "HalfPi()"
+
+
+class SignPi:
+    """Skewing function pi(y) = 1[y >= 0], or with ``lower`` its mirror
+    1[y <= 0]. pi composes to the half-normal law, S(y) = erf(y / sqrt 2)
+    above 0 (Azzalini's at alpha -> inf), and the mirror to minus it,
+    S(y) = 2 Phi(y) below 0; ``SkewSymmetric`` takes ln S from these
+    closed forms at a float, with no rule. ln S is -inf where S is 0 and 0
+    where it is 1, and so past |y| = 1.34e154, where y^2 overflows."""
+
+    def __init__(self, lower: bool = False):
+        self.lower = lower
+
+    def __call__(self, y):
+        return (y <= 0.0) * 1.0 if self.lower else (y >= 0.0) * 1.0
+
+    @cached_property
+    def mirror(self) -> "SignPi":
+        return SignPi(not self.lower)
+
+    def composed_log_cdf(self, y: float) -> LogProb:
+        if self.lower:
+            return 0.0 if y >= 0.0 else _log_2cdf(y)
+        if y <= 0.0:
+            return _NEG_INF
+        if y > 1.0:  # erf near 1: from erfc, which keeps its digits
+            return math.log1p(-math.erfc(y / _SQRT2))
+        if y < _SIGN_SERIES_BELOW:
+            return math.log(y) + _LOG_SQRT_2_OVER_PI
+        return math.log(math.erf(y / _SQRT2))
+
+    def __repr__(self) -> str:
+        return f"SignPi(lower={self.lower})"
+
+
+class LogisticPi:
+    """Skewing function pi(y) = 1 / (1 + e^(-alpha y)), with ``log``, ln pi
+    = -ln(1 + e^(-alpha y)): ln of ``expit(alpha y)`` where that is a normal
+    double, and alpha y itself below, where ln(1 + e^(alpha y)) is below an
+    ulp of it. So the composed density stays finite where pi underflows, and
+    keeps its bits elsewhere. An array runs with numpy's overflow warning
+    off, as alpha y may overflow to +-inf."""
+
+    def __init__(self, alpha: float):
+        self.alpha = alpha
+
+    def __call__(self, y):
+        return _sp.expit(self.alpha * y)
+
+    def log(self, y):
+        if isinstance(y, float):  # np.float64 too: its own product would warn
+            t = self.alpha * float(y)
+            v = float(_sp.expit(t))
+            return math.log(v) if v >= numcore._SMALLEST_NORMAL else t
+        with np.errstate(over="ignore", divide="ignore"):
+            t = self.alpha * y
+            v = _sp.expit(t)
+            return np.where(v >= numcore._SMALLEST_NORMAL, np.log(v), t)
+
+    @cached_property
+    def mirror(self) -> "LogisticPi":
+        return LogisticPi(-self.alpha)
+
+    def __repr__(self) -> str:
+        return f"LogisticPi(alpha={self.alpha})"
+
+
 # The skew-normal CDF is S(y) = Phi(y) - 2 T(y, alpha), T Owen's function
 # (Azzalini 1985). For alpha > 0 the difference cancels on the light side,
 # y < 0: for alpha = 3 it is 0 in doubles at y = -5, where ln S = -132.8.
@@ -520,12 +630,14 @@ class SkewSymmetric(SkewingMechanism):
     arithmetic, such as alpha y, may overflow to +-inf.
 
     pi may carry ``log``, ``composed_log_cdf`` (ln S at a float) and
-    ``mirror`` (pi(-y) as such an object), as ``AzzaliniPi`` does; the
-    mirror mechanism is ``SkewSymmetric(pi.mirror)``, else that of pi(-y).
-    ln S is pi's, else a fixed rule (see the comment above
-    ``_PANEL_EDGES``); an array of y takes one float call per element, as
-    in every family. The two-sided tail mass, ``composed_log_tail_mass``,
-    is ln 2 Phi(-y) for every pi (module docstring). Azzalini's closed
+    ``mirror`` (pi(-y) as such an object), as ``AzzaliniPi`` does, and
+    ``SignPi`` and ``HalfPi`` without ``log``, ``LogisticPi`` without
+    ``composed_log_cdf``; the mirror mechanism is
+    ``SkewSymmetric(pi.mirror)``, else that of pi(-y). ln S is pi's, else a
+    fixed rule (see the comment above ``_PANEL_EDGES``); an array of y
+    takes one float call per element, as in every family. The two-sided
+    tail mass, ``composed_log_tail_mass``, is ln 2 Phi(-y) for every pi
+    (module docstring). Azzalini's closed
     form, through Owen's T, is within 1e-14 * max(1, |ln S|) of mpmath for
     |alpha| <= 1e3 and |y| <= 40 (tests/test_mechanisms.py,
     ``TestAzzaliniClosedForm``). Up to |alpha| = 3e300 both log tails are
@@ -541,9 +653,15 @@ class SkewSymmetric(SkewingMechanism):
     rel_tol, or raises ``ConvergenceError`` with the partial past 400
     panels a stretch; where pi has no mass down to the exponent -2880, S
     is 0. Where S is 3/4 or more, or above e^(-1/32), ln S is ln(1 - e^v),
-    v the mirror's ln S at -y. A pi smooth off 0 (the CLI's named pis)
-    gives ln S and ln(1 - S) within 1e-14 * max(1, |ln|) of mpmath for
-    |y| <= 40 (``TestCustomPiPanelRule``). One that jumps elsewhere can
+    v the mirror's ln S at -y. A pi smooth off 0 (the CLI's logistic pi at
+    alpha = 1 and 10 and its cauchy-cdf pi, and 1[y >= 0] as a plain
+    function) gives ln S and ln(1 - S) within 1e-14 * max(1, |ln|) of
+    mpmath for |y| <= 40 (``TestCustomPiPanelRule``). The sign and half
+    pis' closed forms were within 3e-16 * max(1, |ln|) on [-40, 40] and
+    at 5e-324 (``TestClosedFormPis`` holds them to 1e-14). The logistic
+    pi's ``log`` keeps the density finite where pi underflows (alpha = 100
+    at y = -8), but the rule multiplies by pi in linear space, so its ln S
+    is still -inf there. One that jumps elsewhere can
     miss rel_tol next to the jump, where bisection has brought it near a
     panel's edge and the error estimate under-reads it: for a pi that
     jumps at -1, ln S is 5.5e-9 off at y = -1 + 1e-8 and 5.6e-6 off at
@@ -567,11 +685,14 @@ class SkewSymmetric(SkewingMechanism):
     log-CDF call; the mechanism's first quantile builds its table, and its
     mirror's past S(0), about 0.4 to 1.3 ms each, once, as a first array
     call does. The tail mass at the root was within 2.3e-13 in ln of
-    mpmath for Azzalini alpha = -50, -2, 0.5, 3 and 50 and the named pis
-    (logistic 2 and 10, cauchy-cdf, sign) at q from 1e-300 to 1 - 1e-12,
-    and the sign pi's root, the bracket's upper end sqrt 2 erfinv(q),
-    within 2 ulps for q down to 1e-300 (``TestSkewSymmetricQuantileRoot``
-    holds them to 1e-12 and 4 ulps).
+    mpmath for Azzalini alpha = -50, -2, 0.5, 3 and 50 and the rule's pis
+    (logistic 2 and 10, cauchy-cdf, 1[y >= 0]) at q from 1e-300 to
+    1 - 1e-12, and that pi's root, the bracket's upper end
+    sqrt 2 erfinv(q), within 2 ulps for q down to 1e-300
+    (``TestSkewSymmetricQuantileRoot`` holds them to 1e-12 and 4 ulps). On
+    the closed forms, the sign law's root was within 2.4 ulps of
+    sqrt 2 erfinv(q) and the half law's within 3.4 of Phi^-1(q), for q
+    from 5e-324 to 1 - 1e-12 (``TestClosedFormPis`` holds them to 4).
     Arrays (not draws, the sign flip) take the base class's rules on a
     cached table of S on [-13, 0], step h = 13/8192, summed by 5-point
     Gauss panels from the exact S(-13), and on the mirror's above; the CDF

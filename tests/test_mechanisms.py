@@ -1048,7 +1048,9 @@ class TestCustomPiNearZero:
 
 
 # Custom pis for the panel rule, each with its mpmath twin and the points
-# where it jumps: the CLI's named pis, and one that jumps at -1 and 1.
+# where it jumps: the CLI's logistic and cauchy-cdf pis, 1[t >= 0] as a
+# plain function (the CLI's sign pi states its law, so the rule never sees
+# it), and one that jumps at -1 and 1.
 def _jump_pi(t):
     t = np.asarray(t, dtype=float)
     return np.where(t >= 1.0, 1.0, np.where(t > -1.0, 0.5, 0.0))
@@ -1067,7 +1069,7 @@ def _named_pi(kind, alpha=1.0):
 
 
 CUSTOM_PIS = {
-    "sign": (_named_pi("sign"), lambda t: mp.mpf(1 if t >= 0 else 0), (0,)),
+    "sign": (SkewSymmetric(lambda t: (t >= 0.0) * 1.0), lambda t: mp.mpf(1 if t >= 0 else 0), (0,)),
     "logistic-1": (_named_pi("logistic", 1.0), _mp_logistic(1), ()),
     "logistic-10": (_named_pi("logistic", 10.0), _mp_logistic(10), ()),
     "cauchy-cdf": (_named_pi("cauchy-cdf"), lambda t: mp.mpf(1) / 2 + mp.atan(t) / mp.pi, ()),
@@ -1184,6 +1186,18 @@ class TestCustomPiPanelRule:
         assert len(stretches) == 2, stretches
         assert stretches[1][1] < stretches[1][2]
 
+    @pytest.mark.parametrize("y", [-40.0, -8.0, -1.0, -1e-9, 0.0, 5e-324, 1e-9, 0.3,
+                                   0.6744897501960817, 1.0, 2.5, 8.0, 40.0])
+    def test_rule_on_the_plain_sign_pi_meets_its_closed_form(self, y):
+        # within the rule's stated 1e-14 * max(1, |ln|) for a pi smooth off 0
+        rule, closed = CUSTOM_PIS["sign"][0], _named_pi("sign")
+        for got, want in ((rule.composed_log_cdf(y), closed.composed_log_cdf(y)),
+                          (rule.composed_log_sf(y), closed.composed_log_sf(y))):
+            if math.isinf(want):
+                assert got == want, (got, want)
+            else:
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (got, want)
+
     def test_rule_nodes_are_made_on_first_use(self):
         # not at import or construction, so setup costs no eigensolve
         code = ("from skewlab import cli, mechanisms; "
@@ -1199,6 +1213,129 @@ class TestCustomPiPanelRule:
             for k in range(28):
                 assert w @ x**k == pytest.approx((1 + (-1) ** k) / (k + 1), abs=2e-15)
 
+
+# The pis that state the law they compose to: the CLI's sign pi (the
+# half-normal, S(y) = erf(y / sqrt 2) above 0), its mirror 1[t <= 0] (S(y)
+# = 2 Phi(y) below 0) and the CLI's half pi (the normal)
+CLOSED_PIS = ("half", "sign", "sign-mirror")
+CLOSED_YS = tuple(np.linspace(-40.0, 40.0, 801).tolist()) + (
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-9, -1e-9, 2.0**-1021,
+    math.nextafter(2.0**-1021, 0.0), 1.0, math.nextafter(1.0, 2.0), -1.0, math.nextafter(-1.0, 0.0))
+CLOSED_QS = (5e-324, 1e-300, 1e-100, 1e-20, 1e-12, 1e-6, 0.01, 0.25, 0.5, 0.75, 0.99,
+             1 - 1e-6, 1 - 1e-12)
+
+
+def _closed_pi_law(name):
+    """A fresh mechanism of a closed-form pi, with no table built yet."""
+    mech = _named_pi("half" if name == "half" else "sign")
+    return mech.mirror if name == "sign-mirror" else mech
+
+
+def _mp_closed_log_tails(name, y):
+    """(ln S(y), ln(1 - S(y))) of a closed-form pi's law, as mpf."""
+    y = mp.mpf(y)
+    if name == "half":
+        return mp.log(mp.ncdf(y)), mp.log(mp.ncdf(-y))
+    flip = name == "sign-mirror"  # the law of -Y: the sign law's tails at -y, swapped
+    h = -y if flip else y
+    tails = ((mp.log(mp.erf(h / mp.sqrt(2))), mp.log(mp.erfc(h / mp.sqrt(2)))) if h > 0
+             else (mp.ninf, mp.mpf(0)))
+    return tails[::-1] if flip else tails
+
+
+def _mp_closed_quantile(name, q):
+    """sqrt 2 erfinv(q) for the sign law; Phi^-1(q) for the half law, rooted
+    on ln Phi below 1/2 and minus that at 1 - q, exact, above."""
+    if name == "sign":
+        return float(mp.sqrt(2) * mp.erfinv(q))
+    if q >= 0.5:  # Phi(0) = 1/2 exactly; a root there is only as good as the digits
+        return 0.0 if q == 0.5 else -_mp_closed_quantile(name, 1.0 - q)
+    log_q = mp.log(mp.mpf(q))
+    start = float(sp.ndtri_exp(math.log(q)))
+    return float(mp.findroot(lambda t: mp.log(mp.ncdf(t)) - log_q, start))
+
+
+class TestClosedFormPis:
+    """The sign pi, its mirror and the half pi carry ln S of their laws in
+    closed form, so ``SkewSymmetric`` never runs the panel rule for them:
+    log tails and CDF within 1e-14 * max(1, |ln|) of mpmath, quantiles
+    within 4 ulps. Their draws and arrays come from pi itself, which is
+    the plain function the CLI used to register."""
+
+    @pytest.mark.parametrize("name", CLOSED_PIS)
+    def test_log_tails_and_cdf_against_mpmath(self, std, name):
+        dist = compose(std, _closed_pi_law(name))
+        for y in CLOSED_YS:
+            want_cdf, want_sf = _mp_closed_log_tails(name, y)
+            for got, want in ((dist.log_cdf(y), want_cdf), (dist.log_sf(y), want_sf)):
+                if mp.isinf(want):
+                    assert got == -math.inf, (y, got)
+                else:
+                    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (y, got, want)
+            # S from its log at 40 digits; below the normal doubles, within a subnormal step
+            s = mp.exp(want_cdf)
+            tol = 1e-14 * max(1.0, abs(float(want_cdf))) * s + 5e-324 if s > 0 else 0.0
+            assert abs(dist.cdf(y) - s) <= tol, (y, dist.cdf(y), s)
+
+    @pytest.mark.parametrize("q", CLOSED_QS)
+    @pytest.mark.parametrize("name", ["half", "sign"])
+    def test_quantile_within_4_ulps(self, std, name, q):
+        y = compose(std, _closed_pi_law(name)).quantile(q)
+        want = _mp_closed_quantile(name, q)
+        assert abs(y - want) <= 4 * math.ulp(want), (y, want)
+
+    @pytest.mark.parametrize("name", CLOSED_PIS)
+    def test_never_calls_the_panel_rule(self, std, monkeypatch, name):
+        def forbidden(self, y):
+            raise AssertionError(f"panel rule called at y = {y!r}")
+
+        monkeypatch.setattr(SkewSymmetric, "_rule_log_cdf", forbidden)
+        dist = compose(std, _closed_pi_law(name))  # its tables are built here
+        for y in (-40.0, -13.0, -1.0, -0.0, 0.0, 1e-9, 0.5, 1.0, 40.0):
+            dist.cdf(y), dist.log_cdf(y), dist.log_sf(y)
+        for q in CLOSED_QS:
+            dist.quantile(q)
+        dist.cdf_array(np.linspace(-14.0, 14.0, 29))
+        dist.quantile_array(np.array(CLOSED_QS))
+
+    def test_sign_draws_and_arrays_are_the_plain_functions(self, std):
+        named = compose(std, _closed_pi_law("sign"))
+        plain = compose(std, SkewSymmetric(lambda t: (t >= 0.0) * 1.0))
+        for seed in (1, 7):
+            want = sample_flip(lambda t: (t >= 0.0) * 1.0, RngState(seed), 10**4)
+            assert sample_skewed(named, RngState(seed), 10**4).tobytes() == want.tobytes()
+        ys = np.linspace(-14.0, 14.0, 2001)
+        qs = np.concatenate([np.logspace(-300, -1, 300), np.linspace(0.1, 1.0 - 1e-12, 300)])
+        xs = np.linspace(1e-6, 1.0 - 1e-6, 301)
+        assert named.cdf_array(ys).tobytes() == plain.cdf_array(ys).tobytes()
+        assert named.quantile_array(qs).tobytes() == plain.quantile_array(qs).tobytes()
+        assert named.mechanism.p(xs).tobytes() == plain.mechanism.p(xs).tobytes()
+
+
+# (alpha, y, ln s rounded to 2 places) where expit(alpha y) is 0 or
+# subnormal, so ln of it was -inf or lost its digits, and points either
+# side of the switch at the smallest normal double and in the bulk
+LOGISTIC_LOG_PDFS = [
+    (100.0, -8.0, -832.23), (18.0, -40.0, -1520.23), (1e4, -1.0, None),
+    (100.0, -7.1, None), (2.0, -354.2, None), (2.0, -354.0, None),
+    (2.0, -40.0, None), (10.0, 3.0, None), (2.0, 1.0, None),
+]
+
+
+class TestLogisticLogDensity:
+    """The logistic pi carries ln pi = -ln(1 + e^(-alpha y)), so the
+    composed log density stays finite where pi underflows, float and array
+    alike, and equal bit for bit."""
+
+    @pytest.mark.parametrize("alpha,y,rounded", LOGISTIC_LOG_PDFS)
+    def test_log_pdf_against_mpmath(self, std, alpha, y, rounded):
+        dist = compose(std, _named_pi("logistic", alpha))
+        want = float(mp.log(2 * mp.npdf(y) / (1 + mp.exp(-alpha * mp.mpf(y)))))
+        got = dist.log_pdf(y)
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (got, want)
+        assert rounded is None or round(want, 2) == rounded
+        assert np.float64(got).tobytes() == dist.log_pdf(np.array([y]))[0].tobytes()
+        assert dist.mechanism.mirror.composed_log_pdf(-y) == got
 
 # The laws the float quantile's root is checked on: Azzalini shapes from
 # light to heavy lower tails, and custom pis with their mpmath twins.
